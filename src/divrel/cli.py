@@ -100,8 +100,9 @@ def _exit_code(records: list[BoundCheckRecord]) -> int:
     bad = [r for r in records if r.asserted and not r.passed]
     if bad:
         worst = bad[0]
+        witness = f" ({_params_str(worst.params)})" if worst.params else ""
         print(
-            f"error: bound-violation: {worst.bound_id} fails at n={worst.n}",
+            f"error: bound-violation: {worst.bound_id} fails at n={worst.n}{witness}",
             file=sys.stderr,
         )
         return 1
@@ -112,26 +113,37 @@ def _divisor_cap(args: argparse.Namespace) -> int | None:
     if getattr(args, "cap_divisors", None) is not None:
         return args.cap_divisors
     env = os.environ.get("DIVREL_CAP_DIVISORS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"DIVREL_CAP_DIVISORS must be an integer, got {env!r}") from None
 
 
-def _records_for_n(n: int, bounds: tuple[str, ...], cap: int | None) -> list[BoundCheckRecord]:
-    """All requested bound rows for one n; inapplicable bounds are skipped."""
+def _records_for_n(
+    ctx: factorcore.DivisorContext, bounds: tuple[str, ...]
+) -> list[BoundCheckRecord]:
+    """All requested bound rows for one n; inapplicable bounds are skipped.
+
+    Every bound id reads the one context, so each piece of work on n is
+    done once.
+    """
+    n = ctx.n
     out: list[BoundCheckRecord] = []
-    squarefree = factorcore.arith_stats(factorcore.factor(n)).v_max <= 1
+    squarefree = ctx.stats.v_max <= 1
     for bound_id in bounds:
         if bound_id in SQUAREFREE_ONLY_BOUNDS and not squarefree:
             continue
         if bound_id in ("thm3b", "lemma6", "corollary2") and n < 2:
             continue
         if bound_id in RELATION_BOUNDS:
-            out.extend(relations.inequality_report(n, bound_id, cap=cap))
+            out.extend(relations.inequality_report(n, bound_id, ctx=ctx))
             continue
-        for kind in regmaps.BUILTIN_KINDS:
-            table = regmaps.build_builtin(kind, n, cap)
+        for kind, table, reg in regmaps.builtin_maps(ctx):
             if bound_id == "thm1b" and table.j != 2:
                 continue
-            rec = regmaps.bound_check(table, bound_id)
+            rec = regmaps.bound_check(table, bound_id, reg, ctx=ctx)
             out.append(
                 BoundCheckRecord(
                     rec.bound_id,
@@ -150,9 +162,10 @@ def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, int | None]) -> li
     lo, hi, bounds, squarefree_only, cap = task
     records = []
     for n in range(lo, hi + 1):
-        if squarefree_only and factorcore.arith_stats(factorcore.factor(n)).v_max > 1:
+        ctx = factorcore.DivisorContext(n, cap)
+        if squarefree_only and ctx.stats.v_max > 1:
             continue
-        records.extend(_records_for_n(n, bounds, cap))
+        records.extend(_records_for_n(ctx, bounds))
     return records
 
 

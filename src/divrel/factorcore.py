@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -28,6 +29,8 @@ SPF_CEILING = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _spf_table: np.ndarray | None = None
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _rho_split(n: int) -> int:
-    """Deterministic Pollard rho (Brent cycle), n an odd composite > 1."""
+    """Deterministic Pollard rho (Floyd cycle finding), n an odd composite > 1."""
     for c in range(1, 10_000):
         x = y = 2
         d = 1
@@ -183,6 +186,42 @@ def kappa(f: Factorization, j: int) -> int:
     for _, v in f.parts:
         out *= j * v + 1
     return out
+
+
+class DivisorContext:
+    """Everything one n needs, each piece computed at most once.
+
+    The arithmetic is computed here on first use; relations and regmaps keep
+    their own per-n results (pair sums, map tables) through memo().  A
+    context lives for one n only, so nothing is kept from one n to the next.
+    cap is the divisor cap that divs is built under.
+    """
+
+    def __init__(self, n: int, cap: int | None = None) -> None:
+        self.n = n
+        self.cap = cap
+        self._memo: dict = {}
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        return factor(self.n)
+
+    @cached_property
+    def stats(self) -> ArithStats:
+        return arith_stats(self.factorization)
+
+    @cached_property
+    def divs(self) -> tuple[int, ...]:
+        return divisors(self.factorization, self.cap)
+
+    def kappa(self, j: int) -> int:
+        return self.memo(("kappa", j), lambda: kappa(self.factorization, j))
+
+    def memo(self, key: object, compute: Callable[[], T]) -> T:
+        """compute() on the first call for key; the kept value after that."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def signature(f: Factorization) -> tuple[int, ...]:

@@ -31,10 +31,6 @@ ASSERTED_BOUNDS = frozenset(
     }
 )
 
-RECORDED_BOUNDS = frozenset(
-    {"thm3a", "thm3b", "thm4", "lemma6", "corollary2", "corollary3"}
-)
-
 
 @dataclass(frozen=True)
 class BoundCheckRecord:

@@ -19,6 +19,7 @@ from typing import Mapping
 from . import factorcore
 from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
+from .factorcore import DivisorContext
 from .records import BoundCheckRecord, make_record
 
 
@@ -117,9 +118,11 @@ def f_value(table: MapTable) -> int:
     return len(table.entries)
 
 
-def builtin_sum_map(n: int, cap: int | None = None) -> MapTable:
+def builtin_sum_map(
+    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> MapTable:
     """g(d1, d2) = d1 + d2 on coprime pairs whose sum divides n coprimely."""
-    divs = factorcore.divisors(factorcore.factor(n), cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     entries = {}
     for d1 in divs:
         for d2 in divs:
@@ -131,9 +134,11 @@ def builtin_sum_map(n: int, cap: int | None = None) -> MapTable:
     return MapTable(n, 2, entries)
 
 
-def builtin_successor_map(n: int, cap: int | None = None) -> MapTable:
+def builtin_successor_map(
+    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> MapTable:
     """g(t_i) = t_{i+1} on divisors coprime to their successor."""
-    divs = factorcore.divisors(factorcore.factor(n), cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     entries = {}
     for i in range(len(divs) - 1):
         if math.gcd(divs[i], divs[i + 1]) == 1:
@@ -141,7 +146,9 @@ def builtin_successor_map(n: int, cap: int | None = None) -> MapTable:
     return MapTable(n, 1, entries)
 
 
-def builtin_midpoint_map(n: int, variant: str = "exact", cap: int | None = None) -> MapTable:
+def builtin_midpoint_map(
+    n: int, variant: str = "exact", cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> MapTable:
     """g(t_i, t_j) = t at the (floor) midpoint index, where coprimality allows.
 
     variant "exact" keeps only even i+j (value index (i+j)/2); variant
@@ -149,7 +156,7 @@ def builtin_midpoint_map(n: int, variant: str = "exact", cap: int | None = None)
     """
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
-    divs = factorcore.divisors(factorcore.factor(n), cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     tau = len(divs)
     entries = {}
     for i in range(1, tau + 1):
@@ -168,32 +175,57 @@ def builtin_midpoint_map(n: int, variant: str = "exact", cap: int | None = None)
 BUILTIN_KINDS = ("sum", "successor", "midpoint-exact", "midpoint-floor")
 
 
-def build_builtin(kind: str, n: int, cap: int | None = None) -> MapTable:
+def build_builtin(
+    kind: str, n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> MapTable:
     if kind == "sum":
-        return builtin_sum_map(n, cap)
+        return builtin_sum_map(n, cap, ctx=ctx)
     if kind == "successor":
-        return builtin_successor_map(n, cap)
+        return builtin_successor_map(n, cap, ctx=ctx)
     if kind == "midpoint-exact":
-        return builtin_midpoint_map(n, "exact", cap)
+        return builtin_midpoint_map(n, "exact", cap, ctx=ctx)
     if kind == "midpoint-floor":
-        return builtin_midpoint_map(n, "floor", cap)
+        return builtin_midpoint_map(n, "floor", cap, ctx=ctx)
     raise DomainError(f"unknown builtin map kind: {kind!r}")
+
+
+def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityReport], ...]:
+    """(kind, table, regularity report) of every built-in map of ctx.n,
+    built and checked once per context."""
+
+    def compute() -> tuple[tuple[str, MapTable, RegularityReport], ...]:
+        out = []
+        for kind in BUILTIN_KINDS:
+            table = build_builtin(kind, ctx.n, ctx.cap, ctx=ctx)
+            out.append((kind, table, check_regularity(table)))
+        return tuple(out)
+
+    return ctx.memo("builtin_maps", compute)
 
 
 MAP_BOUND_IDS = ("thm1a", "thm1b", "thm2a", "thm2b", "c2", "corollary2")
 
 
 def bound_check(
-    table: MapTable, bound_id: str, reg: RegularityReport | None = None
+    table: MapTable,
+    bound_id: str,
+    reg: RegularityReport | None = None,
+    *,
+    ctx: DivisorContext | None = None,
 ) -> BoundCheckRecord:
-    """Compare |U_g| against one named domain-size bound at the table's own k."""
+    """Compare |U_g| against one named domain-size bound at the table's own k.
+
+    ctx, a DivisorContext of table.n, supplies the factorization, its
+    statistics and kappa without recomputing them.
+    """
     if reg is None:
         reg = check_regularity(table)
-    f = factorcore.factor(table.n)
-    stats = factorcore.arith_stats(f)
+    ctx = ctx or DivisorContext(table.n)
+    f = ctx.factorization
+    stats = ctx.stats
     j, k = table.j, reg.k
     lhs = f_value(table)
-    kap = factorcore.kappa(f, j)
+    kap = ctx.kappa(j)
 
     def log_or_ninf(x: float) -> float:
         return math.log(x) if x > 0 else -math.inf

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
+from .factorcore import DivisorContext
 from .records import BoundCheckRecord, make_record
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
@@ -55,10 +56,6 @@ class ResidueProfile:
     eta: float
 
 
-def _divisor_tuple(n: int, cap: int | None = None) -> tuple[int, ...]:
-    return factorcore.divisors(factorcore.factor(n), cap)
-
-
 def _pair_sum_counts(divs: tuple[int, ...]) -> Counter:
     c: Counter = Counter()
     for d1 in divs:
@@ -67,9 +64,14 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> Counter:
     return c
 
 
-def count_sum_triples(n: int, cap: int | None = None) -> int:
+def _pair_sums(ctx: DivisorContext) -> Counter:
+    """The pair-sum histogram of ctx.n, counted once per context."""
+    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
+
+
+def count_sum_triples(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3."""
-    divs = _divisor_tuple(n, cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     dset = set(divs)
     count = 0
     for d1 in divs:
@@ -84,24 +86,24 @@ def count_sum_triples(n: int, cap: int | None = None) -> int:
     return count
 
 
-def additive_energy(n: int, cap: int | None = None) -> int:
+def additive_energy(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Ordered quadruples of divisors with d1 + d2 = d3 + d4."""
-    sums = _pair_sum_counts(_divisor_tuple(n, cap))
-    return sum(c * c for c in sums.values())
+    ctx = ctx or DivisorContext(n, cap)
+    return ctx.memo("energy", lambda: sum(c * c for c in _pair_sums(ctx).values()))
 
 
 def rep_count(n: int, m: int, cap: int | None = None) -> int:
     """Ordered divisor pairs of n summing to m."""
     if m < 0:
         raise DomainError(f"rep_count: m must be >= 0, got {m}")
-    divs = _divisor_tuple(n, cap)
+    divs = DivisorContext(n, cap).divs
     dset = set(divs)
     return sum(1 for d in divs if d < m and (m - d) in dset)
 
 
 def shifted_count(n: int, m: int, cap: int | None = None) -> int:
     """Ordered triples with d1 + d2 = d3 + m; m may be negative."""
-    divs = _divisor_tuple(n, cap)
+    divs = DivisorContext(n, cap).divs
     sums = _pair_sum_counts(divs)
     return sum(sums.get(d3 + m, 0) for d3 in divs)
 
@@ -117,17 +119,22 @@ def u_count(n: int, e: int, m: int, cap: int | None = None) -> int:
     return rep_count(n, m * e, cap)
 
 
-def energy_decomposition(n: int, cap: int | None = None) -> EnergyDecomposition:
+def energy_decomposition(
+    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> EnergyDecomposition:
     """Partition all tau(n)^2 ordered pair sums into (e, m) cells."""
-    divs = _divisor_tuple(n, cap)
-    sums = _pair_sum_counts(divs)
-    rows = []
-    for s, u in sums.items():
-        e = math.gcd(s, n)
-        rows.append((e, s // e, u))
-    rows.sort()
-    energy = sum(u * u for _, _, u in rows)
-    return EnergyDecomposition(n, tuple(rows), energy)
+    ctx = ctx or DivisorContext(n, cap)
+
+    def compute() -> EnergyDecomposition:
+        rows = []
+        for s, u in _pair_sums(ctx).items():
+            e = math.gcd(s, n)
+            rows.append((e, s // e, u))
+        rows.sort()
+        energy = sum(u * u for _, _, u in rows)
+        return EnergyDecomposition(n, tuple(rows), energy)
+
+    return ctx.memo("decomposition", compute)
 
 
 # floor(e * 10^30) and its successor; e*d is never an integer, so an integer
@@ -146,14 +153,14 @@ def _lt_e_times(d2: int, d1: int) -> bool:
     raise RuntimeError("e-window comparison needs more digits")
 
 
-def hooley_delta(n: int, cap: int | None = None) -> int:
+def hooley_delta(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Maximum number of divisors inside a window (x, e*x].
 
     The supremum over real windows is attained with the left edge just below
     a divisor d, so it equals the maximum over divisors d of the count of
     divisors in [d, e*d); e*d is irrational, making the half-open form exact.
     """
-    divs = _divisor_tuple(n, cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     tau = len(divs)
     best = 0
     hi = 0
@@ -166,7 +173,9 @@ def hooley_delta(n: int, cap: int | None = None) -> int:
     return best
 
 
-def residue_profile(n: int, q: int, cap: int | None = None) -> ResidueProfile:
+def residue_profile(
+    n: int, q: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> ResidueProfile:
     """Count divisors of n in each residue class mod q, plus the second moment.
 
     Requires gcd(n, q) = 1; classes are indexed t = 1..q with residue 0
@@ -176,7 +185,7 @@ def residue_profile(n: int, q: int, cap: int | None = None) -> ResidueProfile:
         raise DomainError(f"residue_profile: q must be >= 2, got {q}")
     if math.gcd(n, q) != 1:
         raise DomainError(f"residue_profile: gcd({n}, {q}) != 1")
-    divs = _divisor_tuple(n, cap)
+    divs = (ctx or DivisorContext(n, cap)).divs
     counts = [0] * q
     for d in divs:
         counts[(d - 1) % q] += 1  # slot t-1 holds class t, so q holds 0
@@ -187,7 +196,7 @@ def residue_profile(n: int, q: int, cap: int | None = None) -> ResidueProfile:
 
 def exp_sum(n: int, theta: float, cap: int | None = None) -> complex:
     """Divisor exponential sum: sum over d | n of exp(2*pi*i*theta*d)."""
-    divs = _divisor_tuple(n, cap)
+    divs = DivisorContext(n, cap).divs
     return sum(cmath.exp(2j * math.pi * theta * d) for d in divs)
 
 
@@ -196,32 +205,45 @@ def _require_squarefree(stats: factorcore.ArithStats, bound_id: str, n: int) -> 
         raise DomainError(f"{bound_id}: n = {n} is not squarefree")
 
 
+def _omega_of(f: factorcore.Factorization, e: int) -> int:
+    """omega(e) for a divisor e of f.n, read off n's own primes."""
+    return sum(1 for p, _ in f.parts if e % p == 0)
+
+
 def inequality_report(
-    n: int, bound_id: str, cap: int | None = None, **params: object
+    n: int,
+    bound_id: str,
+    cap: int | None = None,
+    *,
+    ctx: DivisorContext | None = None,
+    **params: object,
 ) -> list[BoundCheckRecord]:
     """Evaluate one named divisor-relation bound at n and return its rows.
 
     Explicit bounds (corollary1, eq4.1, eq4.2) are asserted; growth-rate
     bounds (thm3a, thm3b, thm4, lemma6, corollary3) are recorded as ratios.
+    ctx, a DivisorContext of this n, shares its work across bound ids; cap
+    is then ctx's own.
     """
-    f = factorcore.factor(n)
-    stats = factorcore.arith_stats(f)
+    ctx = ctx or DivisorContext(n, cap)
+    f = ctx.factorization
+    stats = ctx.stats
 
     if bound_id == "corollary1":
-        lhs = count_sum_triples(n, cap)
+        lhs = count_sum_triples(n, ctx=ctx)
         return [make_record(bound_id, n, lhs, (2 - DELTA2) * math.log(stats.tau))]
 
     if bound_id == "eq4.1":
         _require_squarefree(stats, bound_id, n)
         per_e: dict[int, int] = {}
-        for e, _, u in energy_decomposition(n, cap).rows:
+        for e, _, u in energy_decomposition(n, ctx=ctx).rows:
             per_e[e] = per_e.get(e, 0) + u
         wanted = params.get("e")
         out = []
-        for e in factorcore.divisors(f, cap):
+        for e in ctx.divs:
             if wanted is not None and e != wanted:
                 continue
-            we = len(factorcore.factor(e).parts)
+            we = _omega_of(f, e)
             log_rhs = stats.omega * math.log(3) + we * math.log(2 / 3)
             out.append(make_record(bound_id, n, per_e.get(e, 0), log_rhs, e=e))
         if wanted is not None and not out:
@@ -231,32 +253,32 @@ def inequality_report(
     if bound_id == "eq4.2":
         _require_squarefree(stats, bound_id, n)
         best: dict[int, tuple[int, int]] = {}
-        for e, m, u in energy_decomposition(n, cap).rows:
+        for e, m, u in energy_decomposition(n, ctx=ctx).rows:
             if e not in best or u > best[e][0]:
                 best[e] = (u, m)
         out = []
         for e, (u, m) in sorted(best.items()):
-            we = len(factorcore.factor(e).parts)
+            we = _omega_of(f, e)
             log_rhs = (C_EXP * stats.omega + (1 - C_EXP) * we) * math.log(2)
             out.append(make_record(bound_id, n, u, log_rhs, e=e, m=m))
         return out
 
     if bound_id == "thm3a":
         _require_squarefree(stats, bound_id, n)
-        lhs = additive_energy(n, cap)
+        lhs = additive_energy(n, ctx=ctx)
         return [make_record(bound_id, n, lhs, stats.omega * math.log(ENERGY_BASE))]
 
     if bound_id == "thm3b":
         if n < 2:
             raise DomainError("thm3b: requires n >= 2")
-        lhs = additive_energy(n, cap)
+        lhs = additive_energy(n, ctx=ctx)
         log_rhs = 3 * math.log(stats.tau) - 0.5 * math.log(stats.omega2)
         return [make_record(bound_id, n, lhs, log_rhs)]
 
     if bound_id == "lemma6":
         if n < 2:
             raise DomainError("lemma6: requires n >= 2")
-        lhs = hooley_delta(n, cap)
+        lhs = hooley_delta(n, ctx=ctx)
         log_rhs = math.log(stats.tau) - 0.5 * math.log(stats.omega2)
         return [make_record(bound_id, n, lhs, log_rhs)]
 
@@ -266,7 +288,7 @@ def inequality_report(
             raise DomainError("thm4: integer parameter q required")
         if n < 2 or q < 2:
             raise DomainError("thm4: requires n, q >= 2")
-        profile = residue_profile(n, q, cap)
+        profile = residue_profile(n, q, ctx=ctx)
         rhs = (
             (stats.tau + stats.tau ** (2 - 4 * profile.eta))
             * stats.v_max
@@ -278,8 +300,8 @@ def inequality_report(
 
     if bound_id == "corollary3":
         _require_squarefree(stats, bound_id, n)
-        divs = factorcore.divisors(f, cap)
-        sums = _pair_sum_counts(divs)
+        divs = ctx.divs
+        sums = _pair_sums(ctx)
         shifts: Counter = Counter()
         for s, c in sums.items():
             for d3 in divs:

@@ -1,16 +1,31 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from divrel import make_record
+from divrel import (
+    BUILTIN_KINDS,
+    bound_check,
+    build_builtin,
+    factor,
+    factorcore,
+    inequality_report,
+    make_record,
+    regmaps,
+)
 from divrel.cli import (
+    ALL_SWEEP_BOUNDS,
+    RELATION_BOUNDS,
     format_records_csv,
     format_records_json,
     main,
     parse_records_json,
 )
+
+ALL_BOUNDS = ",".join(ALL_SWEEP_BOUNDS)
 
 
 def run(capsys, *argv):
@@ -113,12 +128,72 @@ def test_sweep_report_csv(capsys, tmp_path):
 
 
 def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
-    args = ["sweep", "--bounds", "corollary1,thm2b", "--n-hi", "40", "--format", "csv"]
-    p1, p2, p3 = (tmp_path / f"r{i}.csv" for i in range(3))
-    assert run(capsys, *args, "--out", str(p1))[0] == 0
-    assert run(capsys, *args, "--out", str(p2))[0] == 0
-    assert run(capsys, *args, "--workers", "3", "--out", str(p3))[0] == 0
-    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+    # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime
+    for bounds, n_hi, workers, code in (
+        ("corollary1,thm2b", "40", "3", 0),
+        (ALL_BOUNDS, "200", "2", 1),
+    ):
+        args = ["sweep", "--bounds", bounds, "--n-hi", n_hi, "--format", "csv"]
+        p1, p2, p3 = (tmp_path / f"r{i}.csv" for i in range(3))
+        assert run(capsys, *args, "--out", str(p1))[0] == code
+        assert run(capsys, *args, "--out", str(p2))[0] == code
+        assert run(capsys, *args, "--workers", workers, "--out", str(p3))[0] == code
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+
+def _fresh_records(n):
+    """All 13 bound ids at n through the public calls, each on its own:
+    the sweep's skip rules, but nothing shared between bound ids."""
+    squarefree = all(v == 1 for _, v in factor(n).parts)
+    out = []
+    for bound_id in ALL_SWEEP_BOUNDS:
+        if not squarefree and bound_id in ("eq4.1", "eq4.2", "thm3a", "corollary3", "thm2a"):
+            continue
+        if n < 2 and bound_id in ("thm3b", "lemma6", "corollary2"):
+            continue
+        if bound_id in RELATION_BOUNDS:
+            out.extend(inequality_report(n, bound_id))
+            continue
+        for kind in BUILTIN_KINDS:
+            table = build_builtin(kind, n)
+            if bound_id == "thm1b" and table.j != 2:
+                continue
+            rec = bound_check(table, bound_id)
+            out.append(dataclasses.replace(rec, params=rec.params + (("map", kind),)))
+    return out
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 300), (720720, 720720), (2162160, 2162160)])
+def test_sweep_matches_uncached_public_calls(capsys, tmp_path, lo, hi):
+    # the sweep shares one DivisorContext per n across all bound ids; its
+    # report must equal the one built from fresh public calls
+    path = tmp_path / "sweep.csv"
+    run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-lo", str(lo), "--n-hi", str(hi),
+        "--out", str(path))
+    fresh = [rec for n in range(lo, hi + 1) for rec in _fresh_records(n)]
+    assert path.read_text() == format_records_csv(fresh)
+
+
+def test_one_n_sweep_computes_each_piece_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(regmaps, "build_builtin")
+    counted(regmaps, "check_regularity")
+    counted(factorcore, "factor")
+    counted(factorcore, "divisors")
+    # 30 is squarefree, so every bound id applies
+    code, _, _ = run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-lo", "30", "--n-hi", "30")
+    assert code == 0
+    assert calls == {"build_builtin": 4, "check_regularity": 4, "factor": 1, "divisors": 1}
 
 
 def test_sweep_header_only_when_no_rows(capsys, tmp_path):
@@ -142,7 +217,7 @@ def test_sweep_exit_one_on_asserted_violation(capsys):
     # real probe of the asserted-violation exit path
     code, out, err = run(capsys, "sweep", "--bounds", "eq4.2", "--n-lo", "2", "--n-hi", "2")
     assert code == 1
-    assert "error: bound-violation:" in err
+    assert err == "error: bound-violation: eq4.2 fails at n=2 (e=1;m=3)\n"
     assert any(line.endswith("false,e=1;m=3") for line in out.splitlines())
 
 
@@ -193,6 +268,13 @@ def test_env_var_overrides_divisor_cap(capsys, monkeypatch):
     monkeypatch.setenv("DIVREL_CAP_DIVISORS", "1000")
     code, _, _ = run(capsys, "energy", "--n", "720720")
     assert code == 0
+
+
+def test_env_var_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "abc")
+    code, out, err = run(capsys, "divisors", "--n", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: domain: DIVREL_CAP_DIVISORS")
 
 
 def test_unknown_flag_rejected(capsys):

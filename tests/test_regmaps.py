@@ -207,6 +207,9 @@ def test_bound_check_sum_map_examples():
     rec = bound_check(t, "thm2a")
     assert math.exp(rec.log_rhs) == pytest.approx(16.0)
     assert rec.passed
+    # arity 1, k = 1: (j*k + 1) * kappa_1(6) / (j*v_max + 1) = 2 * 4 / 2
+    rec = bound_check(builtin_successor_map(6), "c2")
+    assert math.exp(rec.log_rhs) == pytest.approx(4.0)
 
 
 def test_bound_check_preconditions():

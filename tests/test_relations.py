@@ -218,6 +218,9 @@ def test_eq41_report_example():
     assert len(recs) == 1
     assert math.exp(recs[0].log_rhs) == pytest.approx(27.0)
     assert recs[0].passed
+    # omega(6) = 2: 3^3 * (2/3)^2
+    (rec,) = inequality_report(30, "eq4.1", e=6)
+    assert math.exp(rec.log_rhs) == pytest.approx(12.0)
 
 
 def test_eq41_eq42_require_squarefree():
