@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -127,6 +128,14 @@ def test_sweep_report_csv(capsys, tmp_path):
     assert len(lines) == 9
 
 
+# SHA-256 of the all-13-bound sweep report for n <= 200, per format.  A
+# change to any row's bytes (a count, a log_rhs digit, a param) changes it.
+ALL_BOUNDS_200_SHA256 = {
+    "csv": "783c210adf0c48933785fbeb8611f90d5dea23edd7dd88b56e316879d302e498",
+    "json": "da5575ab1ee373893c96f0678cab7ce173251cc9d63e8ce60992688ff016ae94",
+}
+
+
 def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
     # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime
     for bounds, n_hi, workers, code in (
@@ -139,6 +148,11 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
         assert run(capsys, *args, "--out", str(p2))[0] == code
         assert run(capsys, *args, "--workers", workers, "--out", str(p3))[0] == code
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["csv"]
+    path = tmp_path / "r.json"
+    args = ["sweep", "--bounds", ALL_BOUNDS, "--n-hi", "200", "--format", "json"]
+    assert run(capsys, *args, "--out", str(path))[0] == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["json"]
 
 
 def _fresh_records(n):
