@@ -17,7 +17,7 @@ import numpy as np
 
 from . import factorcore
 from .errors import DomainError
-from .records import BoundCheckRecord, make_record
+from .records import BOUNDS, BoundCheckRecord, BoundSpec, make_record
 
 # Best known exponent saving for arity-2 maps, and the weight parameters
 # achieving it.  beta is always derived from (alpha, r), never free.
@@ -41,6 +41,12 @@ TAIL_DELTA_FLOOR = 0.0450722
 TAIL_LOG_TERM = 0.63
 
 _LOG_SLACK = 1e-9
+
+# s_bounds and thm4_split produce these asserted rows in pairs, so they have
+# no evaluator of their own.
+BOUNDS.update(
+    {b: BoundSpec("analytic", True) for b in ("s_minus", "s_plus", "thm4_split_a", "thm4_split_b")}
+)
 
 
 def beta_for(alpha: float, r: float) -> float:
@@ -73,14 +79,39 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
 
 
+# One body per weight formula, over a math namespace xp: math for the public
+# scalar functions, numpy for grids.  numpy's log and exp may differ from
+# math's in the last bit, so scalars never go through numpy.
+def _f(xp, alpha: float, x):
+    return -(1 - alpha) * x / (x + 1) * math.log(1 / (1 - alpha)) + (
+        alpha * x + 1
+    ) / (x + 1) * xp.log(alpha * x + 1)
+
+
+def _ell(xp, alpha: float, x):
+    return (1 + alpha) * x / (x + 1) * xp.log((alpha * x + 1) / (1 - alpha)) - xp.log(
+        (alpha * (x - 1) + 1) / (1 - alpha)
+    )
+
+
+def _u(xp, alpha: float, j: int, v):
+    return j * xp.log((alpha * j * v + 1) / (1 - alpha))
+
+
+def _xi_terms(xp, v, alpha: float, beta: float, j: int, r: float) -> tuple:
+    """(the numerator inside xi's first logarithm, xi) at v."""
+    u = _u(xp, alpha, j, v)
+    s = 1 + (j - 1) * r
+    num = 1 + v * xp.exp(u / s) + (j - 1) * v * xp.exp(r * u / s)
+    return num, -xp.log(num / (j * v + 1)) + (1 + beta) * v * u / (j * v + 1)
+
+
 def f_alpha(alpha: float, x: float) -> float:
     """-(1-a)*x/(x+1)*log(1/(1-a)) + (a*x+1)/(x+1)*log(a*x+1), for x >= 0."""
     _check_alpha(alpha)
     if x < 0:
         raise DomainError(f"f_alpha: x must be >= 0, got {x}")
-    return -(1 - alpha) * x / (x + 1) * math.log(1 / (1 - alpha)) + (
-        alpha * x + 1
-    ) / (x + 1) * math.log(alpha * x + 1)
+    return _f(math, alpha, x)
 
 
 def ell_alpha(alpha: float, x: float) -> float:
@@ -91,9 +122,7 @@ def ell_alpha(alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if x < 1:
         raise DomainError(f"ell_alpha: x must be >= 1, got {x}")
-    return (1 + alpha) * x / (x + 1) * math.log((alpha * x + 1) / (1 - alpha)) - math.log(
-        (alpha * (x - 1) + 1) / (1 - alpha)
-    )
+    return _ell(math, alpha, x)
 
 
 def u_weight(alpha: float, j: int, v: float) -> float:
@@ -103,7 +132,7 @@ def u_weight(alpha: float, j: int, v: float) -> float:
         raise DomainError(f"u_weight: j must be >= 1, got {j}")
     if v < 1:
         raise DomainError(f"u_weight: v must be >= 1, got {v}")
-    return j * math.log((alpha * j * v + 1) / (1 - alpha))
+    return _u(math, alpha, j, v)
 
 
 def h_value(alpha: float, j: int, f: factorcore.Factorization, d: int) -> float:
@@ -124,30 +153,25 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
     return sum(v * u_weight(alpha, j, v) / (j * v + 1) for _, v in f.parts)
 
 
+def _check_xi(v: float, beta: float, r: float) -> None:
+    if v < 1:
+        raise DomainError(f"xi: v must be >= 1, got {v}")
+    if beta < 0 or r < 0:
+        raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
+
+
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
     """Per-prime exponent gained by the tilted second-moment bound.
 
     xi(x/j, alpha, alpha, j, 1) collapses to ell_alpha(x).
     """
-    if v < 1:
-        raise DomainError(f"xi: v must be >= 1, got {v}")
-    if beta < 0 or r < 0:
-        raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
-    u = u_weight(alpha, j, v)
-    s = 1 + (j - 1) * r
-    num = 1 + v * math.exp(u / s) + (j - 1) * v * math.exp(r * u / s)
-    return -math.log(num / (j * v + 1)) + (1 + beta) * v * u / (j * v + 1)
+    _check_xi(v, beta, r)
+    return _xi_terms(math, v, alpha, beta, j, r)[1]
 
 
-def _xi_ratio_grid(
-    vs: np.ndarray, alpha: float, beta: float, j: int, r: float
-) -> np.ndarray:
+def _xi_ratio_grid(vs: np.ndarray, alpha: float, beta: float, j: int, r: float) -> np.ndarray:
     """xi(v)/log(j*v+1) on an integer grid, vectorized."""
-    u = j * np.log((alpha * j * vs + 1.0) / (1.0 - alpha))
-    s = 1.0 + (j - 1) * r
-    num = 1.0 + vs * np.exp(u / s) + (j - 1) * vs * np.exp(r * u / s)
-    val = -np.log(num / (j * vs + 1.0)) + (1.0 + beta) * vs * u / (j * vs + 1.0)
-    return val / np.log(j * vs + 1.0)
+    return _xi_terms(np, vs, alpha, beta, j, r)[1] / np.log(j * vs + 1)
 
 
 def delta_j(j: int) -> float:
@@ -246,14 +270,13 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
         if v < TAIL_MIN_V:
             raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {v}")
         alpha, beta, r = params.alpha, params.beta, params.r
-        u = u_weight(alpha, 2, v)
-        s = 1 + r
-        num = 1 + v * math.exp(u / s) + v * math.exp(r * u / s)
+        _check_xi(v, beta, r)
+        num, xi_v = _xi_terms(math, v, alpha, beta, 2, r)
         t = 2 * v + 1
         m1 = math.log(TAIL_NUM_COEFF) + TAIL_NUM_EXPONENT * math.log(t) - math.log(num)
         arg2 = (2 * alpha * v + 1) / (1 - alpha)
         m2 = math.log(arg2) - math.log(TAIL_ARG2_COEFF * t)
-        ratio = xi(v, alpha, beta, 2, r) / math.log(t)
+        ratio = xi_v / math.log(t)
         m3 = ratio - (TAIL_DELTA_FLOOR + TAIL_LOG_TERM / math.log(t))
         rows.append(TailSample(v, m1, m2, m3))
     return TailCheckReport(tuple(rows))
@@ -366,18 +389,12 @@ def lemma45_scan(config: LemmaScanConfig = LemmaScanConfig()) -> LemmaScanReport
     xs = config.x_step * np.arange(1, config.x_count + 1, dtype=np.float64)
     worst_step = math.inf
     worst_dom = math.inf
+    mask = xs >= 1
     for alpha in alphas:
-        fa = -(1 - alpha) * xs / (xs + 1) * math.log(1 / (1 - alpha)) + (
-            alpha * xs + 1
-        ) / (xs + 1) * np.log(alpha * xs + 1)
+        fa = _f(np, alpha, xs)
         ratio = fa / np.log(xs + 1)
         worst_step = min(worst_step, float(np.min(np.diff(ratio))))
-        mask = xs >= 1
-        xg = xs[mask]
-        ell = (1 + alpha) * xg / (xg + 1) * np.log(
-            (alpha * xg + 1) / (1 - alpha)
-        ) - np.log((alpha * (xg - 1) + 1) / (1 - alpha))
-        worst_dom = min(worst_dom, float(np.min(ell - fa[mask])))
+        worst_dom = min(worst_dom, float(np.min(_ell(np, alpha, xs[mask]) - fa[mask])))
 
     worst_sum = math.inf
     s_grid = np.arange(config.s_max + 1, dtype=np.float64)
@@ -446,9 +463,7 @@ def s_bounds(
         beta = beta_for(alpha, r)
     f = factorcore.factor(n)
     divs = factorcore.divisors(f, cap)
-    h = {
-        d: sum(u_weight(alpha, j, v) for p, v in f.parts if d % p == 0) for d in divs
-    }
+    h = {d: h_value(alpha, j, f, d) for d in divs}
     avg = a_mean(alpha, j, f)
     s = 1 + (j - 1) * r
     lo_thresh = j * (1 - alpha) * avg

@@ -1,8 +1,9 @@
 """Command-line surface: point queries, map tools, range sweeps, reports.
 
 Exit codes: 0 success / all asserted bounds hold; 1 at least one asserted
-bound violated; 2 usage or domain error; 3 resource cap exceeded.  Errors
-print one line `error: <kind>: <detail>` on stderr.
+bound violated; 2 usage or domain error; 3 resource cap exceeded; 4 internal
+error (an unexpected exception, i.e. a bug).  Errors print one line
+`error: <kind>: <detail>` on stderr.
 """
 
 from __future__ import annotations
@@ -16,19 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import analytic, factorcore, regmaps, relations
 from .errors import DomainError, ResourceLimitError
-from .records import BoundCheckRecord
-
-RELATION_BOUNDS = (
-    "corollary1",
-    "eq4.1",
-    "eq4.2",
-    "thm3a",
-    "thm3b",
-    "lemma6",
-    "corollary3",
-)
-SQUAREFREE_ONLY_BOUNDS = frozenset({"eq4.1", "eq4.2", "thm3a", "corollary3", "thm2a"})
-ALL_SWEEP_BOUNDS = RELATION_BOUNDS + regmaps.MAP_BOUND_IDS
+from .records import BOUNDS, BoundCheckRecord
 
 
 def _fmt(x: float) -> str:
@@ -38,10 +27,7 @@ def _fmt(x: float) -> str:
 
 
 def _params_str(params: tuple[tuple[str, object], ...]) -> str:
-    items = []
-    for key, val in params:
-        items.append(f"{key}={_fmt(val) if isinstance(val, float) else val}")
-    return ";".join(items)
+    return ";".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in params)
 
 
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
@@ -72,18 +58,12 @@ def format_records_json(records: list[BoundCheckRecord]) -> str:
 
 
 def parse_records_json(text: str) -> list[BoundCheckRecord]:
-    rows = json.loads(text)
     return [
         BoundCheckRecord(
-            row["bound_id"],
-            row["n"],
-            row["lhs"],
-            row["log_rhs"],
-            row["margin"],
-            row["pass"],
+            row["bound_id"], row["n"], row["lhs"], row["log_rhs"], row["margin"], row["pass"],
             tuple(sorted(row["params"].items())),
         )
-        for row in rows
+        for row in json.loads(text)
     ]
 
 
@@ -124,34 +104,27 @@ def _divisor_cap(args: argparse.Namespace) -> int | None:
 def _records_for_n(
     ctx: factorcore.DivisorContext, bounds: tuple[str, ...]
 ) -> list[BoundCheckRecord]:
-    """All requested bound rows for one n; inapplicable bounds are skipped.
+    """All requested bound rows for one n; bounds whose domain excludes n
+    (or a built-in table's arity) are skipped.
 
     Every bound id reads the one context, so each piece of work on n is
     done once.
     """
-    n = ctx.n
     out: list[BoundCheckRecord] = []
-    squarefree = ctx.stats.v_max <= 1
     for bound_id in bounds:
-        if bound_id in SQUAREFREE_ONLY_BOUNDS and not squarefree:
+        spec = BOUNDS[bound_id]
+        if spec.violation(ctx):
             continue
-        if bound_id in ("thm3b", "lemma6", "corollary2") and n < 2:
-            continue
-        if bound_id in RELATION_BOUNDS:
-            out.extend(relations.inequality_report(n, bound_id, ctx=ctx))
+        if spec.family == "relation":
+            out.extend(relations.inequality_report(ctx.n, bound_id, ctx=ctx))
             continue
         for kind, table, reg in regmaps.builtin_maps(ctx):
-            if bound_id == "thm1b" and table.j != 2:
+            if spec.violation(ctx, table.j):
                 continue
             rec = regmaps.bound_check(table, bound_id, reg, ctx=ctx)
             out.append(
                 BoundCheckRecord(
-                    rec.bound_id,
-                    rec.n,
-                    rec.lhs,
-                    rec.log_rhs,
-                    rec.margin,
-                    rec.passed,
+                    rec.bound_id, rec.n, rec.lhs, rec.log_rhs, rec.margin, rec.passed,
                     rec.params + (("map", kind),),
                 )
             )
@@ -238,22 +211,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.map_cmd == "check":
         table = _load_table(args)
         report = regmaps.check_regularity(table)
-        print(
-            json.dumps(
-                {
-                    "n": table.n,
-                    "j": table.j,
-                    "size": regmaps.f_value(table),
-                    "k1": report.k1,
-                    "k2": report.k2,
-                    "k3": report.k3,
-                    "k": report.k,
-                    "k_strong": report.k_strong,
-                    "domain_regular": report.domain_regular,
-                },
-                sort_keys=True,
-            )
-        )
+        row = {"n": table.n, "j": table.j, "size": regmaps.f_value(table)}
+        for key in ("k1", "k2", "k3", "k", "k_strong", "domain_regular"):
+            row[key] = getattr(report, key)
+        print(json.dumps(row, sort_keys=True))
         return 0 if report.domain_regular else 1
     table = _load_table(args)
     rec = regmaps.bound_check(table, args.bound)
@@ -314,7 +275,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = tuple(args.bounds.split(","))
     for b in bounds:
-        if b not in ALL_SWEEP_BOUNDS:
+        if b not in BOUNDS or not BOUNDS[b].sweepable:
             raise DomainError(f"sweep: unknown bound id {b!r}")
     cap = _divisor_cap(args)
     lo, hi = args.n_lo, args.n_hi
@@ -338,21 +299,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_split_thm4(args: argparse.Namespace) -> int:
     res = analytic.thm4_split(args.n, args.q)
-    print(
-        json.dumps(
-            {
-                "n": res.n,
-                "q": res.q,
-                "eta": res.eta,
-                "epsilon": res.epsilon,
-                "trivial": res.trivial,
-                "a": res.a,
-                "b": res.b,
-                "split_size": res.split_size,
-            },
-            sort_keys=True,
-        )
-    )
+    keys = ("n", "q", "eta", "epsilon", "trivial", "a", "b", "split_size")
+    print(json.dumps({k: getattr(res, k) for k in keys}, sort_keys=True))
     return _exit_code(list(res.records))
 
 
@@ -423,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--file", default=None)
     mo.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, default=None)
     mo.add_argument("--n", type=int, default=None)
-    mo.add_argument("--bound", choices=regmaps.MAP_BOUND_IDS, required=True)
+    map_bounds = [b for b, spec in BOUNDS.items() if spec.family == "map"]
+    mo.add_argument("--bound", choices=map_bounds, required=True)
     add_cap(mo)
     p.set_defaults(func=_cmd_map)
 
@@ -495,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug, never a bound verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

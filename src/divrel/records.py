@@ -1,4 +1,5 @@
-"""Bound-check records: one row per verified (or observed) inequality.
+"""Bound-check records (one row per verified or observed inequality) and the
+registry of the named bounds that produce them.
 
 Asserted bounds are explicit inequalities that must hold; their pass flag is
 margin >= -1e-9 in log space.  Recorded bounds have an unknown constant in
@@ -9,27 +10,66 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
+
+from .errors import DomainError
 
 LOG_SLACK = 1e-9
 
-# Bound ids whose inequality is explicit (no hidden constant).  Everything
-# else is ratio-only.
-ASSERTED_BOUNDS = frozenset(
-    {
-        "corollary1",
-        "eq4.1",
-        "eq4.2",
-        "thm1a",
-        "thm1b",
-        "thm2a",
-        "thm2b",
-        "c2",
-        "s_minus",
-        "s_plus",
-        "thm4_split_a",
-        "thm4_split_b",
-    }
-)
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One named bound, declared beside its evaluator.
+
+    family is "relation" (evaluate(ctx, **params) -> rows), "map"
+    (evaluate(ctx, table, reg) -> (log_rhs, params), one row per table) or
+    "analytic" (rows come in pairs from analytic; no evaluate).  Its domain
+    is n squarefree, n >= min_n and, for a map bound, tables of this arity.
+    """
+
+    family: str
+    asserted: bool
+    squarefree_only: bool = False
+    min_n: int = 1
+    arity: int | None = None
+    sweepable: bool = False
+    evaluate: Callable[..., Any] | None = None
+
+    def violation(self, ctx: Any, arity: int | None = None) -> str | None:
+        """Why ctx's n (or a table of this arity) is outside the domain, or
+        None.  The sweep skips on it; the public functions raise it."""
+        if self.squarefree_only and ctx.stats.v_max > 1:
+            return f"n = {ctx.n} is not squarefree"
+        if ctx.n < self.min_n:
+            return f"requires n >= {self.min_n}"
+        if arity is not None and self.arity not in (None, arity):
+            return f"arity-{self.arity} tables only"
+        return None
+
+
+# bound id -> spec; filled by relations, regmaps and analytic at import.
+BOUNDS: dict[str, BoundSpec] = {}
+
+
+def bound(bound_id: str, family: str, **rules: Any) -> Callable:
+    """Decorator registering the decorated function as bound_id's evaluator."""
+
+    def register(evaluate: Callable) -> Callable:
+        BOUNDS[bound_id] = BoundSpec(family, evaluate=evaluate, **rules)
+        return evaluate
+
+    return register
+
+
+def applicable_spec(bound_id: str, family: str, ctx: Any, arity: int | None = None) -> BoundSpec:
+    """bound_id's spec; DomainError unless it is of this family and applies."""
+    spec = BOUNDS.get(bound_id)
+    if spec is None or spec.family != family:
+        raise DomainError(f"unknown bound id: {bound_id}")
+    reason = spec.violation(ctx, arity)
+    if reason:
+        raise DomainError(f"{bound_id}: {reason}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -44,18 +84,15 @@ class BoundCheckRecord:
 
     @property
     def asserted(self) -> bool:
-        return self.bound_id in ASSERTED_BOUNDS
+        return BOUNDS[self.bound_id].asserted
 
 
 def make_record(
     bound_id: str, n: int, lhs: int, log_rhs: float, **params: object
 ) -> BoundCheckRecord:
     """Build a record; pass semantics depend on whether the bound is asserted."""
-    if lhs > 0:
-        margin = log_rhs - math.log(lhs)
-    else:
-        margin = math.inf
-    if bound_id in ASSERTED_BOUNDS:
+    margin = log_rhs - math.log(lhs) if lhs > 0 else math.inf
+    if BOUNDS[bound_id].asserted:
         passed = margin >= -LOG_SLACK
     else:
         # ratio-only record: anything with a usable rhs counts as recorded

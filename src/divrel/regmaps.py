@@ -20,7 +20,7 @@ from . import factorcore
 from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
 from .factorcore import DivisorContext
-from .records import BoundCheckRecord, make_record
+from .records import BoundCheckRecord, applicable_spec, bound, make_record
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,6 @@ def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityRe
     return ctx.memo("builtin_maps", compute)
 
 
-MAP_BOUND_IDS = ("thm1a", "thm1b", "thm2a", "thm2b", "c2", "corollary2")
-
-
 def bound_check(
     table: MapTable,
     bound_id: str,
@@ -215,55 +212,61 @@ def bound_check(
 ) -> BoundCheckRecord:
     """Compare |U_g| against one named domain-size bound at the table's own k.
 
+    A table that breaks the domain contract (see map_violations) is refused.
     ctx, a DivisorContext of table.n, supplies the factorization, its
     statistics and kappa without recomputing them.
     """
+    ctx = ctx or DivisorContext(table.n)
+    spec = applicable_spec(bound_id, "map", ctx, table.j)
     if reg is None:
         reg = check_regularity(table)
-    ctx = ctx or DivisorContext(table.n)
-    f = ctx.factorization
-    stats = ctx.stats
+    if not reg.domain_regular:
+        raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
+    log_rhs, params = spec.evaluate(ctx, table, reg)
+    return make_record(bound_id, table.n, f_value(table), log_rhs, j=table.j, **params)
+
+
+def _log_or_ninf(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
+
+
+@bound("thm1a", "map", asserted=True, sweepable=True)
+def _thm1a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
+    return _log_or_ninf(reg.k) + (1 - delta_j(table.j)) * math.log(ctx.kappa(table.j)), {"k": reg.k}
+
+
+@bound("thm1b", "map", asserted=True, arity=2, sweepable=True)
+def _thm1b(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
+    return _log_or_ninf(reg.k) + (1 - DELTA2) * math.log(ctx.kappa(table.j)), {"k": reg.k}
+
+
+@bound("thm2a", "map", asserted=True, squarefree_only=True, sweepable=True)
+def _thm2a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
+    j, ks = table.j, reg.k_strong
+    log_rhs = _log_or_ninf(ks) + ctx.stats.omega * math.log((j + 2) / 2 ** (2 / (j + 2)))
+    return log_rhs, {"k_strong": ks}
+
+
+@bound("thm2b", "map", asserted=True, sweepable=True)
+def _thm2b(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
+    j = table.j
+    log_rhs = _log_or_ninf(reg.k) + sum(
+        math.log((j + 1) * v ** (j / (j + 1))) for _, v in ctx.factorization.parts
+    )
+    return log_rhs, {"k": reg.k}
+
+
+@bound("c2", "map", asserted=True, sweepable=True)
+def _c2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
     j, k = table.j, reg.k
-    lhs = f_value(table)
-    kap = ctx.kappa(j)
+    log_rhs = math.log(j * k + 1) + math.log(ctx.kappa(j)) - math.log(j * ctx.stats.v_max + 1)
+    return log_rhs, {"k": k}
 
-    def log_or_ninf(x: float) -> float:
-        return math.log(x) if x > 0 else -math.inf
 
-    if bound_id == "thm1a":
-        log_rhs = log_or_ninf(k) + (1 - delta_j(j)) * math.log(kap)
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k=k)
-
-    if bound_id == "thm1b":
-        if j != 2:
-            raise DomainError("thm1b: arity-2 tables only")
-        log_rhs = log_or_ninf(k) + (1 - DELTA2) * math.log(kap)
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k=k)
-
-    if bound_id == "thm2a":
-        if stats.v_max > 1:
-            raise DomainError(f"thm2a: n = {table.n} is not squarefree")
-        ks = reg.k_strong
-        log_rhs = log_or_ninf(ks) + stats.omega * math.log((j + 2) / 2 ** (2 / (j + 2)))
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k_strong=ks)
-
-    if bound_id == "thm2b":
-        log_rhs = log_or_ninf(k) + sum(
-            math.log((j + 1) * v ** (j / (j + 1))) for _, v in f.parts
-        )
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k=k)
-
-    if bound_id == "c2":
-        log_rhs = math.log(j * k + 1) + math.log(kap) - math.log(j * stats.v_max + 1)
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k=k)
-
-    if bound_id == "corollary2":
-        if table.n < 2:
-            raise DomainError("corollary2: requires n >= 2")
-        log_rhs = log_or_ninf(k) + math.log(kap) - math.log(stats.big_omega)
-        return make_record(bound_id, table.n, lhs, log_rhs, j=j, k=k)
-
-    raise DomainError(f"unknown bound id: {bound_id}")
+@bound("corollary2", "map", asserted=False, min_n=2, sweepable=True)
+def _corollary2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
+    log_rhs = _log_or_ninf(reg.k) + math.log(ctx.kappa(table.j)) - math.log(ctx.stats.big_omega)
+    return log_rhs, {"k": reg.k}
 
 
 def exact_E(n: int, j: int, k: int, guard: int = 12, cap: int | None = None) -> int:
@@ -334,6 +337,8 @@ def map_from_json(text: str) -> MapTable:
         raise DomainError(f"bad map table JSON: {exc}") from exc
     if not isinstance(n, int) or not isinstance(j, int) or n < 1 or j < 1:
         raise DomainError("bad map table JSON: n and j must be positive integers")
+    if not isinstance(raw, list):
+        raise DomainError(f"bad map table JSON: entries must be a list, got {raw!r}")
     entries = {}
     for row in raw:
         if (

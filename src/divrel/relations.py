@@ -16,7 +16,7 @@ from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext
-from .records import BoundCheckRecord, make_record
+from .records import BoundCheckRecord, applicable_spec, bound, make_record
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
 # divisors of a squarefree n share one fixed sum.
@@ -200,11 +200,6 @@ def exp_sum(n: int, theta: float, cap: int | None = None) -> complex:
     return sum(cmath.exp(2j * math.pi * theta * d) for d in divs)
 
 
-def _require_squarefree(stats: factorcore.ArithStats, bound_id: str, n: int) -> None:
-    if stats.v_max > 1:
-        raise DomainError(f"{bound_id}: n = {n} is not squarefree")
-
-
 def _omega_of(f: factorcore.Factorization, e: int) -> int:
     """omega(e) for a divisor e of f.n, read off n's own primes."""
     return sum(1 for p, _ in f.parts if e % p == 0)
@@ -222,92 +217,87 @@ def inequality_report(
 
     Explicit bounds (corollary1, eq4.1, eq4.2) are asserted; growth-rate
     bounds (thm3a, thm3b, thm4, lemma6, corollary3) are recorded as ratios.
+    params go to the bound's evaluator (eq4.1 takes e, thm4 takes q).
     ctx, a DivisorContext of this n, shares its work across bound ids; cap
     is then ctx's own.
     """
     ctx = ctx or DivisorContext(n, cap)
-    f = ctx.factorization
+    return applicable_spec(bound_id, "relation", ctx).evaluate(ctx, **params)
+
+
+@bound("corollary1", "relation", asserted=True, sweepable=True)
+def _corollary1(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    lhs = count_sum_triples(ctx.n, ctx=ctx)
+    return [make_record("corollary1", ctx.n, lhs, (2 - DELTA2) * math.log(ctx.stats.tau))]
+
+
+@bound("eq4.1", "relation", asserted=True, squarefree_only=True, sweepable=True)
+def _eq41(ctx: DivisorContext, e: int | None = None) -> list[BoundCheckRecord]:
+    per_e: dict[int, int] = {}
+    for d, _, u in energy_decomposition(ctx.n, ctx=ctx).rows:
+        per_e[d] = per_e.get(d, 0) + u
+    out = []
+    for d in ctx.divs:
+        if e is not None and d != e:
+            continue
+        log_rhs = ctx.stats.omega * math.log(3) + _omega_of(ctx.factorization, d) * math.log(2 / 3)
+        out.append(make_record("eq4.1", ctx.n, per_e.get(d, 0), log_rhs, e=d))
+    if e is not None and not out:
+        raise DomainError(f"eq4.1: e = {e} does not divide {ctx.n}")
+    return out
+
+
+@bound("eq4.2", "relation", asserted=True, squarefree_only=True, sweepable=True)
+def _eq42(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    best: dict[int, tuple[int, int]] = {}
+    for e, m, u in energy_decomposition(ctx.n, ctx=ctx).rows:
+        if e not in best or u > best[e][0]:
+            best[e] = (u, m)
+    out = []
+    for e, (u, m) in sorted(best.items()):
+        we = _omega_of(ctx.factorization, e)
+        log_rhs = (C_EXP * ctx.stats.omega + (1 - C_EXP) * we) * math.log(2)
+        out.append(make_record("eq4.2", ctx.n, u, log_rhs, e=e, m=m))
+    return out
+
+
+@bound("thm3a", "relation", asserted=False, squarefree_only=True, sweepable=True)
+def _thm3a(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    lhs = additive_energy(ctx.n, ctx=ctx)
+    return [make_record("thm3a", ctx.n, lhs, ctx.stats.omega * math.log(ENERGY_BASE))]
+
+
+@bound("thm3b", "relation", asserted=False, min_n=2, sweepable=True)
+def _thm3b(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    lhs = additive_energy(ctx.n, ctx=ctx)
+    log_rhs = 3 * math.log(ctx.stats.tau) - 0.5 * math.log(ctx.stats.omega2)
+    return [make_record("thm3b", ctx.n, lhs, log_rhs)]
+
+
+@bound("lemma6", "relation", asserted=False, min_n=2, sweepable=True)
+def _lemma6(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    lhs = hooley_delta(ctx.n, ctx=ctx)
+    log_rhs = math.log(ctx.stats.tau) - 0.5 * math.log(ctx.stats.omega2)
+    return [make_record("lemma6", ctx.n, lhs, log_rhs)]
+
+
+@bound("thm4", "relation", asserted=False, min_n=2)
+def _thm4(ctx: DivisorContext, q: object = None) -> list[BoundCheckRecord]:
+    if not isinstance(q, int):
+        raise DomainError("thm4: integer parameter q required")
     stats = ctx.stats
+    profile = residue_profile(ctx.n, q, ctx=ctx)
+    tau = stats.tau
+    rhs = (tau + tau ** (2 - 4 * profile.eta)) * stats.v_max * math.log(tau) ** 1.5
+    return [make_record("thm4", ctx.n, profile.h_value, math.log(rhs), q=q, eta=profile.eta)]
 
-    if bound_id == "corollary1":
-        lhs = count_sum_triples(n, ctx=ctx)
-        return [make_record(bound_id, n, lhs, (2 - DELTA2) * math.log(stats.tau))]
 
-    if bound_id == "eq4.1":
-        _require_squarefree(stats, bound_id, n)
-        per_e: dict[int, int] = {}
-        for e, _, u in energy_decomposition(n, ctx=ctx).rows:
-            per_e[e] = per_e.get(e, 0) + u
-        wanted = params.get("e")
-        out = []
-        for e in ctx.divs:
-            if wanted is not None and e != wanted:
-                continue
-            we = _omega_of(f, e)
-            log_rhs = stats.omega * math.log(3) + we * math.log(2 / 3)
-            out.append(make_record(bound_id, n, per_e.get(e, 0), log_rhs, e=e))
-        if wanted is not None and not out:
-            raise DomainError(f"eq4.1: e = {wanted} does not divide {n}")
-        return out
-
-    if bound_id == "eq4.2":
-        _require_squarefree(stats, bound_id, n)
-        best: dict[int, tuple[int, int]] = {}
-        for e, m, u in energy_decomposition(n, ctx=ctx).rows:
-            if e not in best or u > best[e][0]:
-                best[e] = (u, m)
-        out = []
-        for e, (u, m) in sorted(best.items()):
-            we = _omega_of(f, e)
-            log_rhs = (C_EXP * stats.omega + (1 - C_EXP) * we) * math.log(2)
-            out.append(make_record(bound_id, n, u, log_rhs, e=e, m=m))
-        return out
-
-    if bound_id == "thm3a":
-        _require_squarefree(stats, bound_id, n)
-        lhs = additive_energy(n, ctx=ctx)
-        return [make_record(bound_id, n, lhs, stats.omega * math.log(ENERGY_BASE))]
-
-    if bound_id == "thm3b":
-        if n < 2:
-            raise DomainError("thm3b: requires n >= 2")
-        lhs = additive_energy(n, ctx=ctx)
-        log_rhs = 3 * math.log(stats.tau) - 0.5 * math.log(stats.omega2)
-        return [make_record(bound_id, n, lhs, log_rhs)]
-
-    if bound_id == "lemma6":
-        if n < 2:
-            raise DomainError("lemma6: requires n >= 2")
-        lhs = hooley_delta(n, ctx=ctx)
-        log_rhs = math.log(stats.tau) - 0.5 * math.log(stats.omega2)
-        return [make_record(bound_id, n, lhs, log_rhs)]
-
-    if bound_id == "thm4":
-        q = params.get("q")
-        if not isinstance(q, int):
-            raise DomainError("thm4: integer parameter q required")
-        if n < 2 or q < 2:
-            raise DomainError("thm4: requires n, q >= 2")
-        profile = residue_profile(n, q, ctx=ctx)
-        rhs = (
-            (stats.tau + stats.tau ** (2 - 4 * profile.eta))
-            * stats.v_max
-            * math.log(stats.tau) ** 1.5
-        )
-        return [
-            make_record(bound_id, n, profile.h_value, math.log(rhs), q=q, eta=profile.eta)
-        ]
-
-    if bound_id == "corollary3":
-        _require_squarefree(stats, bound_id, n)
-        divs = ctx.divs
-        sums = _pair_sums(ctx)
-        shifts: Counter = Counter()
-        for s, c in sums.items():
-            for d3 in divs:
-                shifts[s - d3] += c
-        m_best, lhs = max(shifts.items(), key=lambda kv: (kv[1], -kv[0]))
-        log_rhs = stats.omega * math.log(SHIFTED_TRIPLE_BASE)
-        return [make_record(bound_id, n, lhs, log_rhs, m=m_best)]
-
-    raise DomainError(f"unknown bound id: {bound_id}")
+@bound("corollary3", "relation", asserted=False, squarefree_only=True, sweepable=True)
+def _corollary3(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    shifts: Counter = Counter()
+    for s, c in _pair_sums(ctx).items():
+        for d3 in ctx.divs:
+            shifts[s - d3] += c
+    m_best, lhs = max(shifts.items(), key=lambda kv: (kv[1], -kv[0]))
+    log_rhs = ctx.stats.omega * math.log(SHIFTED_TRIPLE_BASE)
+    return [make_record("corollary3", ctx.n, lhs, log_rhs, m=m_best)]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from divrel import (
@@ -36,6 +37,7 @@ from divrel import (
     verify_xi_range,
     xi,
 )
+from divrel import analytic
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -73,6 +75,42 @@ def test_ell_alpha_examples():
     assert ell_alpha(0.3, 2) >= f_alpha(0.3, 2)
     with pytest.raises(DomainError):
         ell_alpha(0.3, 0.5)
+
+
+def test_weight_scalars_are_pinned():
+    # exact float values: the scalar weights are evaluated with math's log
+    # and exp, so their bits never change
+    beta = beta_for(ALPHA_STAR, R_STAR)
+    assert f_alpha(ALPHA_STAR, 0.5) == 0.013690467907057136
+    assert f_alpha(ALPHA_STAR, 2) == 0.049517597910841565
+    assert f_alpha(ALPHA_STAR, 37.25) == 0.3660904755869623
+    assert ell_alpha(ALPHA_STAR, 1) == 0.026420638513902417
+    assert ell_alpha(ALPHA_STAR, 2.5) == 0.07024144261242682
+    assert ell_alpha(ALPHA_STAR, 1000) == 1.2978582563965544
+    assert xi(1, ALPHA_STAR, beta, 2, R_STAR) == 0.04951759792936211
+    assert xi(7, ALPHA_STAR, beta, 2, R_STAR) == 0.25571593884653043
+    assert xi(10**6, ALPHA_STAR, beta, 2, R_STAR) == 1.284386734232406
+
+
+def test_weight_scalar_and_grid_paths_agree():
+    # one body per weight serves math scalars and numpy grids; the two
+    # paths differ only by the last-bit rounding of log and exp
+    xs = 0.01 * np.arange(1, 10_001, dtype=np.float64)  # lemma45_scan's grid
+    for alpha in (0.01, 0.12, ALPHA_STAR, 0.5, 0.77, 0.99):
+        grid_f = analytic._f(np, alpha, xs)
+        scalar_f = np.array([f_alpha(alpha, float(x)) for x in xs])
+        assert np.max(np.abs(grid_f - scalar_f)) <= 1e-13
+        big = xs[xs >= 1]
+        grid_ell = analytic._ell(np, alpha, big)
+        scalar_ell = np.array([ell_alpha(alpha, float(x)) for x in big])
+        assert np.max(np.abs(grid_ell - scalar_ell)) <= 1e-13
+    params = standard_params()
+    vs = np.arange(1, 10**5 + 1, dtype=np.float64)
+    grid_xi = analytic._xi_ratio_grid(vs, params.alpha, params.beta, 2, params.r)
+    scalar_xi = np.array(
+        [xi(v, params.alpha, params.beta, 2, params.r) / math.log(2 * v + 1) for v in vs.tolist()]
+    )
+    assert np.max(np.abs(grid_xi - scalar_xi) / scalar_xi) <= 1e-13
 
 
 def test_u_weight_examples():

@@ -17,16 +17,14 @@ from divrel import (
     make_record,
     regmaps,
 )
-from divrel.cli import (
-    ALL_SWEEP_BOUNDS,
-    RELATION_BOUNDS,
-    format_records_csv,
-    format_records_json,
-    main,
-    parse_records_json,
-)
+from divrel.cli import format_records_csv, format_records_json, main, parse_records_json
+from divrel.records import BOUNDS
 
-ALL_BOUNDS = ",".join(ALL_SWEEP_BOUNDS)
+# The tests' own copy of the sweepable bound ids, so the oracles below do not
+# share the registry they check.
+RELATION_BOUNDS = ("corollary1", "eq4.1", "eq4.2", "thm3a", "thm3b", "lemma6", "corollary3")
+MAP_BOUNDS = ("thm1a", "thm1b", "thm2a", "thm2b", "c2", "corollary2")
+ALL_BOUNDS = ",".join(RELATION_BOUNDS + MAP_BOUNDS)
 
 
 def run(capsys, *argv):
@@ -77,6 +75,34 @@ def test_map_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "map", "bound", "--file", str(path), "--bound", "thm1b")
     assert code == 0
     assert out.splitlines()[1].startswith("6,thm1b,3,")
+
+
+def test_map_commands_refuse_bad_tables(capsys, tmp_path):
+    # entries that are not a list, and a table breaking the domain contract
+    # (value 5 does not divide 6), are domain errors, never bound verdicts
+    bad_json = tmp_path / "bad_json.json"
+    bad_json.write_text('{"n": 6, "j": 2, "entries": 5}')
+    for cmd in (["check"], ["bound", "--bound", "thm1a"]):
+        code, out, err = run(capsys, "map", *cmd, "--file", str(bad_json))
+        assert code == 2 and out == ""
+        assert err.startswith("error: domain: bad map table JSON") and "Traceback" not in err
+    bad_table = tmp_path / "bad_table.json"
+    bad_table.write_text('{"n": 6, "j": 2, "entries": [[2, 2, 5], [4, 3, 1]]}')
+    code, out, err = run(capsys, "map", "bound", "--file", str(bad_table), "--bound", "thm1a")
+    assert code == 2 and out == ""
+    assert err == "error: domain: thm1a: value 5 at (2, 2) does not divide 6\n"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    from divrel import cli
+
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_factor", broken)
+    code, out, err = run(capsys, "factor", "--n", "6")
+    assert code == 4 and out == ""
+    assert err == "error: internal: ZeroDivisionError: boom\n"
 
 
 def test_exact_e_command(capsys):
@@ -155,12 +181,29 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["json"]
 
 
+def test_bound_registry_declares_every_bound():
+    assert len(BOUNDS) == 18
+    assert {b for b, spec in BOUNDS.items() if spec.sweepable} == set(RELATION_BOUNDS + MAP_BOUNDS)
+    assert {b for b, spec in BOUNDS.items() if spec.family == "map"} == set(MAP_BOUNDS)
+    assert {b for b, spec in BOUNDS.items() if spec.asserted} == {
+        "corollary1", "eq4.1", "eq4.2", "thm1a", "thm1b", "thm2a", "thm2b", "c2",
+        "s_minus", "s_plus", "thm4_split_a", "thm4_split_b",
+    }
+    assert {b for b, spec in BOUNDS.items() if spec.squarefree_only} == {
+        "eq4.1", "eq4.2", "thm3a", "corollary3", "thm2a",
+    }
+    assert {b: spec.min_n for b, spec in BOUNDS.items() if spec.min_n != 1} == {
+        "thm3b": 2, "lemma6": 2, "thm4": 2, "corollary2": 2,
+    }
+    assert {b: spec.arity for b, spec in BOUNDS.items() if spec.arity} == {"thm1b": 2}
+
+
 def _fresh_records(n):
     """All 13 bound ids at n through the public calls, each on its own:
     the sweep's skip rules, but nothing shared between bound ids."""
     squarefree = all(v == 1 for _, v in factor(n).parts)
     out = []
-    for bound_id in ALL_SWEEP_BOUNDS:
+    for bound_id in RELATION_BOUNDS + MAP_BOUNDS:
         if not squarefree and bound_id in ("eq4.1", "eq4.2", "thm3a", "corollary3", "thm2a"):
             continue
         if n < 2 and bound_id in ("thm3b", "lemma6", "corollary2"):

@@ -192,8 +192,12 @@ def test_builtin_tables_are_valid_maps():
 
 
 def test_domain_regular_flags_bad_tables():
-    report = check_regularity(MapTable(6, 2, {(2, 6): 1}))
+    table = MapTable(6, 2, {(2, 6): 1})
+    report = check_regularity(table)
     assert not report.domain_regular
+    reason = r"^thm1a: coordinates of \(2, 6\) are not pairwise coprime$"
+    with pytest.raises(DomainError, match=reason):
+        bound_check(table, "thm1a", report)
 
 
 def test_bound_check_sum_map_examples():
@@ -300,3 +304,5 @@ def test_map_json_rejects_garbage():
         map_from_json('{"n": 6, "j": 2, "entries": [[1, 2]]}')
     with pytest.raises(DomainError):
         map_from_json('{"n": 0, "j": 2, "entries": []}')
+    with pytest.raises(DomainError):
+        map_from_json('{"n": 6, "j": 2, "entries": 5}')
