@@ -125,13 +125,17 @@ def ell_alpha(alpha: float, x: float) -> float:
     return _ell(math, alpha, x)
 
 
-def u_weight(alpha: float, j: int, v: float) -> float:
-    """Per-prime additive weight j*log((alpha*j*v+1)/(1-alpha))."""
+def _check_u(alpha: float, j: int, v: float) -> None:
     _check_alpha(alpha)
     if j < 1:
         raise DomainError(f"u_weight: j must be >= 1, got {j}")
     if v < 1:
         raise DomainError(f"u_weight: v must be >= 1, got {v}")
+
+
+def u_weight(alpha: float, j: int, v: float) -> float:
+    """Per-prime additive weight j*log((alpha*j*v+1)/(1-alpha))."""
+    _check_u(alpha, j, v)
     return _u(math, alpha, j, v)
 
 
@@ -153,11 +157,12 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
     return sum(v * u_weight(alpha, j, v) / (j * v + 1) for _, v in f.parts)
 
 
-def _check_xi(v: float, beta: float, r: float) -> None:
+def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
     if v < 1:
         raise DomainError(f"xi: v must be >= 1, got {v}")
     if beta < 0 or r < 0:
         raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
+    _check_u(alpha, j, v)
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
@@ -165,11 +170,13 @@ def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
 
     xi(x/j, alpha, alpha, j, 1) collapses to ell_alpha(x).
     """
-    _check_xi(v, beta, r)
+    _check_xi(v, alpha, beta, j, r)
     return _xi_terms(math, v, alpha, beta, j, r)[1]
 
 
-def _xi_ratio_grid(vs: np.ndarray, alpha: float, beta: float, j: int, r: float) -> np.ndarray:
+def _xi_ratio_grid(
+    vs: np.ndarray, alpha: float, beta: float, j: int, r: float
+) -> np.ndarray:
     """xi(v)/log(j*v+1) on an integer grid, vectorized."""
     return _xi_terms(np, vs, alpha, beta, j, r)[1] / np.log(j * vs + 1)
 
@@ -270,7 +277,8 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
         if v < TAIL_MIN_V:
             raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {v}")
         alpha, beta, r = params.alpha, params.beta, params.r
-        _check_xi(v, beta, r)
+        _check_u(alpha, 2, v)  # a bad alpha also makes beta < 0; name alpha
+        _check_xi(v, alpha, beta, 2, r)
         num, xi_v = _xi_terms(math, v, alpha, beta, 2, r)
         t = 2 * v + 1
         m1 = math.log(TAIL_NUM_COEFF) + TAIL_NUM_EXPONENT * math.log(t) - math.log(num)
@@ -389,11 +397,11 @@ def lemma45_scan(config: LemmaScanConfig = LemmaScanConfig()) -> LemmaScanReport
     xs = config.x_step * np.arange(1, config.x_count + 1, dtype=np.float64)
     worst_step = math.inf
     worst_dom = math.inf
-    mask = xs >= 1
     for alpha in alphas:
         fa = _f(np, alpha, xs)
         ratio = fa / np.log(xs + 1)
         worst_step = min(worst_step, float(np.min(np.diff(ratio))))
+        mask = xs >= 1
         worst_dom = min(worst_dom, float(np.min(_ell(np, alpha, xs[mask]) - fa[mask])))
 
     worst_sum = math.inf

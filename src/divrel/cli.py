@@ -27,7 +27,10 @@ def _fmt(x: float) -> str:
 
 
 def _params_str(params: tuple[tuple[str, object], ...]) -> str:
-    return ";".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in params)
+    items = []
+    for key, val in params:
+        items.append(f"{key}={_fmt(val) if isinstance(val, float) else val}")
+    return ";".join(items)
 
 
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
@@ -58,12 +61,18 @@ def format_records_json(records: list[BoundCheckRecord]) -> str:
 
 
 def parse_records_json(text: str) -> list[BoundCheckRecord]:
+    rows = json.loads(text)
     return [
         BoundCheckRecord(
-            row["bound_id"], row["n"], row["lhs"], row["log_rhs"], row["margin"], row["pass"],
+            row["bound_id"],
+            row["n"],
+            row["lhs"],
+            row["log_rhs"],
+            row["margin"],
+            row["pass"],
             tuple(sorted(row["params"].items())),
         )
-        for row in json.loads(text)
+        for row in rows
     ]
 
 
@@ -124,7 +133,12 @@ def _records_for_n(
             rec = regmaps.bound_check(table, bound_id, reg, ctx=ctx)
             out.append(
                 BoundCheckRecord(
-                    rec.bound_id, rec.n, rec.lhs, rec.log_rhs, rec.margin, rec.passed,
+                    rec.bound_id,
+                    rec.n,
+                    rec.lhs,
+                    rec.log_rhs,
+                    rec.margin,
+                    rec.passed,
                     rec.params + (("map", kind),),
                 )
             )
@@ -211,10 +225,22 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.map_cmd == "check":
         table = _load_table(args)
         report = regmaps.check_regularity(table)
-        row = {"n": table.n, "j": table.j, "size": regmaps.f_value(table)}
-        for key in ("k1", "k2", "k3", "k", "k_strong", "domain_regular"):
-            row[key] = getattr(report, key)
-        print(json.dumps(row, sort_keys=True))
+        print(
+            json.dumps(
+                {
+                    "n": table.n,
+                    "j": table.j,
+                    "size": regmaps.f_value(table),
+                    "k1": report.k1,
+                    "k2": report.k2,
+                    "k3": report.k3,
+                    "k": report.k,
+                    "k_strong": report.k_strong,
+                    "domain_regular": report.domain_regular,
+                },
+                sort_keys=True,
+            )
+        )
         return 0 if report.domain_regular else 1
     table = _load_table(args)
     rec = regmaps.bound_check(table, args.bound)
@@ -299,8 +325,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_split_thm4(args: argparse.Namespace) -> int:
     res = analytic.thm4_split(args.n, args.q)
-    keys = ("n", "q", "eta", "epsilon", "trivial", "a", "b", "split_size")
-    print(json.dumps({k: getattr(res, k) for k in keys}, sort_keys=True))
+    print(
+        json.dumps(
+            {
+                "n": res.n,
+                "q": res.q,
+                "eta": res.eta,
+                "epsilon": res.epsilon,
+                "trivial": res.trivial,
+                "a": res.a,
+                "b": res.b,
+                "split_size": res.split_size,
+            },
+            sort_keys=True,
+        )
+    )
     return _exit_code(list(res.records))
 
 

@@ -91,7 +91,10 @@ def make_record(
     bound_id: str, n: int, lhs: int, log_rhs: float, **params: object
 ) -> BoundCheckRecord:
     """Build a record; pass semantics depend on whether the bound is asserted."""
-    margin = log_rhs - math.log(lhs) if lhs > 0 else math.inf
+    if lhs > 0:
+        margin = log_rhs - math.log(lhs)
+    else:
+        margin = math.inf
     if BOUNDS[bound_id].asserted:
         passed = margin >= -LOG_SLACK
     else:

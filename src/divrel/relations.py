@@ -287,16 +287,21 @@ def _thm4(ctx: DivisorContext, q: object = None) -> list[BoundCheckRecord]:
         raise DomainError("thm4: integer parameter q required")
     stats = ctx.stats
     profile = residue_profile(ctx.n, q, ctx=ctx)
-    tau = stats.tau
-    rhs = (tau + tau ** (2 - 4 * profile.eta)) * stats.v_max * math.log(tau) ** 1.5
+    rhs = (
+        (stats.tau + stats.tau ** (2 - 4 * profile.eta))
+        * stats.v_max
+        * math.log(stats.tau) ** 1.5
+    )
     return [make_record("thm4", ctx.n, profile.h_value, math.log(rhs), q=q, eta=profile.eta)]
 
 
 @bound("corollary3", "relation", asserted=False, squarefree_only=True, sweepable=True)
 def _corollary3(ctx: DivisorContext) -> list[BoundCheckRecord]:
+    divs = ctx.divs
+    sums = _pair_sums(ctx)
     shifts: Counter = Counter()
-    for s, c in _pair_sums(ctx).items():
-        for d3 in ctx.divs:
+    for s, c in sums.items():
+        for d3 in divs:
             shifts[s - d3] += c
     m_best, lhs = max(shifts.items(), key=lambda kv: (kv[1], -kv[0]))
     log_rhs = ctx.stats.omega * math.log(SHIFTED_TRIPLE_BASE)

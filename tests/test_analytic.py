@@ -161,6 +161,19 @@ def test_xi_collapses_to_ell():
                 )
 
 
+def test_xi_domain():
+    p = standard_params()
+    for bad_alpha in (-0.1, 1.0):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            xi(1, bad_alpha, p.beta, 2, p.r)
+    with pytest.raises(DomainError, match="j must be >= 1"):
+        xi(1, 0.2, 0.2, 0, 1.0)
+    with pytest.raises(DomainError, match="v must be >= 1"):
+        xi(0.5, 0.2, 0.2, 2, 1.0)
+    with pytest.raises(DomainError, match="beta and r"):
+        xi(1, 0.2, -0.1, 2, 1.0)
+
+
 def test_delta_j_values():
     assert delta_j(1) == pytest.approx(1 - (LN3 / LN2 - 2 / 3), abs=1e-12)
     assert delta_j(2) == pytest.approx(0.03459863270029111, abs=1e-12)
@@ -228,6 +241,9 @@ def test_tail_check_domain():
         tail_check(standard_params(), (10**5,))
     with pytest.raises(DomainError):
         tail_check(AnalyticParams(0.2, 0.2, 0.7, 3, 0.01), (10**6,))
+    for bad_alpha in (-0.1, 1.0):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            tail_check(AnalyticParams.from_alpha_r(bad_alpha, R_STAR), (10**6,))
 
 
 def test_optimizer_quick_budget_recovers_constants():

@@ -309,8 +309,13 @@ def test_csv_formatting_is_idempotent():
 
 
 def test_domain_error_exit(capsys):
-    code, _, err = run(capsys, "residues", "--n", "6", "--q", "3")
-    assert code == 2 and err.startswith("error: domain:")
+    for argv in (
+        ["residues", "--n", "6", "--q", "3"],
+        ["analytic", "eval", "--fn", "xi", "--alpha", "-0.1", "--x", "1", "--j", "2"],
+        ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--j", "0", "--r", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: domain:")
 
 
 def test_resource_error_exit(capsys):
