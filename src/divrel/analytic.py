@@ -358,19 +358,6 @@ def optimize_constants(config: OptimizeConfig = OptimizeConfig()) -> tuple[float
 
 
 @dataclass(frozen=True)
-class LemmaScanConfig:
-    """Grids for the monotonicity, domination, and odd-power-sum checks."""
-
-    alpha_count: int = 99
-    x_step: float = 0.01
-    x_count: int = 10_000
-    betas: tuple[float, ...] = tuple(round(1 + 0.1 * i, 1) for i in range(11))
-    s_max: int = 10_000
-    min_ratio_step: float = 1e-15
-    domination_slack: float = 1e-12
-
-
-@dataclass(frozen=True)
 class LemmaScanReport:
     ratio_monotone: bool
     domination_ok: bool
@@ -384,17 +371,19 @@ class LemmaScanReport:
         return self.ratio_monotone and self.domination_ok and self.odd_power_sum_ok
 
 
-def lemma45_scan(config: LemmaScanConfig = LemmaScanConfig()) -> LemmaScanReport:
+def lemma45_scan() -> LemmaScanReport:
     """Grid-check the three scalar facts behind the concentration bounds.
 
     (1) f_alpha(x)/log(x+1) strictly increases in x for each alpha;
     (2) ell_alpha(x) >= f_alpha(x) on x >= 1;
     (3) sum_{i=0..s} (2i+1)^(beta-1) <= (s+1)^beta for 1 <= beta <= 2.
+
+    Grids: alpha = 1/100..99/100, x = 0.01..100 in steps of 0.01, beta =
+    1.0..2.0 in steps of 0.1, s <= 10^4.  (1) must rise by more than 1e-15
+    per step and (2) may dip 1e-12 below zero.
     """
-    alphas = np.arange(1, config.alpha_count + 1, dtype=np.float64) / (
-        config.alpha_count + 1
-    )
-    xs = config.x_step * np.arange(1, config.x_count + 1, dtype=np.float64)
+    alphas = np.arange(1, 100, dtype=np.float64) / 100
+    xs = 0.01 * np.arange(1, 10_001, dtype=np.float64)
     worst_step = math.inf
     worst_dom = math.inf
     for alpha in alphas:
@@ -405,16 +394,16 @@ def lemma45_scan(config: LemmaScanConfig = LemmaScanConfig()) -> LemmaScanReport
         worst_dom = min(worst_dom, float(np.min(_ell(np, alpha, xs[mask]) - fa[mask])))
 
     worst_sum = math.inf
-    s_grid = np.arange(config.s_max + 1, dtype=np.float64)
+    s_grid = np.arange(10_001, dtype=np.float64)
     odd = 2 * s_grid + 1
-    for beta in config.betas:
+    for beta in (round(1 + 0.1 * i, 1) for i in range(11)):
         lhs = np.cumsum(odd ** (beta - 1))
         rhs = (s_grid + 1) ** beta
         worst_sum = min(worst_sum, float(np.min(rhs - lhs)))
 
     return LemmaScanReport(
-        worst_step > config.min_ratio_step,
-        worst_dom >= -config.domination_slack,
+        worst_step > 1e-15,
+        worst_dom >= -1e-12,
         worst_sum >= -_LOG_SLACK,
         worst_step,
         worst_dom,

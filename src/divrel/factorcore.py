@@ -1,8 +1,8 @@
 """Integer factorization, divisor enumeration, and multiplicative statistics.
 
 Everything downstream (relation counts, regular mappings, concentration
-bounds) starts from the exact factorization produced here.  All counts are
-exact Python integers; only the smallest-prime-factor sieve uses numpy.
+bounds) starts from the exact factorization produced here.  The module is
+pure Python: every count is an exact Python integer.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
-import numpy as np
-
 from .errors import DomainError, ResourceLimitError
 
 # Size caps are configuration values, not hard constants; every consumer can
@@ -22,13 +20,15 @@ from .errors import DomainError, ResourceLimitError
 DEFAULT_DIVISOR_CAP = 10**6
 DEFAULT_TUPLE_CAP = 10**8
 
-# Factorizations at or above this bound switch from the sieve to Pollard rho.
-SPF_CEILING = 10**7
+# factor() trial-divides by the primes below 1000; a cofactor left below
+# 1000**2 is then 1 or a prime, and a larger one goes to Miller-Rabin and rho.
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 # Deterministic Miller-Rabin witness set, valid far beyond 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_spf_table: np.ndarray | None = None
 
 T = TypeVar("T")
 
@@ -60,20 +60,6 @@ class ArithStats:
     big_omega: int
     omega2: int
     v_max: int
-
-
-def _sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table covering [0, limit], grown lazily."""
-    global _spf_table
-    if _spf_table is None or len(_spf_table) <= limit:
-        size = max(1 << 16, 1 << limit.bit_length())
-        size = min(max(size, limit + 1), SPF_CEILING)
-        table = np.arange(size, dtype=np.int64)
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if table[p] == p:
-                np.minimum(table[p * p :: p], p, out=table[p * p :: p])
-        _spf_table = table
-    return _spf_table
 
 
 def _is_prime(n: int) -> bool:
@@ -114,15 +100,7 @@ def _rho_split(n: int) -> int:
 
 
 def _factor_into(m: int, counts: dict[int, int]) -> None:
-    if m == 1:
-        return
-    if m < SPF_CEILING:
-        table = _sieve(m)
-        while m > 1:
-            p = int(table[m])
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        return
+    """Add the prime factors of m > 1, which has no prime factor below 1000."""
     if _is_prime(m):
         counts[m] = counts.get(m, 0) + 1
         return
@@ -134,19 +112,23 @@ def _factor_into(m: int, counts: dict[int, int]) -> None:
 def factor(n: int) -> Factorization:
     """Factor n >= 1 exactly.
 
-    Uses a smallest-prime-factor sieve below 10**7 and deterministic
-    Miller-Rabin plus Pollard rho above, so word-sized inputs are fine.
+    Trial division by the primes below 1000, then deterministic Miller-Rabin
+    plus Pollard rho on the cofactor, so word-sized inputs are fine.
     """
     if n < 1:
         raise DomainError(f"factor: n must be a positive integer, got {n}")
     counts: dict[int, int] = {}
     m = n
-    # Strip tiny primes first so rho never sees even input.
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    _factor_into(m, counts)
+    if m >= _TRIAL_LIMIT**2:
+        _factor_into(m, counts)
+    elif m > 1:
+        counts[m] = 1
     return Factorization(n, tuple(sorted(counts.items())))
 
 

@@ -137,20 +137,30 @@ def energy_decomposition(
     return ctx.memo("decomposition", compute)
 
 
-# floor(e * 10^30) and its successor; e*d is never an integer, so an integer
-# comparison against these brackets decides d2 < e*d1 exactly at any scale
-# this library reaches.
+# floor(e * 10^30) and its successor bracket e; the integer comparison
+# against them decides d2 < e*d1 for almost every pair of divisors.
 _E_SCALE = 10**30
 _E_FLOOR = 2718281828459045235360287471352
 
 
 def _lt_e_times(d2: int, d1: int) -> bool:
+    """d2 < e*d1, exactly; e*d1 is irrational for d1 >= 1, so never equal."""
     lhs = d2 * _E_SCALE
     if lhs <= d1 * _E_FLOOR:
         return True
     if lhs >= d1 * (_E_FLOOR + 1):
         return False
-    raise RuntimeError("e-window comparison needs more digits")
+    # With a = k! * sum_{i<=k} 1/i!, the tail sum_{i>k} 1/i! lies in
+    # (0, 1/(k*k!)), so a/k! < e < (a + 1/k)/k!; raise k until one side decides.
+    a, fact, k = 2, 1, 1
+    while True:
+        k += 1
+        fact *= k
+        a = a * k + 1
+        if d2 * fact <= d1 * a:
+            return True
+        if d2 * fact * k >= d1 * (a * k + 1):
+            return False
 
 
 def hooley_delta(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:

@@ -50,6 +50,10 @@ def test_point_queries(capsys):
     assert run(capsys, "triples", "--n", "6")[1].strip() == "4"
     assert run(capsys, "energy", "--n", "6")[1].strip() == "32"
     assert run(capsys, "delta-hooley", "--n", "12")[1].strip() == "3"
+    # its divisors 781379079653017 < 2124008553358849 lie in one e-window
+    # that 30 digits of e cannot decide (80-digit mpmath: the count is 2)
+    code, out, _ = run(capsys, "delta-hooley", "--n", "1659655848598673481608806497433")
+    assert code == 0 and out == "2\n"
 
 
 def test_energy_decompose(capsys):
@@ -78,8 +82,9 @@ def test_map_commands(capsys, tmp_path):
 
 
 def test_map_commands_refuse_bad_tables(capsys, tmp_path):
-    # entries that are not a list, and a table breaking the domain contract
-    # (value 5 does not divide 6), are domain errors, never bound verdicts
+    # entries that are not a list, and for map bound a table breaking the
+    # domain contract (value 5 does not divide 6), are domain errors, never
+    # bound verdicts
     bad_json = tmp_path / "bad_json.json"
     bad_json.write_text('{"n": 6, "j": 2, "entries": 5}')
     for cmd in (["check"], ["bound", "--bound", "thm1a"]):
@@ -91,6 +96,11 @@ def test_map_commands_refuse_bad_tables(capsys, tmp_path):
     code, out, err = run(capsys, "map", "bound", "--file", str(bad_table), "--bound", "thm1a")
     assert code == 2 and out == ""
     assert err == "error: domain: thm1a: value 5 at (2, 2) does not divide 6\n"
+    # map check reports the broken contract instead; exit 1 is only for a
+    # failed asserted bound
+    code, out, err = run(capsys, "map", "check", "--file", str(bad_table))
+    assert code == 0 and err == ""
+    assert json.loads(out)["domain_regular"] is False
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divrel import (
     DomainError,
@@ -68,6 +71,41 @@ def test_factor_large_inputs_use_rho():
     m = 2**61 - 1  # Mersenne prime
     assert factor(m).parts == ((m, 1),)
     assert factor(10**12).parts == ((2, 12), (5, 12))
+
+
+# 997 and 1009 straddle the trial-division limit; 1009**2 is the first
+# composite cofactor that trial division leaves for Miller-Rabin and rho.
+FACTOR_EDGE_CASES = (
+    997, 1009, 997**2, 1009**2, 997 * 1009, 999983 * 1000003, 9999991, 10000019,
+    2**61 - 1, 6469693230, 735134400,
+)
+_prime_below_1e9 = st.integers(2, 10**9).map(lambda x: sympy.prevprime(x + 1))
+
+
+def assert_matches_sympy(n):
+    f = factor(n)
+    assert f.n == n and dict(f.parts) == sympy.factorint(n)
+    assert list(f.parts) == sorted(f.parts)
+    divs = divisors(f)
+    assert list(divs) == sympy.divisors(n)
+    assert arith_stats(f).tau == len(divs) == sympy.divisor_count(n)
+
+
+@pytest.mark.parametrize("n", FACTOR_EDGE_CASES)
+def test_factor_edge_cases_match_sympy(n):
+    assert_matches_sympy(n)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(1, 10**7 - 1))
+def test_factor_matches_sympy_below_1e7(n):
+    assert_matches_sympy(n)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_prime_below_1e9, _prime_below_1e9)
+def test_factor_matches_sympy_on_two_prime_products(p, q):
+    assert_matches_sympy(p * q)
 
 
 def test_divisors_examples():

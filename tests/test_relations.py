@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 from divrel import (
     C_EXP,
@@ -26,6 +27,7 @@ from divrel import (
     shifted_count,
     u_count,
 )
+from divrel.relations import _lt_e_times
 
 
 def divisor_list(n):
@@ -153,6 +155,28 @@ def test_hooley_delta_examples():
 def test_hooley_delta_brute_force():
     for n in range(1, 3000):
         assert hooley_delta(n) == brute_hooley(n)
+
+
+def e_convergents():
+    """Convergents p/q of e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]."""
+    terms = [1] + [a for i in range(1, 40) for a in (2 * i, 1, 1)]
+    h0, h1, k0, k1 = 1, 2, 0, 1
+    for a in terms:
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        yield h1, k1
+
+
+def test_e_window_is_exact_beyond_thirty_digits():
+    # the convergents of e are the pairs closest to the 30-digit bracket;
+    # sympy's e to 100 digits is the oracle
+    e100 = sympy.E.evalf(100)
+    pairs = [(p, q) for p, q in e_convergents() if 10**15 <= q <= 10**40]
+    assert len(pairs) > 20
+    for p, q in pairs:
+        for d2 in (p - 1, p, p + 1):
+            assert _lt_e_times(d2, q) == bool(d2 < e100 * q), (d2, q)
+    # 2124008553358849 / 781379079653017 is a convergent just below e
+    assert hooley_delta(2124008553358849 * 781379079653017) == 2
 
 
 def test_residue_profile_examples():
