@@ -9,12 +9,13 @@ error (an unexpected exception, i.e. a bug).  Errors print one line
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 from . import analytic, factorcore, regmaps, relations
 from .errors import DomainError, ResourceLimitError
@@ -34,9 +35,24 @@ def _params_str(params: tuple[tuple[str, object], ...]) -> str:
     return ";".join(items)
 
 
+def _report_order(records: list[BoundCheckRecord]) -> list[BoundCheckRecord]:
+    """records stably sorted by (n, bound_id, params).
+
+    A sweep yields its records grouped by ascending n; then only the rows of
+    each n are sorted, which gives the same order as the global sort.
+    """
+    ns = [rec.n for rec in records]
+    if ns != sorted(ns):
+        return sorted(records, key=attrgetter("n", "bound_id", "params"))
+    out: list[BoundCheckRecord] = []
+    for _, rows in itertools.groupby(records, key=attrgetter("n")):
+        out += sorted(rows, key=attrgetter("bound_id", "params"))
+    return out
+
+
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
     lines = ["n,bound_id,lhs,log_rhs,margin,pass,params"]
-    for rec in sorted(records, key=lambda r: (r.n, r.bound_id, r.params)):
+    for rec in _report_order(records):
         lines.append(
             f"{rec.n},{rec.bound_id},{rec.lhs},{_fmt(rec.log_rhs)},"
             f"{_fmt(rec.margin)},{'true' if rec.passed else 'false'},"
@@ -56,7 +72,7 @@ def format_records_json(records: list[BoundCheckRecord]) -> str:
             "pass": rec.passed,
             "params": dict(rec.params),
         }
-        for rec in sorted(records, key=lambda r: (r.n, r.bound_id, r.params))
+        for rec in _report_order(records)
     ]
     return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -131,8 +147,7 @@ def _records_for_n(
         for kind, table, reg in regmaps.builtin_maps(ctx):
             if spec.violation(ctx, table.j):
                 continue
-            rec = regmaps.bound_check(table, bound_id, reg, ctx=ctx)
-            out.append(dataclasses.replace(rec, params=rec.params + (("map", kind),)))
+            out.append(regmaps.bound_check(table, bound_id, reg, ctx=ctx, kind=kind))
     return out
 
 
@@ -173,8 +188,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     cap = _divisor_cap(args)
     if args.decompose:
         dec = relations.energy_decomposition(args.n, cap)
-        for e, m, u in dec.rows:
-            print(f"{e} {m} {u}")
+        sys.stdout.write("".join(f"{e} {m} {u}\n" for e, m, u in dec.rows))
         print(f"total {dec.total_energy}")
     else:
         print(relations.additive_energy(args.n, cap))

@@ -209,12 +209,14 @@ def bound_check(
     reg: RegularityReport | None = None,
     *,
     ctx: DivisorContext | None = None,
+    kind: str | None = None,
 ) -> BoundCheckRecord:
     """Compare |U_g| against one named domain-size bound at the table's own k.
 
     A table that breaks the domain contract (see map_violations) is refused.
     ctx, a DivisorContext of table.n, supplies the factorization, its
-    statistics and kappa without recomputing them.
+    statistics and kappa without recomputing them.  kind, the built-in map
+    kind the table was built as, is added to the row's params as map=kind.
     """
     ctx = ctx or DivisorContext(table.n)
     spec = applicable_spec(bound_id, "map", ctx, table.j)
@@ -223,6 +225,8 @@ def bound_check(
     if not reg.domain_regular:
         raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
     log_rhs, params = spec.evaluate(ctx, table, reg)
+    if kind is not None:
+        params["map"] = kind
     return make_record(bound_id, table.n, f_value(table), log_rhs, j=table.j, **params)
 
 

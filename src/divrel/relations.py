@@ -3,14 +3,22 @@
 The divisor set D_n is the sorted tuple of all divisors of n.  Counted
 objects are always ordered tuples; the identities below (energy
 decomposition, residue-class second moment) only hold for ordered counts.
+
+The counts over pairs of divisors (sum triples, shifted triples, the
+additive energy and its (e, m) cells, corollary3's most frequent shift) all
+read one pair-sum histogram per DivisorContext: the distinct sums d1 + d2,
+ascending, with the number of ordered pairs giving each, built with numpy.
+Its arrays are int64 while 2n < 2^62 and hold exact Python ints (object
+dtype) beyond, so every count is exact at any n.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import factorcore
 from .analytic import DELTA2
@@ -30,6 +38,16 @@ SHIFTED_TRIPLE_BASE = 3.969502
 # omega(e)/omega(n) threshold that balances the two halves of the energy
 # bound; at this split 2^((2+C_EXP) + (1-C_EXP)(1-eta)) equals ENERGY_BASE.
 ENERGY_SPLIT_ETA = 0.2702949686
+
+# Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
+# (-n, 2n), and the sums d3 + m searched for stay below 3n.  While 2n is
+# below this limit all of them fit int64; from it on the arrays hold exact
+# Python ints (object dtype) and the same code runs on them.
+_INT64_SUMS = 2**62
+
+# corollary3 takes its (pair sum, d3) pairs in ranges of at most this many,
+# so its temporary arrays stay a few MB at any tau.
+_SHIFT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,40 +74,40 @@ class ResidueProfile:
     eta: float
 
 
-def _pair_sum_counts(divs: tuple[int, ...]) -> Counter:
-    c: Counter = Counter()
-    for d1 in divs:
-        for d2 in divs:
-            c[d1 + d2] += 1
-    return c
+def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair-sum histogram: every distinct d1 + d2 over ordered pairs of
+    divs, ascending, and the number of pairs giving each."""
+    a = _as_array(divs)
+    return np.unique(np.add.outer(a, a), return_counts=True)
 
 
-def _pair_sums(ctx: DivisorContext) -> Counter:
+def _as_array(divs: tuple[int, ...]) -> np.ndarray:
+    """divs as int64 while 2n < _INT64_SUMS, else as exact Python ints."""
+    return np.array(divs, dtype=np.int64 if 2 * divs[-1] < _INT64_SUMS else object)
+
+
+def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n, counted once per context."""
     return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
 
 
+def _pairs_summing_to(ctx: DivisorContext, targets: np.ndarray) -> int:
+    """Ordered divisor pairs whose sum is one of the distinct targets."""
+    values, counts = _pair_sums(ctx)
+    idx = np.minimum(np.searchsorted(values, targets), len(values) - 1)
+    return int(counts[idx][values[idx] == targets].sum())
+
+
 def count_sum_triples(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3."""
-    divs = (ctx or DivisorContext(n, cap)).divs
-    dset = set(divs)
-    count = 0
-    for d1 in divs:
-        if d1 + 1 > n:
-            break
-        for d2 in divs:
-            s = d1 + d2
-            if s > n:
-                break
-            if s in dset:
-                count += 1
-    return count
+    ctx = ctx or DivisorContext(n, cap)
+    return _pairs_summing_to(ctx, _as_array(ctx.divs))
 
 
 def additive_energy(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Ordered quadruples of divisors with d1 + d2 = d3 + d4."""
-    ctx = ctx or DivisorContext(n, cap)
-    return ctx.memo("energy", lambda: sum(c * c for c in _pair_sums(ctx).values()))
+    counts = _pair_sums(ctx or DivisorContext(n, cap))[1]
+    return int(counts @ counts)
 
 
 def rep_count(n: int, m: int, cap: int | None = None) -> int:
@@ -101,11 +119,15 @@ def rep_count(n: int, m: int, cap: int | None = None) -> int:
     return sum(1 for d in divs if d < m and (m - d) in dset)
 
 
-def shifted_count(n: int, m: int, cap: int | None = None) -> int:
+def shifted_count(
+    n: int, m: int, cap: int | None = None, *, ctx: DivisorContext | None = None
+) -> int:
     """Ordered triples with d1 + d2 = d3 + m; m may be negative."""
-    divs = DivisorContext(n, cap).divs
-    sums = _pair_sum_counts(divs)
-    return sum(sums.get(d3 + m, 0) for d3 in divs)
+    ctx = ctx or DivisorContext(n, cap)
+    divs = _as_array(ctx.divs)
+    if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
+        return 0
+    return _pairs_summing_to(ctx, divs + m)
 
 
 def u_count(n: int, e: int, m: int, cap: int | None = None) -> int:
@@ -126,15 +148,68 @@ def energy_decomposition(
     ctx = ctx or DivisorContext(n, cap)
 
     def compute() -> EnergyDecomposition:
-        rows = []
-        for s, u in _pair_sums(ctx).items():
-            e = math.gcd(s, n)
-            rows.append((e, s // e, u))
-        rows.sort()
-        energy = sum(u * u for _, _, u in rows)
-        return EnergyDecomposition(n, tuple(rows), energy)
+        values, counts = _pair_sums(ctx)
+        e = np.gcd(values, n)
+        m = values // e
+        # values ascend, so within one e so does m = s / e: a stable sort on
+        # e alone puts the cells in (e, m) order
+        order = np.argsort(e, kind="stable")
+        rows = zip(e[order].tolist(), m[order].tolist(), counts[order].tolist())
+        return EnergyDecomposition(n, tuple(rows), int(counts @ counts))
 
     return ctx.memo("decomposition", compute)
+
+
+def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
+    """(m, count) of the most frequent d1 + d2 - d3 over ordered divisor
+    triples; the smallest m among equal counts.
+
+    With the pair-sum histogram (s, c(s)), the count of m is the sum of
+    c(m + d3) over divisors d3.  The (s, d3) pairs are taken in ascending
+    ranges of m = s - d3, each holding at most _SHIFT_CHUNK pairs, and only
+    the running best is kept from one range to the next.
+    """
+    values, counts = _pair_sums(ctx)
+    divs = _as_array(ctx.divs)
+    top = int(values[-1] - divs[0]) + 1  # one past the largest shift
+
+    def first_at_or_above(m: int) -> np.ndarray:
+        # per d3, the index of the first pair sum s with s - d3 >= m
+        return np.searchsorted(values, divs + m)
+
+    best_m, best = 0, 0
+    lo = int(values[0] - divs[-1])  # the smallest shift
+    start = first_at_or_above(lo)
+    while lo < top:
+        # a becomes the largest end in (lo, top] whose range [lo, a) fits the
+        # budget; lo is a shift that occurs, so the range is never empty
+        budget = int(start.sum()) + _SHIFT_CHUNK
+        a, b = lo + 1, top
+        if budget >= len(values) * len(divs):
+            a = top  # every pair left fits
+        while a < b:
+            mid = (a + b + 1) // 2
+            if int(first_at_or_above(mid).sum()) <= budget:
+                a = mid
+            else:
+                b = mid - 1
+        stop = first_at_or_above(a)
+        lengths = stop - start
+        # idx runs over start[k] .. stop[k] - 1 for each d3 in turn
+        idx = np.arange(lengths.sum()) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+        shift = values[idx] - np.repeat(divs, lengths)
+        order = np.argsort(shift)
+        shift = shift[order]
+        first = np.flatnonzero(np.concatenate(([True], shift[1:] != shift[:-1])))
+        totals = np.add.reduceat(counts[idx][order], first)
+        k = int(np.argmax(totals))  # the first maximum: the smallest m
+        if totals[k] > best:
+            best_m, best = int(shift[first[k]]), int(totals[k])
+        # the next range starts at the smallest shift >= a that occurs
+        left = stop < len(values)
+        lo = int((values[stop[left]] - divs[left]).min()) if left.any() else top
+        start = stop
+    return best_m, best
 
 
 # floor(e * 10^30) and its successor bracket e; the integer comparison
@@ -307,12 +382,6 @@ def _thm4(ctx: DivisorContext, q: object = None) -> list[BoundCheckRecord]:
 
 @bound("corollary3", "relation", asserted=False, squarefree_only=True, sweepable=True)
 def _corollary3(ctx: DivisorContext) -> list[BoundCheckRecord]:
-    divs = ctx.divs
-    sums = _pair_sums(ctx)
-    shifts: Counter = Counter()
-    for s, c in sums.items():
-        for d3 in divs:
-            shifts[s - d3] += c
-    m_best, lhs = max(shifts.items(), key=lambda kv: (kv[1], -kv[0]))
+    m_best, lhs = _most_frequent_shift(ctx)
     log_rhs = ctx.stats.omega * math.log(SHIFTED_TRIPLE_BASE)
     return [make_record("corollary3", ctx.n, lhs, log_rhs, m=m_best)]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -79,6 +80,7 @@ def test_map_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "map", "bound", "--file", str(path), "--bound", "thm1b")
     assert code == 0
     assert out.splitlines()[1].startswith("6,thm1b,3,")
+    assert out.splitlines()[1].endswith(",true,j=2;k=1")  # no map= param
 
 
 def test_map_commands_refuse_bad_tables(capsys, tmp_path):
@@ -309,6 +311,26 @@ def test_json_round_trip():
         assert back.margin == rec.margin
         assert back.passed == rec.passed
     assert format_records_json(parsed) == text
+
+
+def test_report_order_does_not_depend_on_input_order():
+    # rows are sorted by (n, bound_id, params), stably; input grouped by
+    # ascending n, as a sweep yields it, is only sorted within each n
+    records = [rec for n in (1, 6, 30, 31) for rec in _fresh_records(n)]
+    records += [make_record("corollary1", 6, 5, 1.0), make_record("corollary1", 6, 3, 1.0)]
+    records.sort(key=lambda r: r.n)
+    rng = random.Random(5)
+    for trial in range(4):
+        perm = records if trial == 0 else rng.sample(records, len(records))
+        reference = sorted(perm, key=lambda r: (r.n, r.bound_id, r.params))
+        assert format_records_csv(perm) == format_records_csv(reference)
+        assert format_records_json(perm) == format_records_json(reference)
+        # equal keys keep their input order
+        lhs = [r.lhs for r in reference if r.n == 6 and r.bound_id == "corollary1"]
+        assert format_records_csv(perm).count("\n6,corollary1,") == len(lhs) == 3
+        rows = [line.split(",")[2] for line in format_records_csv(perm).splitlines()
+                if line.startswith("6,corollary1,")]
+        assert rows == [str(x) for x in lhs]
 
 
 def test_csv_formatting_is_idempotent():

@@ -3,6 +3,8 @@
 import cmath
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 import sympy
@@ -27,6 +29,8 @@ from divrel import (
     shifted_count,
     u_count,
 )
+from divrel import relations
+from divrel.factorcore import DivisorContext
 from divrel.relations import _lt_e_times
 
 
@@ -64,6 +68,96 @@ def brute_hooley(n: int) -> int:
     return max(
         sum(1 for dp in divs if d / math.e < dp <= d) for d in divs
     )
+
+
+def loop_pair_sums(divs) -> Counter:
+    """Double-loop oracle: the number of ordered pairs per sum d1 + d2."""
+    return Counter(d1 + d2 for d1 in divs for d2 in divs)
+
+
+def loop_max_shift(divs, sums) -> tuple[int, int]:
+    """Triple-loop oracle (pair sums by d3): (m, count) of the most frequent
+    d1 + d2 - d3, the smallest m among equal counts."""
+    shifts: dict[int, int] = {}
+    for s, c in sums.items():
+        for d3 in divs:
+            shifts[s - d3] = shifts.get(s - d3, 0) + c
+    count = max(shifts.values())
+    return min(m for m, k in shifts.items() if k == count), count
+
+
+def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> None:
+    """Every reader of the pair-sum histogram against the loop oracles;
+    max_shift, when given, stands in for loop_max_shift's result."""
+    ctx = DivisorContext(n)
+    divs = ctx.divs
+    sums = loop_pair_sums(divs)
+    energy = sum(c * c for c in sums.values())
+    assert additive_energy(n, ctx=ctx) == energy
+    cells = []
+    for s, c in sums.items():
+        e = math.gcd(s, n)
+        cells.append((e, s // e, c))
+    dec = energy_decomposition(n, ctx=ctx)
+    assert dec.rows == tuple(sorted(cells))
+    assert dec.total_energy == energy
+    assert {type(x) for x in dec.rows[0] + dec.rows[-1]} == {int}
+    assert count_sum_triples(n, ctx=ctx) == sum(sums.get(d, 0) for d in divs)
+    for m in (-1, 0, 1):
+        assert shifted_count(n, m, ctx=ctx) == sum(sums.get(d + m, 0) for d in divs)
+    if ctx.stats.v_max == 1:
+        (rec,) = inequality_report(n, "corollary3", ctx=ctx)
+        m = dict(rec.params)["m"]
+        assert type(m) is int and (m, rec.lhs) == (max_shift or loop_max_shift(divs, sums))
+        assert rec.lhs == sum(sums.get(d + m, 0) for d in divs)
+
+
+def test_pair_sum_readers_match_loops_up_to_5000():
+    for n in range(1, 5001):
+        check_against_loops(n)
+
+
+def test_pair_sum_readers_match_loops_at_high_tau():
+    check_against_loops(735134400)  # tau 1344
+    # tau 256, squarefree, 22 ranges of m.  loop_max_shift takes 2.5-4 s
+    # here and gives (m, count) = (0, 2044), which is pinned instead.
+    check_against_loops(9699690, max_shift=(0, 2044))
+
+
+def test_pair_sum_histogram_dtype_guard():
+    # 2n < 2^62 takes int64; at and above it the arrays hold Python ints
+    below = 3 * 643 * 1195356666259043  # 2^61 - 5, tau 8
+    above = 15 * (2**61 - 1)  # tau 8
+    for n, dtype in ((below, "int64"), (2**61 - 1, "int64"), (2**61, "object"), (above, "object")):
+        values = relations._pair_sum_counts(divisor_list(n))[0]
+        assert values.dtype == dtype, n
+        check_against_loops(n)
+    assert shifted_count(above, 2 * above - 1) == 1  # n + n - 1
+    assert shifted_count(above, 2 * above) == 0
+
+
+def test_corollary3_ties_take_the_smallest_m(monkeypatch):
+    # n = 2: m = 1 and m = 2 both have 3 triples
+    (rec,) = inequality_report(2, "corollary3")
+    assert (dict(rec.params)["m"], rec.lhs) == (1, 3)
+    # ranges of m holding a few (s, d3) pairs put ties in different ranges
+    squarefree = [n for n in range(1, 120) if arith_stats(factor(n)).v_max == 1]
+    for chunk in (1, 7):
+        monkeypatch.setattr(relations, "_SHIFT_CHUNK", chunk)
+        for n in squarefree:
+            divs = divisor_list(n)
+            (rec,) = inequality_report(n, "corollary3")
+            assert (dict(rec.params)["m"], rec.lhs) == loop_max_shift(divs, loop_pair_sums(divs)), (n, chunk)
+
+
+def test_corollary3_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        inequality_report(9699690, "corollary3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 def test_count_sum_triples_examples():
@@ -271,9 +365,10 @@ def test_thm4_report_records_ratio():
 def test_corollary3_report_matches_max_shift():
     for n in (6, 30, 210):
         (rec,) = inequality_report(n, "corollary3")
-        m = dict(rec.params)["m"]
-        assert rec.lhs == shifted_count(n, m)
-        assert rec.lhs >= count_sum_triples(n)  # m = 0 is one candidate
+        divs = divisor_list(n)
+        sums = loop_pair_sums(divs)
+        assert (dict(rec.params)["m"], rec.lhs) == loop_max_shift(divs, sums)
+        assert rec.lhs >= sum(sums.get(d, 0) for d in divs)  # m = 0 is one candidate
 
 
 def test_unknown_bound_id():
