@@ -9,7 +9,6 @@ error (an unexpected exception, i.e. a bug).  Errors print one line
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -35,24 +34,9 @@ def _params_str(params: tuple[tuple[str, object], ...]) -> str:
     return ";".join(items)
 
 
-def _report_order(records: list[BoundCheckRecord]) -> list[BoundCheckRecord]:
-    """records stably sorted by (n, bound_id, params).
-
-    A sweep yields its records grouped by ascending n; then only the rows of
-    each n are sorted, which gives the same order as the global sort.
-    """
-    ns = [rec.n for rec in records]
-    if ns != sorted(ns):
-        return sorted(records, key=attrgetter("n", "bound_id", "params"))
-    out: list[BoundCheckRecord] = []
-    for _, rows in itertools.groupby(records, key=attrgetter("n")):
-        out += sorted(rows, key=attrgetter("bound_id", "params"))
-    return out
-
-
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
     lines = ["n,bound_id,lhs,log_rhs,margin,pass,params"]
-    for rec in _report_order(records):
+    for rec in sorted(records, key=attrgetter("n", "bound_id", "params")):
         lines.append(
             f"{rec.n},{rec.bound_id},{rec.lhs},{_fmt(rec.log_rhs)},"
             f"{_fmt(rec.margin)},{'true' if rec.passed else 'false'},"
@@ -72,7 +56,7 @@ def format_records_json(records: list[BoundCheckRecord]) -> str:
             "pass": rec.passed,
             "params": dict(rec.params),
         }
-        for rec in _report_order(records)
+        for rec in sorted(records, key=attrgetter("n", "bound_id", "params"))
     ]
     return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -4,18 +4,23 @@ The divisor set D_n is the sorted tuple of all divisors of n.  Counted
 objects are always ordered tuples; the identities below (energy
 decomposition, residue-class second moment) only hold for ordered counts.
 
-The counts over pairs of divisors (sum triples, shifted triples, the
-additive energy and its (e, m) cells, corollary3's most frequent shift) all
-read one pair-sum histogram per DivisorContext: the distinct sums d1 + d2,
-ascending, with the number of ordered pairs giving each, built with numpy.
-Its arrays are int64 while 2n < 2^62 and hold exact Python ints (object
-dtype) beyond, so every count is exact at any n.
+The counts over pairs of divisors are numpy array code.  The additive
+energy, its (e, m) cells and corollary3's most frequent shift read one
+pair-sum histogram per DivisorContext: the distinct sums d1 + d2, ascending,
+with the number of ordered pairs giving each.  It holds up to
+tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
+ranges of the sum, so building it needs little beyond twice that.  Sum and
+shifted triples need no histogram: they look the pair sums up among the
+divisors a block at a time, in O(tau) memory beyond a fixed few MB.  The
+arrays are int64 while 2n < 2^62 and hold exact Python ints (object dtype)
+beyond, so every count is exact at any n.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +45,14 @@ SHIFTED_TRIPLE_BASE = 3.969502
 ENERGY_SPLIT_ETA = 0.2702949686
 
 # Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
-# (-n, 2n), and the sums d3 + m searched for stay below 3n.  While 2n is
+# (-n, 2n), and the probes d1 + d2 - m for such m in (-2n, 3n).  While 2n is
 # below this limit all of them fit int64; from it on the arrays hold exact
 # Python ints (object dtype) and the same code runs on them.
 _INT64_SUMS = 2**62
 
-# corollary3 takes its (pair sum, d3) pairs in ranges of at most this many,
-# so its temporary arrays stay a few MB at any tau.
-_SHIFT_CHUNK = 1 << 18
+# No temporary array of the pair counts below holds more than about this
+# many pairs, so their working memory stays a few MB at any tau.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,11 +79,52 @@ class ResidueProfile:
     eta: float
 
 
+def _sum_ranges(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every sum x[j] + y[i] over all pairs (i, j), x ascending, in ascending
+    ranges of the sum; no sum is split between two ranges.
+
+    Yields (sums, j) per range, unordered.  A range holds at most _CHUNK
+    pairs, or only the pairs of one sum if that sum alone has more.
+    """
+    if len(x) * len(y) <= _CHUNK:  # one range holds every pair
+        yield np.add.outer(y, x).ravel(), np.tile(np.arange(len(x)), len(y))
+        return
+    lo, top = int(x[0] + y.min()), int(x[-1] + y.max()) + 1  # top: one past the largest sum
+
+    def first_at_or_above(s: int) -> np.ndarray:
+        # per i, the index of the first x[j] with x[j] + y[i] >= s
+        return np.searchsorted(x, s - y)
+
+    start = first_at_or_above(lo)
+    while lo < top:
+        # a becomes the largest end in (lo, top] whose range [lo, a) fits the
+        # budget; lo is a sum that occurs, so the range is never empty
+        budget = int(start.sum()) + _CHUNK
+        a, b = lo + 1, top
+        while a < b:
+            mid = (a + b + 1) // 2
+            if int(first_at_or_above(mid).sum()) <= budget:
+                a = mid
+            else:
+                b = mid - 1
+        stop = first_at_or_above(a)
+        lengths = stop - start
+        # j runs over start[i] .. stop[i] - 1 for each i in turn
+        j = np.arange(lengths.sum()) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+        yield x[j] + np.repeat(y, lengths), j
+        # the next range starts at the smallest sum >= a that occurs
+        left = stop < len(x)
+        lo = int((x[stop[left]] + y[left]).min()) if left.any() else top
+        start = stop
+
+
 def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram: every distinct d1 + d2 over ordered pairs of
     divs, ascending, and the number of pairs giving each."""
     a = _as_array(divs)
-    return np.unique(np.add.outer(a, a), return_counts=True)
+    ranges = [np.unique(sums, return_counts=True) for sums, _ in _sum_ranges(a, a)]
+    values, counts = zip(*ranges)
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def _as_array(divs: tuple[int, ...]) -> np.ndarray:
@@ -91,17 +137,25 @@ def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
 
 
-def _pairs_summing_to(ctx: DivisorContext, targets: np.ndarray) -> int:
-    """Ordered divisor pairs whose sum is one of the distinct targets."""
-    values, counts = _pair_sums(ctx)
-    idx = np.minimum(np.searchsorted(values, targets), len(values) - 1)
-    return int(counts[idx][values[idx] == targets].sum())
+def _shifted_pairs(divs: tuple[int, ...], m: int) -> int:
+    """Ordered pairs (d1, d2) of divs with d1 + d2 - m in divs.
+
+    The sums are looked up a block of rows of the pair table at a time, with
+    no histogram, so the memory stays O(_CHUNK) at any tau.
+    """
+    a = _as_array(divs)
+    rows = max(1, _CHUNK // len(a))
+    hits = 0
+    for i in range(0, len(a), rows):
+        probes = np.add.outer(a[i : i + rows], a - m).ravel()
+        idx = np.minimum(np.searchsorted(a, probes), len(a) - 1)
+        hits += int(np.count_nonzero(a[idx] == probes))
+    return hits
 
 
 def count_sum_triples(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
     """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3."""
-    ctx = ctx or DivisorContext(n, cap)
-    return _pairs_summing_to(ctx, _as_array(ctx.divs))
+    return _shifted_pairs((ctx or DivisorContext(n, cap)).divs, 0)
 
 
 def additive_energy(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
@@ -119,15 +173,12 @@ def rep_count(n: int, m: int, cap: int | None = None) -> int:
     return sum(1 for d in divs if d < m and (m - d) in dset)
 
 
-def shifted_count(
-    n: int, m: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> int:
+def shifted_count(n: int, m: int, cap: int | None = None) -> int:
     """Ordered triples with d1 + d2 = d3 + m; m may be negative."""
-    ctx = ctx or DivisorContext(n, cap)
-    divs = _as_array(ctx.divs)
+    divs = DivisorContext(n, cap).divs
     if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
         return 0
-    return _pairs_summing_to(ctx, divs + m)
+    return _shifted_pairs(divs, m)
 
 
 def u_count(n: int, e: int, m: int, cap: int | None = None) -> int:
@@ -165,50 +216,19 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     triples; the smallest m among equal counts.
 
     With the pair-sum histogram (s, c(s)), the count of m is the sum of
-    c(m + d3) over divisors d3.  The (s, d3) pairs are taken in ascending
-    ranges of m = s - d3, each holding at most _SHIFT_CHUNK pairs, and only
-    the running best is kept from one range to the next.
+    c(m + d3) over divisors d3.  The (s, d3) pairs come in ascending ranges
+    of m = s - d3, and only the running best is kept from one to the next.
     """
     values, counts = _pair_sums(ctx)
-    divs = _as_array(ctx.divs)
-    top = int(values[-1] - divs[0]) + 1  # one past the largest shift
-
-    def first_at_or_above(m: int) -> np.ndarray:
-        # per d3, the index of the first pair sum s with s - d3 >= m
-        return np.searchsorted(values, divs + m)
-
     best_m, best = 0, 0
-    lo = int(values[0] - divs[-1])  # the smallest shift
-    start = first_at_or_above(lo)
-    while lo < top:
-        # a becomes the largest end in (lo, top] whose range [lo, a) fits the
-        # budget; lo is a shift that occurs, so the range is never empty
-        budget = int(start.sum()) + _SHIFT_CHUNK
-        a, b = lo + 1, top
-        if budget >= len(values) * len(divs):
-            a = top  # every pair left fits
-        while a < b:
-            mid = (a + b + 1) // 2
-            if int(first_at_or_above(mid).sum()) <= budget:
-                a = mid
-            else:
-                b = mid - 1
-        stop = first_at_or_above(a)
-        lengths = stop - start
-        # idx runs over start[k] .. stop[k] - 1 for each d3 in turn
-        idx = np.arange(lengths.sum()) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
-        shift = values[idx] - np.repeat(divs, lengths)
+    for shift, j in _sum_ranges(values, -_as_array(ctx.divs)):
         order = np.argsort(shift)
         shift = shift[order]
         first = np.flatnonzero(np.concatenate(([True], shift[1:] != shift[:-1])))
-        totals = np.add.reduceat(counts[idx][order], first)
+        totals = np.add.reduceat(counts[j[order]], first)
         k = int(np.argmax(totals))  # the first maximum: the smallest m
         if totals[k] > best:
             best_m, best = int(shift[first[k]]), int(totals[k])
-        # the next range starts at the smallest shift >= a that occurs
-        left = stop < len(values)
-        lo = int((values[stop[left]] - divs[left]).min()) if left.any() else top
-        start = stop
     return best_m, best
 
 

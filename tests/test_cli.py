@@ -314,8 +314,8 @@ def test_json_round_trip():
 
 
 def test_report_order_does_not_depend_on_input_order():
-    # rows are sorted by (n, bound_id, params), stably; input grouped by
-    # ascending n, as a sweep yields it, is only sorted within each n
+    # rows are sorted by (n, bound_id, params), stably, whether the input
+    # comes grouped by ascending n, as a sweep yields it, or shuffled
     records = [rec for n in (1, 6, 30, 31) for rec in _fresh_records(n)]
     records += [make_record("corollary1", 6, 5, 1.0), make_record("corollary1", 6, 3, 1.0)]
     records.sort(key=lambda r: r.n)

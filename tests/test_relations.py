@@ -104,7 +104,7 @@ def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> Non
     assert {type(x) for x in dec.rows[0] + dec.rows[-1]} == {int}
     assert count_sum_triples(n, ctx=ctx) == sum(sums.get(d, 0) for d in divs)
     for m in (-1, 0, 1):
-        assert shifted_count(n, m, ctx=ctx) == sum(sums.get(d + m, 0) for d in divs)
+        assert shifted_count(n, m) == sum(sums.get(d + m, 0) for d in divs)
     if ctx.stats.v_max == 1:
         (rec,) = inequality_report(n, "corollary3", ctx=ctx)
         m = dict(rec.params)["m"]
@@ -143,11 +143,37 @@ def test_corollary3_ties_take_the_smallest_m(monkeypatch):
     # ranges of m holding a few (s, d3) pairs put ties in different ranges
     squarefree = [n for n in range(1, 120) if arith_stats(factor(n)).v_max == 1]
     for chunk in (1, 7):
-        monkeypatch.setattr(relations, "_SHIFT_CHUNK", chunk)
+        monkeypatch.setattr(relations, "_CHUNK", chunk)
         for n in squarefree:
             divs = divisor_list(n)
             (rec,) = inequality_report(n, "corollary3")
             assert (dict(rec.params)["m"], rec.lhs) == loop_max_shift(divs, loop_pair_sums(divs)), (n, chunk)
+
+
+def test_pair_counts_in_small_ranges(monkeypatch):
+    # ranges and row blocks of a few pairs each, on both dtypes
+    for chunk in (1, 7, 100):
+        monkeypatch.setattr(relations, "_CHUNK", chunk)
+        for n in (1, 2, 12, 30, 360, 2310, 15 * (2**61 - 1)):
+            check_against_loops(n)
+
+
+def test_pair_count_memory_is_bounded():
+    n = 13967553600  # 2^6 3^3 5^2 7 11 13 17 19, tau 2688
+    divs = divisor_list(n)
+    tracemalloc.start()
+    try:
+        count_sum_triples(n)
+        triples_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        values, counts = relations._pair_sum_counts(divs)
+        histogram_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no histogram for the triples; the histogram's build needs at most
+    # twice the histogram itself plus a few MB for one range of sums
+    assert triples_peak < 16 * 2**20, triples_peak
+    assert histogram_peak < 2 * (values.nbytes + counts.nbytes) + 24 * 2**20, histogram_peak
 
 
 def test_corollary3_memory_is_bounded():
