@@ -87,7 +87,7 @@ def _sum_ranges(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.n
     pairs, or only the pairs of one sum if that sum alone has more.
     """
     if len(x) * len(y) <= _CHUNK:  # one range holds every pair
-        yield np.add.outer(y, x).ravel(), np.tile(np.arange(len(x)), len(y))
+        yield np.add.outer(y, x).ravel(), np.arange(len(x) * len(y)) % len(x)
         return
     lo, top = int(x[0] + y.min()), int(x[-1] + y.max()) + 1  # top: one past the largest sum
 

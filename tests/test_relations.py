@@ -87,8 +87,9 @@ def loop_max_shift(divs, sums) -> tuple[int, int]:
 
 
 def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> None:
-    """Every reader of the pair-sum histogram against the loop oracles;
-    max_shift, when given, stands in for loop_max_shift's result."""
+    """Energy, decomposition, triples, shifted triples and corollary3
+    against the loop oracles; max_shift, when given, stands in for
+    loop_max_shift's result."""
     ctx = DivisorContext(n)
     divs = ctx.divs
     sums = loop_pair_sums(divs)
@@ -154,7 +155,7 @@ def test_pair_counts_in_small_ranges(monkeypatch):
     # ranges and row blocks of a few pairs each, on both dtypes
     for chunk in (1, 7, 100):
         monkeypatch.setattr(relations, "_CHUNK", chunk)
-        for n in (1, 2, 12, 30, 360, 2310, 15 * (2**61 - 1)):
+        for n in (1, 2, 12, 30, 360, 15 * (2**61 - 1)):
             check_against_loops(n)
 
 
