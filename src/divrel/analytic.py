@@ -17,7 +17,7 @@ import numpy as np
 
 from . import factorcore
 from .errors import DomainError
-from .records import BOUNDS, BoundCheckRecord, BoundSpec, make_record
+from .records import BOUNDS, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
 
 # Best known exponent saving for arity-2 maps, and the weight parameters
 # achieving it.  beta is always derived from (alpha, r), never free.
@@ -40,7 +40,8 @@ TAIL_ARG2_COEFF = 0.29677163413447
 TAIL_DELTA_FLOOR = 0.0450722
 TAIL_LOG_TERM = 0.63
 
-_LOG_SLACK = 1e-9
+# Points per block of the xi-ratio scan; bounds its temporaries to a few MiB.
+_XI_CHUNK = 1 << 16
 
 # s_bounds and thm4_split produce these asserted rows in pairs, so they have
 # no evaluator of their own.
@@ -160,9 +161,9 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
 def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
     if v < 1:
         raise DomainError(f"xi: v must be >= 1, got {v}")
-    if beta < 0 or r < 0:
+    _check_u(alpha, j, v)  # first, as a bad alpha also makes beta < 0
+    if not (beta >= 0 and r >= 0):  # also refuses NaN
         raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
-    _check_u(alpha, j, v)
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
@@ -174,11 +175,26 @@ def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
     return _xi_terms(math, v, alpha, beta, j, r)[1]
 
 
-def _xi_ratio_grid(
-    vs: np.ndarray, alpha: float, beta: float, j: int, r: float
-) -> np.ndarray:
-    """xi(v)/log(j*v+1) on an integer grid, vectorized."""
-    return _xi_terms(np, vs, alpha, beta, j, r)[1] / np.log(j * vs + 1)
+def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
+    """(min over v = 1..v_max of xi(v)/log(j*v+1) - delta, first v attaining it),
+    in float64 blocks of _XI_CHUNK points; parameters are checked as for xi."""
+    if v_max < 1:
+        raise DomainError(f"xi scan: v_max must be >= 1, got {v_max}")
+    alpha, beta, j, r = params.alpha, params.beta, params.j, params.r
+    _check_xi(1, alpha, beta, j, r)
+    if not math.isfinite(params.delta):
+        raise DomainError(f"xi scan: delta must be finite, got {params.delta}")
+    min_margin = math.inf
+    argmin_v = 1
+    for lo in range(1, v_max + 1, _XI_CHUNK):
+        vs = np.arange(lo, min(v_max, lo + _XI_CHUNK - 1) + 1, dtype=np.float64)
+        margins = _xi_terms(np, vs, alpha, beta, j, r)[1] / np.log(j * vs + 1)
+        margins -= params.delta
+        i = int(np.argmin(margins))
+        if margins[i] < min_margin:
+            min_margin = float(margins[i])
+            argmin_v = lo + i
+    return min_margin, argmin_v
 
 
 def delta_j(j: int) -> float:
@@ -222,24 +238,9 @@ def verify_xi_range(
     params: AnalyticParams, v_max: int, tail_samples: Iterable[int] = ()
 ) -> XiCertificate:
     """Scan v = 1..v_max for the minimal margin of xi(v)/log(j*v+1) - delta."""
-    if v_max < 1:
-        raise DomainError(f"verify_xi_range: v_max must be >= 1, got {v_max}")
-    chunk = 1 << 20
-    min_margin = math.inf
-    argmin_v = 1
-    for lo in range(1, v_max + 1, chunk):
-        hi = min(v_max, lo + chunk - 1)
-        vs = np.arange(lo, hi + 1, dtype=np.float64)
-        margins = _xi_ratio_grid(vs, params.alpha, params.beta, params.j, params.r)
-        margins -= params.delta
-        i = int(np.argmin(margins))
-        if margins[i] < min_margin:
-            min_margin = float(margins[i])
-            argmin_v = lo + i
-    tail_checked = False
+    min_margin, argmin_v = _xi_margin_scan(params, v_max)
     samples = tuple(tail_samples)
-    if samples:
-        tail_checked = tail_check(params, samples).ok
+    tail_checked = bool(samples) and tail_check(params, samples).ok
     return XiCertificate(params, v_max, min_margin, argmin_v, tail_checked)
 
 
@@ -253,8 +254,8 @@ class TailSample:
     @property
     def ok(self) -> bool:
         return (
-            self.numerator_margin >= -_LOG_SLACK
-            and self.arg2_margin >= -_LOG_SLACK
+            self.numerator_margin >= -LOG_SLACK
+            and self.arg2_margin >= -LOG_SLACK
             and self.ratio_margin >= -1e-12
         )
 
@@ -277,7 +278,6 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
         if v < TAIL_MIN_V:
             raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {v}")
         alpha, beta, r = params.alpha, params.beta, params.r
-        _check_u(alpha, 2, v)  # a bad alpha also makes beta < 0; name alpha
         _check_xi(v, alpha, beta, 2, r)
         num, xi_v = _xi_terms(math, v, alpha, beta, 2, r)
         t = 2 * v + 1
@@ -290,17 +290,6 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
     return TailCheckReport(tuple(rows))
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Search box and budgets for re-deriving (alpha, r) at arity 2."""
-
-    alpha_bounds: tuple[float, float] = (0.02, 0.48)
-    r_bounds: tuple[float, float] = (0.05, 1.95)
-    grid: tuple[int, int] = (24, 20)
-    v_search: int = 10_000
-    v_certify: int = 1_000_000
-
-
 def pair_exponent_gain(alpha: float, r: float, v_max: int) -> float:
     """min(f_alpha(2)/log 3, min over v <= v_max of xi(v)/log(2v+1)).
 
@@ -310,8 +299,7 @@ def pair_exponent_gain(alpha: float, r: float, v_max: int) -> float:
     beta = beta_for(alpha, r)
     if beta < 0:
         return -math.inf
-    vs = np.arange(1, v_max + 1, dtype=np.float64)
-    ratio_min = float(np.min(_xi_ratio_grid(vs, alpha, beta, 2, r)))
+    ratio_min = _xi_margin_scan(AnalyticParams(alpha, beta, r, 2, 0.0), v_max)[0]
     return min(f_term, ratio_min)
 
 
@@ -320,15 +308,25 @@ def _xi_ratio_limit(alpha: float, beta: float, r: float) -> float:
     return (1 + beta) - 2 / (1 + r)
 
 
-def optimize_constants(config: OptimizeConfig = OptimizeConfig()) -> tuple[float, float, float]:
+# optimize_constants searches this (alpha, r) box, seeded by the best point
+# of an OPT_GRID[0] x OPT_GRID[1] grid over it scanned to v = 512.
+OPT_ALPHA_BOUNDS = (0.02, 0.48)
+OPT_R_BOUNDS = (0.05, 1.95)
+OPT_GRID = (24, 20)
+
+
+def optimize_constants(
+    v_search: int = 10_000, v_certify: int = 10**6
+) -> tuple[float, float, float]:
     """Maximize the arity-2 exponent saving over (alpha, r).
 
-    Coarse grid scan, then a Nelder-Mead polish of the best cell; the final
-    point is re-certified on the long v range.  Fully deterministic.
+    Coarse grid scan, then a Nelder-Mead polish of the best cell with the
+    ratio scanned to v_search; the final point is re-certified to v_certify.
+    Fully deterministic.
     """
     from scipy.optimize import minimize
 
-    (a_lo, a_hi), (r_lo, r_hi) = config.alpha_bounds, config.r_bounds
+    (a_lo, a_hi), (r_lo, r_hi) = OPT_ALPHA_BOUNDS, OPT_R_BOUNDS
 
     def search_objective(alpha: float, r: float, v_max: int) -> float:
         # The truncated scan alone overfits to small v; capping the value by
@@ -338,7 +336,7 @@ def optimize_constants(config: OptimizeConfig = OptimizeConfig()) -> tuple[float
         limit = _xi_ratio_limit(alpha, beta_for(alpha, r), r)
         return min(pair_exponent_gain(alpha, r, v_max), limit)
 
-    na, nr = config.grid
+    na, nr = OPT_GRID
     best = (-math.inf, a_lo, r_lo)
     for alpha in np.linspace(a_lo, a_hi, na):
         for r in np.linspace(r_lo, r_hi, nr):
@@ -347,13 +345,13 @@ def optimize_constants(config: OptimizeConfig = OptimizeConfig()) -> tuple[float
                 best = (val, float(alpha), float(r))
 
     result = minimize(
-        lambda x: -search_objective(x[0], x[1], config.v_search),
+        lambda x: -search_objective(x[0], x[1], v_search),
         x0=[best[1], best[2]],
         method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 600},
     )
     alpha, r = float(result.x[0]), float(result.x[1])
-    achieved = pair_exponent_gain(alpha, r, config.v_certify)
+    achieved = pair_exponent_gain(alpha, r, v_certify)
     return alpha, r, achieved
 
 
@@ -404,7 +402,7 @@ def lemma45_scan() -> LemmaScanReport:
     return LemmaScanReport(
         worst_step > 1e-15,
         worst_dom >= -1e-12,
-        worst_sum >= -_LOG_SLACK,
+        worst_sum >= -LOG_SLACK,
         worst_step,
         worst_dom,
         worst_sum,
@@ -442,12 +440,7 @@ def lemma7_order(
 
 
 def s_bounds(
-    n: int,
-    j: int,
-    alpha: float,
-    beta: float | None = None,
-    r: float = R_STAR,
-    cap: int | None = None,
+    n: int, j: int, alpha: float, beta: float | None = None, r: float = R_STAR
 ) -> tuple[BoundCheckRecord, BoundCheckRecord]:
     """Exact low/high concentration counts against their closed-form bounds.
 
@@ -459,7 +452,7 @@ def s_bounds(
     if beta is None:
         beta = beta_for(alpha, r)
     f = factorcore.factor(n)
-    divs = factorcore.divisors(f, cap)
+    divs = factorcore.divisors(f)
     h = {d: h_value(alpha, j, f, d) for d in divs}
     avg = a_mean(alpha, j, f)
     s = 1 + (j - 1) * r
@@ -467,7 +460,7 @@ def s_bounds(
     hi_thresh = (1 + beta) * avg
     s_minus = 0
     s_plus = 0
-    for tup in factorcore.coprime_tuples(f, j, cap):
+    for tup in factorcore.coprime_tuples(f, j):
         hs = sum(h[d] for d in tup)
         if hs <= lo_thresh:
             s_minus += 1

@@ -274,8 +274,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             )
         return 0 if report.ok else 1
     if args.analytic_cmd == "optimize":
-        config = analytic.OptimizeConfig(v_search=args.vopt, v_certify=args.vcertify)
-        alpha, r, delta = analytic.optimize_constants(config)
+        alpha, r, delta = analytic.optimize_constants(args.vopt, args.vcertify)
         print(f"alpha={_fmt(alpha)} r={_fmt(r)} delta={_fmt(delta)}")
         return 0
     report = analytic.lemma45_scan()
@@ -303,7 +302,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for start in range(lo, hi + 1, size)
         ]
         records = []
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # the pool forks every worker at once, so start no more than can run
+        workers = min(args.workers, os.cpu_count() or 1, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_sweep_chunk, tasks):
                 records.extend(chunk)
     else:

@@ -339,7 +339,8 @@ def map_from_json(text: str) -> MapTable:
         raw = obj["entries"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"bad map table JSON: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(j, int) or n < 1 or j < 1:
+    # type() rather than isinstance: JSON true/false are bools, a subclass of int
+    if type(n) is not int or type(j) is not int or n < 1 or j < 1:
         raise DomainError("bad map table JSON: n and j must be positive integers")
     if not isinstance(raw, list):
         raise DomainError(f"bad map table JSON: entries must be a list, got {raw!r}")
@@ -348,8 +349,11 @@ def map_from_json(text: str) -> MapTable:
         if (
             not isinstance(row, list)
             or len(row) != j + 1
-            or not all(isinstance(x, int) for x in row)
+            or not all(type(x) is int for x in row)
         ):
             raise DomainError(f"bad map table row: {row!r}")
-        entries[tuple(row[:j])] = row[j]
+        key = tuple(row[:j])
+        if key in entries:
+            raise DomainError(f"bad map table: two rows for {key}")
+        entries[key] = row[j]
     return MapTable(n, j, entries)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from divrel import (
     R_STAR,
     AnalyticParams,
     DomainError,
-    OptimizeConfig,
     a_mean,
     arith_stats,
     beta_for,
@@ -106,7 +106,8 @@ def test_weight_scalar_and_grid_paths_agree():
         assert np.max(np.abs(grid_ell - scalar_ell)) <= 1e-13
     params = standard_params()
     vs = np.arange(1, 10**5 + 1, dtype=np.float64)
-    grid_xi = analytic._xi_ratio_grid(vs, params.alpha, params.beta, 2, params.r)
+    grid_xi = analytic._xi_terms(np, vs, params.alpha, params.beta, 2, params.r)[1]
+    grid_xi /= np.log(2 * vs + 1)
     scalar_xi = np.array(
         [xi(v, params.alpha, params.beta, 2, params.r) / math.log(2 * v + 1) for v in vs.tolist()]
     )
@@ -206,6 +207,63 @@ def test_verify_xi_range_zero_params_invalid():
     assert not cert.valid and cert.argmin_v == 1
 
 
+def _one_shot_scan(params, v_max):
+    """The xi-ratio margin scan in one piece: (least margin, first v at it)."""
+    vs = np.arange(1, v_max + 1, dtype=np.float64)
+    xis = analytic._xi_terms(np, vs, params.alpha, params.beta, params.j, params.r)[1]
+    margins = xis / np.log(params.j * vs + 1) - params.delta
+    i = int(np.argmin(margins))
+    return float(margins[i]), i + 1
+
+
+@pytest.mark.parametrize("v_max", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+def test_xi_scan_matches_one_shot_oracle(v_max):
+    # the least margin lies at v = 1 for the standard pair and at v = v_max
+    # for (0.2, 1.5), whose ratio falls; at alpha = 0 every v ties, so v = 1
+    for params in (
+        standard_params(),
+        AnalyticParams.from_alpha_r(0.2, 1.5),
+        AnalyticParams(0.0, 0.0, 1.0, 2, 0.001),
+    ):
+        assert analytic._xi_margin_scan(params, v_max) == _one_shot_scan(params, v_max)
+
+
+def test_xi_scan_memory_is_bounded():
+    # one block of the scan at a time: the one-piece scan peaked at 45.8 MiB
+    for scan in (
+        lambda: verify_xi_range(standard_params(), 10**6),
+        lambda: pair_exponent_gain(ALPHA_STAR, R_STAR, 10**6),
+    ):
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
+def test_xi_scan_refuses_out_of_domain_params():
+    nan = math.nan
+    for params, match in (
+        (AnalyticParams.from_alpha_r(1.5, R_STAR), "alpha must lie in"),
+        (AnalyticParams.from_alpha_r(nan, R_STAR), "alpha must lie in"),
+        (AnalyticParams.from_alpha_r(0.999, R_STAR), "beta and r must be >= 0"),
+        (AnalyticParams.from_alpha_r(ALPHA_STAR, nan), "beta and r must be >= 0"),
+        (AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR, delta=nan), "delta must be finite"),
+        (AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR, delta=math.inf), "delta must be finite"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            verify_xi_range(params, 30)
+    for v_max in (0, -1):
+        with pytest.raises(DomainError, match="v_max must be >= 1"):
+            verify_xi_range(standard_params(), v_max)
+        with pytest.raises(DomainError, match="v_max must be >= 1"):
+            pair_exponent_gain(ALPHA_STAR, R_STAR, v_max)
+    # a pair whose beta is negative certifies nothing; it is not an error
+    assert pair_exponent_gain(0.999, R_STAR, 10) == -math.inf
+
+
 def test_certificate_json_fields():
     cert = verify_xi_range(standard_params(), 10, tail_samples=(10**6,))
     d = cert.to_json_dict()
@@ -247,9 +305,7 @@ def test_tail_check_domain():
 
 
 def test_optimizer_quick_budget_recovers_constants():
-    alpha, r, delta = optimize_constants(
-        OptimizeConfig(grid=(10, 8), v_search=2000, v_certify=10**4)
-    )
+    alpha, r, delta = optimize_constants(v_search=2000, v_certify=10**4)
     assert delta >= 0.045072
     assert abs(alpha - ALPHA_STAR) <= 1e-3
     assert abs(r - R_STAR) <= 1e-2

@@ -84,15 +84,22 @@ def test_map_commands(capsys, tmp_path):
 
 
 def test_map_commands_refuse_bad_tables(capsys, tmp_path):
-    # entries that are not a list, and for map bound a table breaking the
-    # domain contract (value 5 does not divide 6), are domain errors, never
-    # bound verdicts
+    # entries that are not a list, JSON booleans in place of integers, two
+    # rows for one tuple, and for map bound a table breaking the domain
+    # contract (value 5 does not divide 6), are domain errors, never bound
+    # verdicts
     bad_json = tmp_path / "bad_json.json"
-    bad_json.write_text('{"n": 6, "j": 2, "entries": 5}')
-    for cmd in (["check"], ["bound", "--bound", "thm1a"]):
-        code, out, err = run(capsys, "map", *cmd, "--file", str(bad_json))
-        assert code == 2 and out == ""
-        assert err.startswith("error: domain: bad map table JSON") and "Traceback" not in err
+    for text in (
+        '{"n": 6, "j": 2, "entries": 5}',
+        '{"n": true, "j": true, "entries": []}',
+        '{"n": 6, "j": 1, "entries": [[false, 1]]}',
+        '{"n": 6, "j": 1, "entries": [[2, 1], [2, 2]]}',
+    ):
+        bad_json.write_text(text)
+        for cmd in (["check"], ["bound", "--bound", "thm1a"]):
+            code, out, err = run(capsys, "map", *cmd, "--file", str(bad_json))
+            assert code == 2 and out == ""
+            assert err.startswith("error: domain: bad map table") and "Traceback" not in err
     bad_table = tmp_path / "bad_table.json"
     bad_table.write_text('{"n": 6, "j": 2, "entries": [[2, 2, 5], [4, 3, 1]]}')
     code, out, err = run(capsys, "map", "bound", "--file", str(bad_table), "--bound", "thm1a")
@@ -146,6 +153,24 @@ def test_verify_xi_exit_codes(capsys):
     assert code == 1
 
 
+def test_analytic_scans_refuse_bad_input(capsys):
+    # out-of-domain certificate parameters and empty scans are domain errors;
+    # exit 1 is only for a failed asserted bound
+    verify = ["analytic", "verify-xi", "--r", "0.692466598", "--vmax", "30"]
+    for argv in (
+        verify + ["--alpha", "1.5", "--delta", "0.04512"],
+        verify + ["--alpha", "0.999", "--delta", "0.04512"],
+        verify + ["--alpha", "nan", "--delta", "0.04512"],
+        verify + ["--alpha", "0.2288541994", "--delta", "nan"],
+        ["analytic", "optimize", "--vopt", "0"],
+        ["analytic", "optimize", "--vopt", "-5"],
+        ["analytic", "optimize", "--vopt", "64", "--vcertify", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: domain:") and err.count("\n") == 1, argv
+
+
 def test_split_thm4_command(capsys):
     code, out, _ = run(capsys, "split-thm4", "--n", "1524096000", "--q", "11")
     assert code == 0
@@ -191,6 +216,44 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
     args = ["sweep", "--bounds", ALL_BOUNDS, "--n-hi", "200", "--format", "json"]
     assert run(capsys, *args, "--out", str(path))[0] == 1
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["json"]
+
+
+def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
+    # the pool starts all its workers at once, so --workers N must not fork
+    # N processes; a stand-in pool records its size and maps in-process
+    from divrel import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    args = ["sweep", "--bounds", "corollary1,thm2b", "--n-lo", "1", "--format", "csv"]
+    serial = tmp_path / "serial.csv"
+    assert run(capsys, *args, "--n-hi", "40", "--out", str(serial))[0] == 0
+    for cpus, n_hi, workers, size in (
+        (3, "40", "1000", 3),  # 40 one-n tasks, 3 cpus
+        (None, "40", "1000", 1),  # cpu count unknown
+        (64, "5", "1000", 5),  # 5 one-n tasks
+        (64, "40", "2", 2),
+    ):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda count=cpus: count)
+        path = tmp_path / f"w{workers}.csv"
+        assert run(capsys, *args, "--n-hi", n_hi, "--workers", workers, "--out", str(path))[0] == 0
+        assert sizes.pop() == size
+        if n_hi == "40":
+            assert path.read_bytes() == serial.read_bytes()
 
 
 def test_bound_registry_declares_every_bound():
