@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import factorcore
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .records import BOUNDS, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
 
 # Best known exponent saving for arity-2 maps, and the weight parameters
@@ -42,6 +42,8 @@ TAIL_LOG_TERM = 0.63
 
 # Points per block of the xi-ratio scan; bounds its temporaries to a few MiB.
 _XI_CHUNK = 1 << 16
+# Most points one xi-ratio scan may take, about 6 s at 0.06 s per 10^6 points.
+_XI_MAX_POINTS = 10**8
 
 # s_bounds and thm4_split produce these asserted rows in pairs, so they have
 # no evaluator of their own.
@@ -110,8 +112,8 @@ def _xi_terms(xp, v, alpha: float, beta: float, j: int, r: float) -> tuple:
 def f_alpha(alpha: float, x: float) -> float:
     """-(1-a)*x/(x+1)*log(1/(1-a)) + (a*x+1)/(x+1)*log(a*x+1), for x >= 0."""
     _check_alpha(alpha)
-    if x < 0:
-        raise DomainError(f"f_alpha: x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:  # also refuses NaN
+        raise DomainError(f"f_alpha: x must be finite and >= 0, got {x}")
     return _f(math, alpha, x)
 
 
@@ -121,8 +123,8 @@ def ell_alpha(alpha: float, x: float) -> float:
     Dominates f_alpha on x >= 1, with equality at x = 1.
     """
     _check_alpha(alpha)
-    if x < 1:
-        raise DomainError(f"ell_alpha: x must be >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"ell_alpha: x must be finite and >= 1, got {x}")
     return _ell(math, alpha, x)
 
 
@@ -130,8 +132,8 @@ def _check_u(alpha: float, j: int, v: float) -> None:
     _check_alpha(alpha)
     if j < 1:
         raise DomainError(f"u_weight: j must be >= 1, got {j}")
-    if v < 1:
-        raise DomainError(f"u_weight: v must be >= 1, got {v}")
+    if not 1 <= v < math.inf:  # exact for huge integer v
+        raise DomainError(f"u_weight: v must be >= 1 and finite, got {v}")
 
 
 def u_weight(alpha: float, j: int, v: float) -> float:
@@ -159,8 +161,6 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
 
 
 def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
-    if v < 1:
-        raise DomainError(f"xi: v must be >= 1, got {v}")
     _check_u(alpha, j, v)  # first, as a bad alpha also makes beta < 0
     if not (beta >= 0 and r >= 0):  # also refuses NaN
         raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
@@ -175,11 +175,17 @@ def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
     return _xi_terms(math, v, alpha, beta, j, r)[1]
 
 
+def _check_scan_size(v_max: int) -> None:
+    if v_max < 1:
+        raise DomainError(f"xi scan: v_max must be >= 1, got {v_max}")
+    if v_max > _XI_MAX_POINTS:
+        raise ResourceLimitError(f"xi scan: v_max = {v_max} exceeds cap {_XI_MAX_POINTS}")
+
+
 def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
     """(min over v = 1..v_max of xi(v)/log(j*v+1) - delta, first v attaining it),
     in float64 blocks of _XI_CHUNK points; parameters are checked as for xi."""
-    if v_max < 1:
-        raise DomainError(f"xi scan: v_max must be >= 1, got {v_max}")
+    _check_scan_size(v_max)
     alpha, beta, j, r = params.alpha, params.beta, params.j, params.r
     _check_xi(1, alpha, beta, j, r)
     if not math.isfinite(params.delta):
@@ -324,6 +330,8 @@ def optimize_constants(
     ratio scanned to v_search; the final point is re-certified to v_certify.
     Fully deterministic.
     """
+    _check_scan_size(v_search)
+    _check_scan_size(v_certify)
     from scipy.optimize import minimize
 
     (a_lo, a_hi), (r_lo, r_hi) = OPT_ALPHA_BOUNDS, OPT_R_BOUNDS

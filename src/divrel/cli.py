@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +21,6 @@ from .records import BOUNDS, BoundCheckRecord
 
 
 def _fmt(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
-        return str(x)
     return f"{x:.10g}"
 
 

@@ -124,13 +124,14 @@ def builtin_sum_map(
     """g(d1, d2) = d1 + d2 on coprime pairs whose sum divides n coprimely."""
     divs = (ctx or DivisorContext(n, cap)).divs
     entries = {}
-    for d1 in divs:
-        for d2 in divs:
-            if math.gcd(d1, d2) != 1:
-                continue
-            s = d1 + d2
-            if s <= n and n % s == 0 and math.gcd(s, d1 * d2) == 1:
-                entries[(d1, d2)] = s
+    for i, a in enumerate(divs):
+        for b in divs[i:]:
+            s = a + b
+            # gcd(a + b, a) = gcd(b, a), so an entry's a, b, s are pairwise coprime: a*b*s | n
+            if a * b * s > n:
+                break
+            if n % s == 0 and math.gcd(a, b) == 1:
+                entries[a, b] = entries[b, a] = s
     return MapTable(n, 2, entries)
 
 
@@ -157,18 +158,15 @@ def builtin_midpoint_map(
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
     divs = (ctx or DivisorContext(n, cap)).divs
-    tau = len(divs)
+    step = 2 if variant == "exact" else 1
     entries = {}
-    for i in range(1, tau + 1):
-        for jdx in range(1, tau + 1):
-            a, b = divs[i - 1], divs[jdx - 1]
-            if math.gcd(a, b) != 1:
-                continue
-            if variant == "exact" and (i + jdx) % 2 != 0:
-                continue
-            val = divs[(i + jdx) // 2 - 1]
-            if math.gcd(val, a) == 1 and math.gcd(val, b) == 1:
-                entries[(a, b)] = val
+    for i, a in enumerate(divs):
+        for j in range(i, len(divs), step):
+            b, val = divs[j], divs[(i + j) // 2]
+            if a * b * val > n:  # an entry's a, b, val are pairwise coprime: a*b*val | n
+                break
+            if math.gcd(a, b) == 1 and math.gcd(val, a * b) == 1:
+                entries[a, b] = entries[b, a] = val
     return MapTable(n, 2, entries)
 
 
@@ -289,9 +287,7 @@ def exact_E(n: int, j: int, k: int, guard: int = 12, cap: int | None = None) -> 
         raise ResourceLimitError(f"exact_E: tau({n})^{j} = {tau**j} exceeds guard {guard}")
     divs = factorcore.divisors(f, cap)
     cands = list(factorcore.coprime_tuples(f, j))
-    options = [
-        [d for d in divs if all(math.gcd(d, c) == 1 for c in tup)] for tup in cands
-    ]
+    options = [[d for d in divs if math.gcd(d, math.prod(tup)) == 1] for tup in cands]
     total = len(cands)
     c1: dict = defaultdict(int)
     c2: dict = defaultdict(int)

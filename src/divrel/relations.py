@@ -270,8 +270,6 @@ def hooley_delta(n: int, cap: int | None = None, *, ctx: DivisorContext | None =
     best = 0
     hi = 0
     for lo in range(tau):
-        if hi < lo:
-            hi = lo
         while hi < tau and _lt_e_times(divs[hi], divs[lo]):
             hi += 1
         best = max(best, hi - lo)

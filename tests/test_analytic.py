@@ -14,6 +14,7 @@ from divrel import (
     R_STAR,
     AnalyticParams,
     DomainError,
+    ResourceLimitError,
     a_mean,
     arith_stats,
     beta_for,
@@ -175,6 +176,21 @@ def test_xi_domain():
         xi(1, 0.2, -0.1, 2, 1.0)
 
 
+def test_weights_refuse_non_finite_points():
+    p = standard_params()
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="f_alpha: x must be finite"):
+            f_alpha(0.2, x)
+        with pytest.raises(DomainError, match="ell_alpha: x must be finite"):
+            ell_alpha(0.2, x)
+        with pytest.raises(DomainError, match="v must be >= 1"):
+            u_weight(0.2, 2, x)
+        with pytest.raises(DomainError, match="v must be >= 1"):
+            xi(x, p.alpha, p.beta, 2, p.r)
+    # a huge integer v is still accepted
+    assert tail_check(p, (10**200,)).samples[0].v == 10**200
+
+
 def test_delta_j_values():
     assert delta_j(1) == pytest.approx(1 - (LN3 / LN2 - 2 / 3), abs=1e-12)
     assert delta_j(2) == pytest.approx(0.03459863270029111, abs=1e-12)
@@ -262,6 +278,23 @@ def test_xi_scan_refuses_out_of_domain_params():
             pair_exponent_gain(ALPHA_STAR, R_STAR, v_max)
     # a pair whose beta is negative certifies nothing; it is not an error
     assert pair_exponent_gain(0.999, R_STAR, 10) == -math.inf
+
+
+def test_xi_scan_size_is_capped(monkeypatch):
+    monkeypatch.setattr(analytic, "_XI_MAX_POINTS", 100)
+    assert verify_xi_range(standard_params(), 100).argmin_v == 1
+    with pytest.raises(ResourceLimitError, match="exceeds cap 100"):
+        verify_xi_range(standard_params(), 101)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 100"):
+        pair_exponent_gain(ALPHA_STAR, R_STAR, 101)
+
+    def no_scan(*args):
+        raise AssertionError("optimize_constants scanned before checking its sizes")
+
+    monkeypatch.setattr(analytic, "_xi_margin_scan", no_scan)
+    for v_search, v_certify in ((101, 50), (50, 101)):
+        with pytest.raises(ResourceLimitError):
+            optimize_constants(v_search, v_certify)
 
 
 def test_certificate_json_fields():

@@ -408,14 +408,27 @@ def test_domain_error_exit(capsys):
         ["residues", "--n", "6", "--q", "3"],
         ["analytic", "eval", "--fn", "xi", "--alpha", "-0.1", "--x", "1", "--j", "2"],
         ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--j", "0", "--r", "1"],
+        *(
+            ["analytic", "eval", "--fn", fn, "--alpha", "0.2", "--x", x]
+            for fn in ("f", "ell", "xi")
+            for x in ("nan", "inf")
+        ),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("error: domain:")
+        assert code == 2 and out == "" and err.startswith("error: domain:"), argv
 
 
 def test_resource_error_exit(capsys):
-    code, _, err = run(capsys, "energy", "--n", "720720", "--cap-divisors", "100")
-    assert code == 3 and err.startswith("error: resource:")
+    too_many = str(10**8 + 1)
+    for argv in (
+        ["energy", "--n", "720720", "--cap-divisors", "100"],
+        ["analytic", "verify-xi", "--alpha", "0.2288541994", "--r", "0.692466598",
+         "--delta", "0.045072", "--vmax", too_many],
+        ["analytic", "optimize", "--vopt", too_many],
+        ["analytic", "optimize", "--vcertify", too_many],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: resource:"), argv
 
 
 def test_env_var_overrides_divisor_cap(capsys, monkeypatch):

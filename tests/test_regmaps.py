@@ -92,6 +92,36 @@ def brute_exact_E(n: int, j: int, k: int) -> int:
     return best
 
 
+def oracle_sum_map(n: int, divs: list[int]) -> dict:
+    """The sum map over every ordered pair, testing each condition directly."""
+    entries = {}
+    for d1 in divs:
+        for d2 in divs:
+            if math.gcd(d1, d2) != 1:
+                continue
+            s = d1 + d2
+            if s <= n and n % s == 0 and math.gcd(s, d1 * d2) == 1:
+                entries[(d1, d2)] = s
+    return entries
+
+
+def oracle_midpoint_map(divs: list[int], variant: str) -> dict:
+    """The midpoint map over every ordered pair of 1-based indices."""
+    tau = len(divs)
+    entries = {}
+    for i in range(1, tau + 1):
+        for jdx in range(1, tau + 1):
+            a, b = divs[i - 1], divs[jdx - 1]
+            if math.gcd(a, b) != 1:
+                continue
+            if variant == "exact" and (i + jdx) % 2 != 0:
+                continue
+            val = divs[(i + jdx) // 2 - 1]
+            if math.gcd(val, a) == 1 and math.gcd(val, b) == 1:
+                entries[(a, b)] = val
+    return entries
+
+
 def test_sum_map_examples():
     t = builtin_sum_map(6)
     assert dict(t.entries) == {(1, 1): 2, (1, 2): 3, (2, 1): 3}
@@ -191,6 +221,15 @@ def test_builtin_tables_are_valid_maps():
                 assert n % prod == 0  # d1*..*dj*g divides n
 
 
+def test_builtin_tables_match_ordered_pair_oracles():
+    for n in [*range(1, 3001), 9699690, 735134400]:
+        divs = divisors(factor(n))
+        assert builtin_sum_map(n).entries == oracle_sum_map(n, divs), n
+        for variant in ("exact", "floor"):
+            table = builtin_midpoint_map(n, variant)
+            assert table.entries == oracle_midpoint_map(divs, variant), (n, variant)
+
+
 def test_domain_regular_flags_bad_tables():
     table = MapTable(6, 2, {(2, 6): 1})
     report = check_regularity(table)
@@ -255,6 +294,13 @@ def test_exact_E_matches_unpruned_oracle():
             assert exact_E(n, 1, k) == brute_exact_E(n, 1, k)
     assert exact_E(2, 2, 1, guard=16) == brute_exact_E(2, 2, 1)
     assert exact_E(3, 2, 1, guard=16) == brute_exact_E(3, 2, 1)
+
+
+def test_exact_E_arity_two_matches_unpruned_oracle_at_composites():
+    # at a prime every candidate value is 1; at 4 and 6 a value must avoid
+    # both coordinates of its tuple
+    for n in (4, 6):
+        assert exact_E(n, 2, 1, guard=16) == brute_exact_E(n, 2, 1)
 
 
 def test_exact_E_monotone_in_k():
