@@ -166,13 +166,21 @@ def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
         raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
 
 
+def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
+    """_xi_terms over math after _check_xi; a float overflow is a DomainError."""
+    _check_xi(v, alpha, beta, j, r)
+    try:
+        return _xi_terms(math, v, alpha, beta, j, r)
+    except OverflowError:
+        raise DomainError(f"xi: v = {v} is too large for float64 evaluation") from None
+
+
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
     """Per-prime exponent gained by the tilted second-moment bound.
 
     xi(x/j, alpha, alpha, j, 1) collapses to ell_alpha(x).
     """
-    _check_xi(v, alpha, beta, j, r)
-    return _xi_terms(math, v, alpha, beta, j, r)[1]
+    return _xi_scalar(v, alpha, beta, j, r)[1]
 
 
 def _check_scan_size(v_max: int) -> None:
@@ -284,8 +292,7 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
         if v < TAIL_MIN_V:
             raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {v}")
         alpha, beta, r = params.alpha, params.beta, params.r
-        _check_xi(v, alpha, beta, 2, r)
-        num, xi_v = _xi_terms(math, v, alpha, beta, 2, r)
+        num, xi_v = _xi_scalar(v, alpha, beta, 2, r)
         t = 2 * v + 1
         m1 = math.log(TAIL_NUM_COEFF) + TAIL_NUM_EXPONENT * math.log(t) - math.log(num)
         arg2 = (2 * alpha * v + 1) / (1 - alpha)
@@ -422,29 +429,19 @@ def lemma7_order(
 ) -> tuple[int, ...]:
     """Order indices so every prefix has sum(x) <= sum(y); needs total x <= y.
 
-    Filling positions from the back with the remaining index maximizing
-    x - y keeps the leftover difference non-positive, so the prefix property
-    holds by construction.  Ties take the smallest index.
+    Sorting by x - y ascending puts the smallest differences first, so each
+    prefix's mean difference is at most the overall mean, which is not
+    positive.  Ties put the larger index first.
     """
     xs = [float(x) for x, _ in pairs]
     ys = [float(y) for _, y in pairs]
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
-        raise DomainError("lemma7_order: pair entries must be strictly positive")
+    if any(not 0 < x < math.inf for x in xs + ys):  # also refuses NaN
+        raise DomainError("lemma7_order: pair entries must be finite and strictly positive")
     if sum(xs) > sum(ys) + tol:
         raise DomainError(
             f"lemma7_order: sum(x) = {sum(xs)} exceeds sum(y) = {sum(ys)}"
         )
-    k = len(xs)
-    remaining = list(range(k))
-    order = [0] * k
-    for t in range(k - 1, -1, -1):
-        pick = remaining[0]
-        for i in remaining[1:]:
-            if xs[i] - ys[i] > xs[pick] - ys[pick]:
-                pick = i
-        order[t] = pick
-        remaining.remove(pick)
-    return tuple(order)
+    return tuple(sorted(range(len(xs)), key=lambda i: (xs[i] - ys[i], -i)))
 
 
 def s_bounds(

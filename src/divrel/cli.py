@@ -193,7 +193,7 @@ def _load_table(args: argparse.Namespace) -> regmaps.MapTable:
     if getattr(args, "file", None):
         with open(args.file) as handle:
             return regmaps.map_from_json(handle.read())
-    if getattr(args, "kind", None) and getattr(args, "n", None):
+    if getattr(args, "kind", None) and getattr(args, "n", None) is not None:
         return regmaps.build_builtin(args.kind, args.n, _divisor_cap(args))
     raise DomainError("map: provide --file or both --kind and --n")
 

@@ -7,6 +7,7 @@ pure Python: every count is an exact Python integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,9 +217,9 @@ def coprime_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """Stream every ordered j-tuple of pairwise coprime divisors of n.
 
-    Exactly kappa(f, j) tuples are produced.  Each prime power p^v of n is
-    assigned to at most one coordinate; enumeration order per prime is:
-    unassigned first, then coordinate 1..j with exponent 1..v.
+    Exactly kappa(f, j) tuples, one per pick of a choice for each prime power
+    p^v of n: unassigned first, then coordinate 1..j with exponent 1..v.  The
+    first prime varies slowest.  Refusals are raised at the call, not lazily.
     """
     if j < 1:
         raise DomainError(f"coprime_tuples: j must be >= 1, got {j}")
@@ -228,21 +229,19 @@ def coprime_tuples(
         raise ResourceLimitError(
             f"coprime_tuples: kappa_{j}({f.n}) = {total} exceeds cap {limit}"
         )
-    parts = f.parts
+    # (coordinate, factor) picks; "unassigned" multiplies coordinate 0 by 1.
+    choices = [
+        [(0, 1)] + [(i, p**e) for i in range(j) for e in range(1, v + 1)] for p, v in f.parts
+    ]
 
-    def rec(idx: int, coords: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if idx == len(parts):
-            yield coords
-            return
-        p, v = parts[idx]
-        yield from rec(idx + 1, coords)
-        for i in range(j):
-            pe = 1
-            for _ in range(v):
-                pe *= p
-                yield from rec(idx + 1, coords[:i] + (coords[i] * pe,) + coords[i + 1 :])
+    def tuples() -> Iterator[tuple[int, ...]]:
+        for picks in itertools.product(*choices):
+            coords = [1] * j
+            for i, q in picks:
+                coords[i] *= q
+            yield tuple(coords)
 
-    return rec(0, (1,) * j)
+    return tuples()
 
 
 def t_weight(f: Factorization, d: int) -> Fraction:

@@ -191,6 +191,18 @@ def test_weights_refuse_non_finite_points():
     assert tail_check(p, (10**200,)).samples[0].v == 10**200
 
 
+def test_xi_float_overflow_is_a_domain_error():
+    # alpha*j*v leaves float range at 10^400; exp overflows at 10^300 and 1e262
+    p = standard_params()
+    for v in (10**300, 10**400):
+        with pytest.raises(DomainError, match=f"xi: v = {v} is too large"):
+            tail_check(p, (v,))
+        with pytest.raises(DomainError, match="too large for float64"):
+            xi(v, p.alpha, p.beta, 2, p.r)
+    with pytest.raises(DomainError, match="v = 1e[+]262 is too large"):
+        xi(1e262, 0.2, beta_for(0.2, R_STAR), 2, R_STAR)
+
+
 def test_delta_j_values():
     assert delta_j(1) == pytest.approx(1 - (LN3 / LN2 - 2 / 3), abs=1e-12)
     assert delta_j(2) == pytest.approx(0.03459863270029111, abs=1e-12)
@@ -388,6 +400,39 @@ def test_lemma7_order_examples():
         lemma7_order([(5, 1), (1, 2)])
     with pytest.raises(DomainError):
         lemma7_order([(0.0, 1.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            lemma7_order([(bad, 1.0), (1.0, 2.0)])
+        with pytest.raises(DomainError):
+            lemma7_order([(1.0, bad), (1.0, 2.0)])
+
+
+def back_filled_lemma7_order(xs, ys):
+    """The O(k^2) loop lemma7_order replaced: fill positions from the back with
+    the remaining index maximizing x - y, the smallest such index on ties."""
+    k = len(xs)
+    remaining = list(range(k))
+    order = [0] * k
+    for t in range(k - 1, -1, -1):
+        pick = remaining[0]
+        for i in remaining[1:]:
+            if xs[i] - ys[i] > xs[pick] - ys[pick]:
+                pick = i
+        order[t] = pick
+        remaining.remove(pick)
+    return tuple(order)
+
+
+def test_lemma7_order_matches_back_filling_with_ties():
+    rng = random.Random(11)
+    for _ in range(2000):
+        k = rng.randrange(1, 13)
+        # few distinct values, so equal differences x - y are common
+        ys = [float(rng.randrange(2, 6)) for _ in range(k)]
+        xs = [float(rng.randrange(1, 6)) for _ in range(k)]
+        if sum(xs) > sum(ys):
+            continue
+        assert lemma7_order(list(zip(xs, ys))) == back_filled_lemma7_order(xs, ys), (xs, ys)
 
 
 def test_lemma7_prefix_property_random():

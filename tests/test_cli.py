@@ -413,9 +413,20 @@ def test_domain_error_exit(capsys):
             for fn in ("f", "ell", "xi")
             for x in ("nan", "inf")
         ),
+        # xi at a v too large for float64 evaluation
+        ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1e262"],
+        ["analytic", "tail", "--v", str(10**300)],
+        ["analytic", "tail", "--v", str(10**400)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: domain:"), argv
+
+
+def test_map_check_and_bound_refuse_n_zero(capsys):
+    for cmd in (["check"], ["bound", "--bound", "thm1a"]):
+        code, out, err = run(capsys, "map", *cmd, "--kind", "sum", "--n", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: domain: factor: n must be a positive integer, got 0\n"
 
 
 def test_resource_error_exit(capsys):

@@ -208,8 +208,38 @@ def test_coprime_tuples_deterministic_order():
 
 
 def test_coprime_tuples_cap():
+    # refusals come from the call itself, before any next()
     with pytest.raises(ResourceLimitError):
-        list(coprime_tuples(factor(720720), 3, cap=1000))
+        coprime_tuples(factor(720720), 3, cap=1000)
+    with pytest.raises(DomainError):
+        coprime_tuples(factor(12), 0)
+
+
+def recursive_coprime_tuples(f, j):
+    """The recursive enumerator coprime_tuples replaced, kept as its order oracle."""
+    parts = f.parts
+
+    def rec(idx, coords):
+        if idx == len(parts):
+            yield coords
+            return
+        p, v = parts[idx]
+        yield from rec(idx + 1, coords)
+        for i in range(j):
+            pe = 1
+            for _ in range(v):
+                pe *= p
+                yield from rec(idx + 1, coords[:i] + (coords[i] * pe,) + coords[i + 1 :])
+
+    return rec(0, (1,) * j)
+
+
+def test_coprime_tuples_match_recursive_oracle():
+    cases = [(n, j) for n in range(1, 3001) for j in (1, 2, 3)]
+    cases += [(6469693230, 2), (9699690, 3), (360360, 3)]
+    for n, j in cases:
+        f = factor(n)
+        assert list(coprime_tuples(f, j)) == list(recursive_coprime_tuples(f, j)), (n, j)
 
 
 def test_t_weight_examples():
