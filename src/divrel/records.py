@@ -21,10 +21,11 @@ LOG_SLACK = 1e-9
 class BoundSpec:
     """One named bound, declared beside its evaluator.
 
-    family is "relation" (evaluate(ctx, **params) -> rows), "map"
-    (evaluate(ctx, table, reg) -> (log_rhs, params), one row per table) or
-    "analytic" (rows come in pairs from analytic; no evaluate).  Its domain
-    is n squarefree, n >= min_n and, for a map bound, tables of this arity.
+    family is "relation" (evaluate(ctx, **params) -> (lhs, log_rhs, params)
+    rows), "map" (evaluate(ctx, table, reg) -> (log_rhs, params), one row per
+    table) or "analytic" (rows come in pairs from analytic; no evaluate); the
+    dispatchers make the records.  Its domain is n squarefree, n >= min_n
+    and, for a map bound, tables of this arity.
     """
 
     family: str

@@ -10,6 +10,7 @@ bounds two-coordinate collisions of (g, z1*z2).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import defaultdict
@@ -65,47 +66,47 @@ def map_violations(table: MapTable) -> list[str]:
                 problems.append(f"coordinate {d} of {tup} does not divide {n}")
         if val < 1 or n % val != 0:
             problems.append(f"value {val} at {tup} does not divide {n}")
-        for a in range(len(tup)):
-            for b in range(a + 1, len(tup)):
-                if math.gcd(tup[a], tup[b]) != 1:
-                    problems.append(f"coordinates of {tup} are not pairwise coprime")
+        if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(tup, 2)):
+            problems.append(f"coordinates of {tup} are not pairwise coprime")
         if any(math.gcd(val, d) != 1 for d in tup):
             problems.append(f"value {val} shares a factor with {tup}")
     return problems
 
 
+def _collisions(tup: tuple[int, ...], val: int) -> tuple[list, list, list]:
+    """The (key, solution) pairs of the entry tup -> val under conditions 1
+    (z_i varies at fixed g), 2 (at fixed z_i * g) and 3 (z_i1, z_i2 vary at
+    fixed g and z_i1 * z_i2); a constant is the most solutions of one key."""
+    one, two, three = [], [], []
+    for i, z in enumerate(tup):
+        rest = tup[:i] + tup[i + 1 :]
+        one.append(((i, rest, val), z))
+        two.append(((i, rest, z * val), z))
+        for i2 in range(i + 1, len(tup)):  # rest holds tup[i2] at i2 - 1
+            key = (i, i2, rest[: i2 - 1] + rest[i2:], val, z * tup[i2])
+            three.append((key, (z, tup[i2])))
+    return one, two, three
+
+
 def _max_with_witness(buckets: dict) -> tuple[int, tuple | None]:
-    best = 0
-    witness = None
-    for key in sorted(buckets):
-        sols = buckets[key]
-        if len(sols) > best:
-            best = len(sols)
-            witness = (*key, tuple(sols))
-    return best, witness
+    """The largest bucket size and (*key, solutions) of the smallest key
+    reaching it."""
+    if not buckets:
+        return 0, None
+    best = max(map(len, buckets.values()))
+    key = min(key for key, sols in buckets.items() if len(sols) == best)
+    return best, (*key, tuple(buckets[key]))
 
 
 def check_regularity(table: MapTable) -> RegularityReport:
     """Exact minimal k for each condition by counting collisions in the table."""
-    j = table.j
-    c1: dict = defaultdict(list)
-    c2: dict = defaultdict(list)
-    c3: dict = defaultdict(list)
+    buckets: tuple[dict, ...] = (defaultdict(list), defaultdict(list), defaultdict(list))
     for tup in sorted(table.entries):
-        val = table.entries[tup]
-        for i in range(j):
-            rest = tup[:i] + tup[i + 1 :]
-            c1[(i, rest, val)].append(tup[i])
-            c2[(i, rest, tup[i] * val)].append(tup[i])
-        for i1 in range(j):
-            for i2 in range(i1 + 1, j):
-                rest = tuple(tup[t] for t in range(j) if t != i1 and t != i2)
-                c3[(i1, i2, rest, val, tup[i1] * tup[i2])].append((tup[i1], tup[i2]))
-    k1, w1 = _max_with_witness(c1)
-    k2, w2 = _max_with_witness(c2)
-    if j >= 2:
-        k3, w3 = _max_with_witness(c3)
-    else:
+        for bucket, pairs in zip(buckets, _collisions(tup, table.entries[tup])):
+            for key, sol in pairs:
+                bucket[key].append(sol)
+    (k1, w1), (k2, w2), (k3, w3) = map(_max_with_witness, buckets)
+    if table.j < 2:
         k3, w3 = None, None
     k = max(k1, k2)
     return RegularityReport(
@@ -271,13 +272,18 @@ def _corollary2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> 
     return log_rhs, {"k": reg.k}
 
 
+# exact_E refuses a search that would visit more nodes than this.
+_EXACT_E_MAX_NODES = 10**6
+
+
 def exact_E(n: int, j: int, k: int, guard: int = 12, cap: int | None = None) -> int:
     """Exact maximum domain size over all k-regular arity-j maps on D_n.
 
     Depth-first search over (tuple, value) assignments in a fixed order,
-    maintaining per-condition collision counters; branches die as soon as a
-    counter would pass k or the remaining tuples cannot beat the incumbent.
-    Only feasible for tiny n, hence the tau^j guard.
+    counting how often each key of conditions 1 and 2 is hit; branches die
+    as soon as a count would pass k or the remaining tuples cannot beat the
+    incumbent.  Only feasible for tiny n, hence the tau^j guard and the
+    _EXACT_E_MAX_NODES budget.
     """
     if j < 1 or k < 1:
         raise DomainError(f"exact_E: j and k must be >= 1, got j={j}, k={k}")
@@ -286,35 +292,36 @@ def exact_E(n: int, j: int, k: int, guard: int = 12, cap: int | None = None) -> 
     if tau**j > guard:
         raise ResourceLimitError(f"exact_E: tau({n})^{j} = {tau**j} exceeds guard {guard}")
     divs = factorcore.divisors(f, cap)
-    cands = list(factorcore.coprime_tuples(f, j))
-    options = [[d for d in divs if math.gcd(d, math.prod(tup)) == 1] for tup in cands]
-    total = len(cands)
-    c1: dict = defaultdict(int)
-    c2: dict = defaultdict(int)
+    # per candidate tuple, the condition-1 and -2 keys of each allowed value,
+    # tagged by condition so that one dict counts both
+    choices = [
+        [[(c, key) for c, pairs in enumerate(_collisions(tup, val)[:2]) for key, _ in pairs]
+         for val in divs if math.gcd(val, math.prod(tup)) == 1]
+        for tup in factorcore.coprime_tuples(f, j)
+    ]
+    total = len(choices)
+    hits: dict = defaultdict(int)
     best = 0
+    nodes = 0
 
     def dfs(idx: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _EXACT_E_MAX_NODES:
+            raise ResourceLimitError(f"exact_E: search passed {_EXACT_E_MAX_NODES} nodes")
         if size + (total - idx) <= best:
             return
         if idx == total:
             best = size
             return
-        tup = cands[idx]
-        for val in options[idx]:
-            keys1 = [(i, tup[:i] + tup[i + 1 :], val) for i in range(j)]
-            keys2 = [(i, tup[:i] + tup[i + 1 :], tup[i] * val) for i in range(j)]
-            if any(c1[key] >= k for key in keys1) or any(c2[key] >= k for key in keys2):
+        for keys in choices[idx]:
+            if any(hits[key] >= k for key in keys):
                 continue
-            for key in keys1:
-                c1[key] += 1
-            for key in keys2:
-                c2[key] += 1
+            for key in keys:
+                hits[key] += 1
             dfs(idx + 1, size + 1)
-            for key in keys1:
-                c1[key] -= 1
-            for key in keys2:
-                c2[key] -= 1
+            for key in keys:
+                hits[key] -= 1
         dfs(idx + 1, size)
 
     dfs(0, 0)

@@ -325,17 +325,21 @@ def inequality_report(
     is then ctx's own.
     """
     ctx = ctx or DivisorContext(n, cap)
-    return applicable_spec(bound_id, "relation", ctx).evaluate(ctx, **params)
+    spec = applicable_spec(bound_id, "relation", ctx)
+    try:
+        rows = spec.evaluate(ctx, **params)
+    except DomainError as exc:  # a refused parameter, named by the bound it was for
+        raise DomainError(f"{bound_id}: {exc}") from None
+    return [make_record(bound_id, ctx.n, lhs, log_rhs, **kw) for lhs, log_rhs, kw in rows]
 
 
 @bound("corollary1", "relation", asserted=True, sweepable=True)
-def _corollary1(ctx: DivisorContext) -> list[BoundCheckRecord]:
-    lhs = count_sum_triples(ctx.n, ctx=ctx)
-    return [make_record("corollary1", ctx.n, lhs, (2 - DELTA2) * math.log(ctx.stats.tau))]
+def _corollary1(ctx: DivisorContext) -> list[tuple]:
+    return [(count_sum_triples(ctx.n, ctx=ctx), (2 - DELTA2) * math.log(ctx.stats.tau), {})]
 
 
 @bound("eq4.1", "relation", asserted=True, squarefree_only=True, sweepable=True)
-def _eq41(ctx: DivisorContext, e: int | None = None) -> list[BoundCheckRecord]:
+def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
     per_e: dict[int, int] = {}
     for d, _, u in energy_decomposition(ctx.n, ctx=ctx).rows:
         per_e[d] = per_e.get(d, 0) + u
@@ -344,14 +348,14 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[BoundCheckRecord]:
         if e is not None and d != e:
             continue
         log_rhs = ctx.stats.omega * math.log(3) + _omega_of(ctx.factorization, d) * math.log(2 / 3)
-        out.append(make_record("eq4.1", ctx.n, per_e.get(d, 0), log_rhs, e=d))
+        out.append((per_e.get(d, 0), log_rhs, {"e": d}))
     if e is not None and not out:
-        raise DomainError(f"eq4.1: e = {e} does not divide {ctx.n}")
+        raise DomainError(f"e = {e} does not divide {ctx.n}")
     return out
 
 
 @bound("eq4.2", "relation", asserted=True, squarefree_only=True, sweepable=True)
-def _eq42(ctx: DivisorContext) -> list[BoundCheckRecord]:
+def _eq42(ctx: DivisorContext) -> list[tuple]:
     best: dict[int, tuple[int, int]] = {}
     for e, m, u in energy_decomposition(ctx.n, ctx=ctx).rows:
         if e not in best or u > best[e][0]:
@@ -360,34 +364,31 @@ def _eq42(ctx: DivisorContext) -> list[BoundCheckRecord]:
     for e, (u, m) in sorted(best.items()):
         we = _omega_of(ctx.factorization, e)
         log_rhs = (C_EXP * ctx.stats.omega + (1 - C_EXP) * we) * math.log(2)
-        out.append(make_record("eq4.2", ctx.n, u, log_rhs, e=e, m=m))
+        out.append((u, log_rhs, {"e": e, "m": m}))
     return out
 
 
 @bound("thm3a", "relation", asserted=False, squarefree_only=True, sweepable=True)
-def _thm3a(ctx: DivisorContext) -> list[BoundCheckRecord]:
-    lhs = additive_energy(ctx.n, ctx=ctx)
-    return [make_record("thm3a", ctx.n, lhs, ctx.stats.omega * math.log(ENERGY_BASE))]
+def _thm3a(ctx: DivisorContext) -> list[tuple]:
+    return [(additive_energy(ctx.n, ctx=ctx), ctx.stats.omega * math.log(ENERGY_BASE), {})]
 
 
 @bound("thm3b", "relation", asserted=False, min_n=2, sweepable=True)
-def _thm3b(ctx: DivisorContext) -> list[BoundCheckRecord]:
-    lhs = additive_energy(ctx.n, ctx=ctx)
+def _thm3b(ctx: DivisorContext) -> list[tuple]:
     log_rhs = 3 * math.log(ctx.stats.tau) - 0.5 * math.log(ctx.stats.omega2)
-    return [make_record("thm3b", ctx.n, lhs, log_rhs)]
+    return [(additive_energy(ctx.n, ctx=ctx), log_rhs, {})]
 
 
 @bound("lemma6", "relation", asserted=False, min_n=2, sweepable=True)
-def _lemma6(ctx: DivisorContext) -> list[BoundCheckRecord]:
-    lhs = hooley_delta(ctx.n, ctx=ctx)
+def _lemma6(ctx: DivisorContext) -> list[tuple]:
     log_rhs = math.log(ctx.stats.tau) - 0.5 * math.log(ctx.stats.omega2)
-    return [make_record("lemma6", ctx.n, lhs, log_rhs)]
+    return [(hooley_delta(ctx.n, ctx=ctx), log_rhs, {})]
 
 
 @bound("thm4", "relation", asserted=False, min_n=2)
-def _thm4(ctx: DivisorContext, q: object = None) -> list[BoundCheckRecord]:
+def _thm4(ctx: DivisorContext, q: object = None) -> list[tuple]:
     if not isinstance(q, int):
-        raise DomainError("thm4: integer parameter q required")
+        raise DomainError("integer parameter q required")
     stats = ctx.stats
     profile = residue_profile(ctx.n, q, ctx=ctx)
     rhs = (
@@ -395,11 +396,10 @@ def _thm4(ctx: DivisorContext, q: object = None) -> list[BoundCheckRecord]:
         * stats.v_max
         * math.log(stats.tau) ** 1.5
     )
-    return [make_record("thm4", ctx.n, profile.h_value, math.log(rhs), q=q, eta=profile.eta)]
+    return [(profile.h_value, math.log(rhs), {"q": q, "eta": profile.eta})]
 
 
 @bound("corollary3", "relation", asserted=False, squarefree_only=True, sweepable=True)
-def _corollary3(ctx: DivisorContext) -> list[BoundCheckRecord]:
+def _corollary3(ctx: DivisorContext) -> list[tuple]:
     m_best, lhs = _most_frequent_shift(ctx)
-    log_rhs = ctx.stats.omega * math.log(SHIFTED_TRIPLE_BASE)
-    return [make_record("corollary3", ctx.n, lhs, log_rhs, m=m_best)]
+    return [(lhs, ctx.stats.omega * math.log(SHIFTED_TRIPLE_BASE), {"m": m_best})]

@@ -163,6 +163,13 @@ def test_xi_collapses_to_ell():
                 )
 
 
+def test_arity_parameters_refuse_zero():
+    with pytest.raises(DomainError, match="^delta_j: j must be >= 1, got 0$"):
+        delta_j(0)
+    with pytest.raises(DomainError, match="^a_mean: j must be >= 1, got 0$"):
+        a_mean(ALPHA_STAR, 0, factor(12))
+
+
 def test_xi_domain():
     p = standard_params()
     for bad_alpha in (-0.1, 1.0):

@@ -138,6 +138,27 @@ def test_analytic_commands(capsys):
     assert code == 0 and out.strip().startswith("0.049517")
 
 
+def test_analytic_tail_lemmas_and_optimize(capsys):
+    code, out, err = run(capsys, "analytic", "tail")  # default --v 10^6 10^7 10^9
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 3)
+    for line, v in zip(lines, (10**6, 10**7, 10**9)):
+        fields = dict(tok.split("=") for tok in line.split())
+        assert fields.pop("v") == str(v)
+        assert set(fields) == {"numerator_margin", "arg2_margin", "ratio_margin"}
+        assert all(float(x) > 0 for x in fields.values()), line
+    code, out, err = run(capsys, "analytic", "lemmas")
+    assert (code, err) == (0, "")
+    assert out == "ratio_monotone=True domination_ok=True odd_power_sum_ok=True\n"
+    code, out, err = run(capsys, "analytic", "optimize", "--vopt", "64", "--vcertify", "64")
+    assert (code, err) == (0, "")
+    vals = {key: float(x) for key, x in (tok.split("=") for tok in out.split())}
+    assert set(vals) == {"alpha", "r", "delta"}
+    assert vals["alpha"] == pytest.approx(0.2288541994, abs=1e-6)
+    assert vals["r"] == pytest.approx(0.692466598, abs=1e-6)
+    assert vals["delta"] >= 0.045072
+
+
 def test_verify_xi_exit_codes(capsys):
     code, out, _ = run(
         capsys, "analytic", "verify-xi", "--alpha", "0.2288541994",
@@ -344,6 +365,25 @@ def test_sweep_rejects_unknown_bound(capsys):
     assert code == 2 and "error: domain:" in err
 
 
+def test_sweep_rejects_empty_range(capsys):
+    code, out, err = run(capsys, "sweep", "--bounds", "thm3a", "--n-lo", "5", "--n-hi", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: domain: sweep: bad range [5, 4]\n"
+
+
+def test_sweep_squarefree_only_keeps_squarefree_rows(capsys):
+    argv = ("sweep", "--bounds", "thm3b,c2", "--n-hi", "40")
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--squarefree-only")
+    assert (code, err) == (0, "")
+    squarefree = {n for n in range(1, 41) if all(v == 1 for _, v in factor(n).parts)}
+    header, *rows = full.splitlines()
+    kept = [row for row in rows if int(row.split(",")[0]) in squarefree]
+    assert out.splitlines() == [header, *kept]
+    assert {int(row.split(",")[0]) for row in kept} == squarefree
+
+
 def test_sweep_exit_one_on_asserted_violation(capsys):
     # the literal eq4.2 cell bound genuinely fails at n = 2, which makes it a
     # real probe of the asserted-violation exit path
@@ -356,6 +396,22 @@ def test_sweep_exit_one_on_asserted_violation(capsys):
 def test_map_check_accepts_builtin_kind(capsys):
     code, out, _ = run(capsys, "map", "check", "--kind", "midpoint-exact", "--n", "6")
     assert code == 0 and json.loads(out)["k"] == 1
+
+
+def test_map_build_writes_json_to_stdout(capsys):
+    code, out, err = run(capsys, "map", "build", "--kind", "sum", "--n", "6")
+    assert (code, err) == (0, "")
+    assert out == '{"n": 6, "j": 2, "entries": [[1, 1, 2], [1, 2, 3], [2, 1, 3]]}\n'
+    assert out == regmaps.map_to_json(build_builtin("sum", 6)) + "\n"
+
+
+def test_map_check_refuses_missing_table(capsys, tmp_path):
+    code, out, err = run(capsys, "map", "check")
+    assert (code, out) == (2, "")
+    assert err == "error: domain: map: provide --file or both --kind and --n\n"
+    code, out, err = run(capsys, "map", "check", "--file", str(tmp_path / "absent.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: io:") and "absent.json" in err and err.count("\n") == 1
 
 
 def test_json_round_trip():
@@ -429,14 +485,17 @@ def test_map_check_and_bound_refuse_n_zero(capsys):
         assert err == "error: domain: factor: n must be a positive integer, got 0\n"
 
 
-def test_resource_error_exit(capsys):
+def test_resource_error_exit(capsys, monkeypatch):
     too_many = str(10**8 + 1)
+    # the exact-e search below runs past any budget; a small one refuses it fast
+    monkeypatch.setattr(regmaps, "_EXACT_E_MAX_NODES", 1000)
     for argv in (
         ["energy", "--n", "720720", "--cap-divisors", "100"],
         ["analytic", "verify-xi", "--alpha", "0.2288541994", "--r", "0.692466598",
          "--delta", "0.045072", "--vmax", too_many],
         ["analytic", "optimize", "--vopt", too_many],
         ["analytic", "optimize", "--vcertify", too_many],
+        ["exact-e", "--n", "30", "--j", "2", "--k", "1", "--guard", "150"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: resource:"), argv

@@ -252,6 +252,11 @@ def test_t_weight_examples():
     assert total == 9  # (2+1)^omega(12)
 
 
+def test_kappa_refuses_arity_zero():
+    with pytest.raises(DomainError, match="^kappa: j must be >= 1, got 0$"):
+        kappa(factor(12), 0)
+
+
 def test_t_weight_rejects_non_divisor():
     with pytest.raises(DomainError):
         t_weight(factor(12), 5)

@@ -230,6 +230,32 @@ def test_builtin_tables_match_ordered_pair_oracles():
             assert table.entries == oracle_midpoint_map(divs, variant), (n, variant)
 
 
+def test_map_violations_messages():
+    # one message per broken tuple, however many of its pairs share a factor
+    assert map_violations(MapTable(30, 3, {(2, 2, 2): 1})) == [
+        "coordinates of (2, 2, 2) are not pairwise coprime"
+    ]
+    assert map_violations(MapTable(6, 2, {(1,): 2})) == ["tuple (1,) has arity 1, expected 2"]
+    assert map_violations(MapTable(6, 1, {(2,): 2})) == ["value 2 shares a factor with (2,)"]
+
+
+def test_witness_tie_break_takes_the_smallest_key():
+    # keys (0, (), 2) and (0, (), 7) both reach k1 = 2; entries are given out
+    # of order, and the key of the first sorted entry, (1,) -> 7, is the larger
+    table = MapTable(210, 1, {(5,): 2, (15,): 7, (3,): 2, (1,): 7})
+    assert map_violations(table) == []
+    report = check_regularity(table)
+    assert (report.k1, report.k2, report.k3) == (2, 1, None)
+    assert report.witness1 == (0, (), 2, (3, 5))
+    assert report.witness2 == (0, (), 6, (3,))  # z * g: 3*2, 5*2, 1*7, 15*7
+    assert report.witness3 is None
+
+
+def test_build_builtin_refuses_unknown_kind():
+    with pytest.raises(DomainError, match="^unknown builtin map kind: 'nope'$"):
+        build_builtin("nope", 6)
+
+
 def test_domain_regular_flags_bad_tables():
     table = MapTable(6, 2, {(2, 6): 1})
     report = check_regularity(table)
@@ -301,6 +327,16 @@ def test_exact_E_arity_two_matches_unpruned_oracle_at_composites():
     # both coordinates of its tuple
     for n in (4, 6):
         assert exact_E(n, 2, 1, guard=16) == brute_exact_E(n, 2, 1)
+
+
+def test_exact_E_search_budget(monkeypatch):
+    from divrel import regmaps
+
+    assert exact_E(60, 1, 1) == 7  # the largest search the tests make
+    monkeypatch.setattr(regmaps, "_EXACT_E_MAX_NODES", 1000)
+    with pytest.raises(ResourceLimitError, match="^exact_E: search passed 1000 nodes$"):
+        exact_E(60, 1, 1)
+    assert exact_E(6, 1, 1) == 3  # small searches stay under it
 
 
 def test_exact_E_monotone_in_k():

@@ -403,6 +403,13 @@ def test_unknown_bound_id():
         inequality_report(6, "no-such-bound")
 
 
+def test_bound_parameter_refusals_name_the_bound():
+    with pytest.raises(DomainError, match=r"^eq4\.1: e = 4 does not divide 30$"):
+        inequality_report(30, "eq4.1", e=4)
+    with pytest.raises(DomainError, match=r"^thm4: integer parameter q required$"):
+        inequality_report(30, "thm4")
+
+
 def test_energy_constant_consistency():
     # the split eta balances both halves of the energy bound
     exponent = (2 + C_EXP) + (1 - C_EXP) * (1 - ENERGY_SPLIT_ETA)
