@@ -63,6 +63,31 @@ def test_energy_decompose(capsys):
     assert out.strip().splitlines()[-1] == "total 6"
 
 
+# SHA-256 of the stdout of point queries that read the energy cells, on both
+# sides of the int64 guard: 15 * (2^61 - 1) is squarefree and takes the
+# object-dtype columns.  A change to any cell, total or row changes it.
+CELL_OUTPUT_SHA256 = {
+    ("energy", 1): "357b77fc45ed5b2de3037c67e0aadc8f8eb44a7d4cc519aa11a55288d2e77564",
+    ("energy", 12): "b665281d6333e5c501f7653e89ab5c652c14aef6abca7e19b84803cbb3e2a294",
+    ("energy", 9699690): "606db7dc2264888065ef788c704d2927df7b59cfeaeda730c171336ee7f369e4",
+    ("energy", 735134400): "7a7c0e8dad3840f9d1ae1ca2f7d0c517da064fa84b35d45ee7abf8d341658a3b",
+    ("energy", 15 * (2**61 - 1)): "774b62775963f2bbf590068b590dbbd88f243cb14f15efd853d5862c461641f5",
+    ("sweep", 6469693230): "fd744e3345edf828cf71d67c375c77b49f797b931c0bb02116f3bcca430bb46e",
+    ("sweep", 15 * (2**61 - 1)): "caf2b1558919b02aa1c32f4748b03531a062c9f41bc0046d7f3912913ebf5a5e",
+}
+
+
+@pytest.mark.parametrize("cmd, n", list(CELL_OUTPUT_SHA256), ids=lambda v: str(v))
+def test_cell_outputs_are_pinned(capsys, cmd, n):
+    if cmd == "energy":
+        argv = ["energy", "--n", str(n), "--decompose"]
+    else:
+        argv = ["sweep", "--bounds", "eq4.1,eq4.2", "--n-lo", str(n), "--n-hi", str(n)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CELL_OUTPUT_SHA256[cmd, n]
+
+
 def test_residues_command(capsys):
     code, out, _ = run(capsys, "residues", "--n", "12", "--q", "5")
     payload = json.loads(out)
