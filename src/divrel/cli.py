@@ -15,6 +15,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 
+import numpy as np
+
 from . import analytic, factorcore, regmaps, relations
 from .errors import DomainError, ResourceLimitError
 from .records import BOUNDS, BoundCheckRecord
@@ -165,11 +167,45 @@ def _cmd_triples(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal_lines(*columns: np.ndarray) -> str:
+    """One line per row of the aligned non-negative integer columns, the
+    values in decimal, separated by spaces.
+
+    int64 columns are written by numpy: each column takes one byte row per
+    digit position, filled from the last digit, with 0 in place of leading
+    zeros, and the zeros are dropped at the end.  Object columns, which hold
+    Python ints of any size, go through str.
+    """
+    if any(c.dtype == object for c in columns):
+        rows = zip(*(c.tolist() for c in columns))
+        return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    widths = [len(str(int(c.max()))) for c in columns]
+    text = np.zeros((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
+    end = 0
+    for c, width in zip(columns, widths):
+        q = c.astype(np.uint64)
+        digit, rest = np.empty_like(q), np.empty_like(q)
+        end += width
+        for k in range(width):  # k-th digit from the right
+            np.floor_divide(q, 10, out=rest)
+            np.subtract(q, np.multiply(rest, 10, out=digit), out=digit)
+            digit += ord("0")
+            if k:
+                digit *= q != 0  # past the first digit, q == 0 is a leading zero
+            text[end - 1 - k] = digit
+            q, rest = rest, q
+        text[end] = ord(" ")
+        end += 1
+    text[-1] = ord("\n")
+    text = text.T  # one row per line
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def _cmd_energy(args: argparse.Namespace) -> int:
     cap = _divisor_cap(args)
     if args.decompose:
         dec = relations.energy_decomposition(args.n, cap)
-        sys.stdout.write("".join(f"{e} {m} {u}\n" for e, m, u in dec.rows))
+        sys.stdout.write(_decimal_lines(dec.e, dec.m, dec.u))
         print(f"total {dec.total_energy}")
     else:
         print(relations.additive_energy(args.n, cap))

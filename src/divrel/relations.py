@@ -7,7 +7,9 @@ decomposition, residue-class second moment) only hold for ordered counts.
 The counts over pairs of divisors are numpy array code.  The additive
 energy, its (e, m) cells and corollary3's most frequent shift read one
 pair-sum histogram per DivisorContext: the distinct sums d1 + d2, ascending,
-with the number of ordered pairs giving each.  It holds up to
+with the number of ordered pairs giving each.  The cells stay numpy columns
+(e, m, u), and eq4.1 and eq4.2 read them with reduceat and lexsort over the
+runs of e, so no Python object is made per cell.  The histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
 ranges of the sum, so building it needs little beyond twice that.  Sum and
 shifted triples need no histogram: they look the pair sums up among the
@@ -55,17 +57,27 @@ _INT64_SUMS = 2**62
 _CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyDecomposition:
     """Pair sums d1+d2 grouped by (e, m) with e = gcd(d1+d2, n), m = sum/e.
 
-    rows is sorted by (e, m); u is the number of ordered pairs in the cell.
-    total_energy = sum of u^2 = additive energy of D_n.
+    e, m and u are aligned read-only numpy columns, one entry per cell, in
+    (e, m) order; u is the number of ordered pairs in the cell.  e and m
+    have the histogram's dtype: int64 while 2n < 2^62, else object dtype
+    holding exact Python ints.  total_energy = sum of u^2 = additive energy
+    of D_n.
     """
 
     n: int
-    rows: tuple[tuple[int, int, int], ...]
+    e: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
     total_energy: int
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        """The cells as (e, m, u) tuples of Python ints, built on each read."""
+        return tuple(zip(self.e.tolist(), self.m.tolist(), self.u.tolist()))
 
 
 @dataclass(frozen=True)
@@ -164,32 +176,12 @@ def additive_energy(n: int, cap: int | None = None, *, ctx: DivisorContext | Non
     return int(counts @ counts)
 
 
-def rep_count(n: int, m: int, cap: int | None = None) -> int:
-    """Ordered divisor pairs of n summing to m."""
-    if m < 0:
-        raise DomainError(f"rep_count: m must be >= 0, got {m}")
-    divs = DivisorContext(n, cap).divs
-    dset = set(divs)
-    return sum(1 for d in divs if d < m and (m - d) in dset)
-
-
 def shifted_count(n: int, m: int, cap: int | None = None) -> int:
     """Ordered triples with d1 + d2 = d3 + m; m may be negative."""
     divs = DivisorContext(n, cap).divs
     if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
         return 0
     return _shifted_pairs(divs, m)
-
-
-def u_count(n: int, e: int, m: int, cap: int | None = None) -> int:
-    """Pairs with d1 + d2 = m*e where e is the gcd of the sum with n."""
-    if e < 1 or n % e != 0:
-        raise DomainError(f"u_count: e = {e} does not divide n = {n}")
-    if m < 1:
-        raise DomainError(f"u_count: m must be >= 1, got {m}")
-    if math.gcd(m * e, n) != e:
-        raise DomainError(f"u_count: gcd({m}*{e}, {n}) != {e}")
-    return rep_count(n, m * e, cap)
 
 
 def energy_decomposition(
@@ -201,14 +193,21 @@ def energy_decomposition(
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
         e = np.gcd(values, n)
-        m = values // e
         # values ascend, so within one e so does m = s / e: a stable sort on
         # e alone puts the cells in (e, m) order
         order = np.argsort(e, kind="stable")
-        rows = zip(e[order].tolist(), m[order].tolist(), counts[order].tolist())
-        return EnergyDecomposition(n, tuple(rows), int(counts @ counts))
+        e, values, u = e[order], values[order], counts[order]
+        m = values // e
+        for column in (e, m, u):
+            column.flags.writeable = False  # the memo hands them to every reader
+        return EnergyDecomposition(n, e, m, u, int(counts @ counts))
 
     return ctx.memo("decomposition", compute)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in x."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
 
 
 def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
@@ -224,7 +223,7 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     for shift, j in _sum_ranges(values, -_as_array(ctx.divs)):
         order = np.argsort(shift)
         shift = shift[order]
-        first = np.flatnonzero(np.concatenate(([True], shift[1:] != shift[:-1])))
+        first = _run_starts(shift)
         totals = np.add.reduceat(counts[j[order]], first)
         k = int(np.argmax(totals))  # the first maximum: the smallest m
         if totals[k] > best:
@@ -340,9 +339,9 @@ def _corollary1(ctx: DivisorContext) -> list[tuple]:
 
 @bound("eq4.1", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
-    per_e: dict[int, int] = {}
-    for d, _, u in energy_decomposition(ctx.n, ctx=ctx).rows:
-        per_e[d] = per_e.get(d, 0) + u
+    dec = energy_decomposition(ctx.n, ctx=ctx)
+    starts = _run_starts(dec.e)
+    per_e = dict(zip(dec.e[starts].tolist(), np.add.reduceat(dec.u, starts).tolist()))
     out = []
     for d in ctx.divs:
         if e is not None and d != e:
@@ -356,12 +355,12 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
 
 @bound("eq4.2", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq42(ctx: DivisorContext) -> list[tuple]:
-    best: dict[int, tuple[int, int]] = {}
-    for e, m, u in energy_decomposition(ctx.n, ctx=ctx).rows:
-        if e not in best or u > best[e][0]:
-            best[e] = (u, m)
+    dec = energy_decomposition(ctx.n, ctx=ctx)
+    # per run of e, the largest u first; lexsort is stable and m ascends
+    # within each e, so the first of equal u has the smallest m
+    pick = np.lexsort((-dec.u, dec.e))[_run_starts(dec.e)]
     out = []
-    for e, (u, m) in sorted(best.items()):
+    for e, m, u in zip(dec.e[pick].tolist(), dec.m[pick].tolist(), dec.u[pick].tolist()):
         we = _omega_of(ctx.factorization, e)
         log_rhs = (C_EXP * ctx.stats.omega + (1 - C_EXP) * we) * math.log(2)
         out.append((u, log_rhs, {"e": e, "m": m}))

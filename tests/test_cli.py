@@ -6,12 +6,14 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from divrel import (
     BUILTIN_KINDS,
     bound_check,
     build_builtin,
+    cli,
     factor,
     factorcore,
     inequality_report,
@@ -88,6 +90,28 @@ def test_cell_outputs_are_pinned(capsys, cmd, n):
     assert hashlib.sha256(out.encode()).hexdigest() == CELL_OUTPUT_SHA256[cmd, n]
 
 
+def join_lines(*columns) -> str:
+    """f-string oracle for cli._decimal_lines."""
+    return "".join(" ".join(f"{v}" for v in row) + "\n" for row in zip(*columns))
+
+
+def test_decimal_lines_match_the_fstring_join():
+    edges = [0, 1, 9, 10, 99, 100, 2**62 - 1, 2**63 - 1]
+    edges += [x for k in range(3, 19) for x in (10**k - 1, 10**k)]
+    rng = random.Random(5)
+    many = [rng.randrange(10 ** rng.randrange(1, 19)) for _ in range(3000)] + edges
+    cases = [[edges], [edges, edges[::-1], edges[1:] + edges[:1]], [[7], [10**18], [1]]]
+    cases += [[many, sorted(many), many[::-1]], [[1]] * 3, [[10**18 - 1]]]
+    for columns in cases:
+        arrays = [np.array(c, dtype=np.int64) for c in columns]
+        assert cli._decimal_lines(*arrays) == join_lines(*columns)
+    # object columns (here mixed with int64, as e, m and u are past the
+    # int64 guard) hold exact ints of any size
+    big = [15 * (2**61 - 1), 2**64, 10**30 + 7, 1]
+    arrays = [np.array(big, dtype=object), np.array(big[::-1], dtype=object), np.arange(1, 5)]
+    assert cli._decimal_lines(*arrays) == join_lines(big, big[::-1], [1, 2, 3, 4])
+
+
 def test_residues_command(capsys):
     code, out, _ = run(capsys, "residues", "--n", "12", "--q", "5")
     payload = json.loads(out)
@@ -138,8 +162,6 @@ def test_map_commands_refuse_bad_tables(capsys, tmp_path):
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
-    from divrel import cli
-
     def broken(args):
         raise ZeroDivisionError("boom")
 
@@ -267,8 +289,6 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
 def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
     # the pool starts all its workers at once, so --workers N must not fork
     # N processes; a stand-in pool records its size and maps in-process
-    from divrel import cli
-
     sizes = []
 
     class InProcessPool:

@@ -24,10 +24,8 @@ from divrel import (
     factor,
     hooley_delta,
     inequality_report,
-    rep_count,
     residue_profile,
     shifted_count,
-    u_count,
 )
 from divrel import relations
 from divrel.factorcore import DivisorContext
@@ -49,6 +47,27 @@ def brute_energy(n: int) -> int:
                     if d1 + d2 == d3 + d4:
                         count += 1
     return count
+
+
+def rep_count(n: int, m: int) -> int:
+    """Set-lookup oracle: ordered divisor pairs of n summing to m."""
+    if m < 0:
+        raise DomainError(f"rep_count: m must be >= 0, got {m}")
+    divs = divisor_list(n)
+    dset = set(divs)
+    return sum(1 for d in divs if d < m and (m - d) in dset)
+
+
+def u_count(n: int, e: int, m: int) -> int:
+    """Cell oracle U(e, m): pairs with d1 + d2 = m*e where e is the gcd of
+    the sum with n."""
+    if e < 1 or n % e != 0:
+        raise DomainError(f"u_count: e = {e} does not divide n = {n}")
+    if m < 1:
+        raise DomainError(f"u_count: m must be >= 1, got {m}")
+    if math.gcd(m * e, n) != e:
+        raise DomainError(f"u_count: gcd({m}*{e}, {n}) != {e}")
+    return rep_count(n, m * e)
 
 
 def brute_triples(n: int) -> int:
@@ -113,6 +132,68 @@ def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> Non
         assert rec.lhs == sum(sums.get(d + m, 0) for d in divs)
 
 
+def loop_eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
+    """Row-loop oracle for the eq4.1 rows: per-e totals summed cell by cell."""
+    per_e: dict[int, int] = {}
+    for d, _, u in energy_decomposition(ctx.n, ctx=ctx).rows:
+        per_e[d] = per_e.get(d, 0) + u
+    out = []
+    for d in ctx.divs:
+        if e is not None and d != e:
+            continue
+        we = relations._omega_of(ctx.factorization, d)
+        log_rhs = ctx.stats.omega * math.log(3) + we * math.log(2 / 3)
+        out.append((per_e.get(d, 0), log_rhs, {"e": d}))
+    return out
+
+
+def loop_eq42(ctx: DivisorContext) -> list[tuple]:
+    """Row-loop oracle for the eq4.2 rows: per e, the first cell of largest
+    u in (e, m) order, so the smallest m among equal u."""
+    best: dict[int, tuple[int, int]] = {}
+    for e, m, u in energy_decomposition(ctx.n, ctx=ctx).rows:
+        if e not in best or u > best[e][0]:
+            best[e] = (u, m)
+    out = []
+    for e, (u, m) in sorted(best.items()):
+        we = relations._omega_of(ctx.factorization, e)
+        log_rhs = (C_EXP * ctx.stats.omega + (1 - C_EXP) * we) * math.log(2)
+        out.append((u, log_rhs, {"e": e, "m": m}))
+    return out
+
+
+def check_cell_readers(n: int) -> None:
+    """eq4.1 (every e, and each e alone up to tau 16) and eq4.2 rows
+    against the loops, with Python ints in every count and parameter."""
+    ctx = DivisorContext(n)
+    pairs = ((relations._eq41(ctx), loop_eq41(ctx)), (relations._eq42(ctx), loop_eq42(ctx)))
+    for got, want in pairs:
+        assert got == want, n
+        assert {type(v) for lhs, _, params in got for v in (lhs, *params.values())} == {int}
+    if ctx.stats.tau <= 16:
+        for d in ctx.divs:
+            assert relations._eq41(ctx, e=d) == loop_eq41(ctx, e=d)
+
+
+def test_cell_readers_match_row_loops():
+    for n in range(1, 3001):
+        if arith_stats(factor(n)).v_max == 1:
+            check_cell_readers(n)
+    check_cell_readers(6469693230)  # tau 1024, int64 columns
+    check_cell_readers(15 * (2**61 - 1))  # object columns
+
+
+def test_eq42_takes_the_largest_cell_then_the_smallest_m():
+    # n = 30: U(1, 7) = U(1, 11) = 4, U(2, 4) = U(2, 8) = 4, and every cell
+    # of e = 3, 5, 6 and 15 ties with another of its e
+    recs = inequality_report(30, "eq4.2")
+    picks = {dict(r.params)["e"]: (dict(r.params)["m"], r.lhs) for r in recs}
+    assert picks == {
+        1: (7, 4), 2: (4, 4), 3: (1, 2), 5: (1, 2),
+        6: (1, 3), 10: (2, 3), 15: (1, 2), 30: (1, 1),
+    }
+
+
 def test_pair_sum_readers_match_loops_up_to_5000():
     for n in range(1, 5001):
         check_against_loops(n)
@@ -131,7 +212,8 @@ def test_pair_sum_histogram_dtype_guard():
     above = 15 * (2**61 - 1)  # tau 8
     for n, dtype in ((below, "int64"), (2**61 - 1, "int64"), (2**61, "object"), (above, "object")):
         values = relations._pair_sum_counts(divisor_list(n))[0]
-        assert values.dtype == dtype, n
+        dec = energy_decomposition(n)
+        assert values.dtype == dec.e.dtype == dec.m.dtype == dtype, n
         check_against_loops(n)
     assert shifted_count(above, 2 * above - 1) == 1  # n + n - 1
     assert shifted_count(above, 2 * above) == 0
@@ -238,7 +320,10 @@ def test_u_count_examples():
 
 def test_energy_decomposition_examples():
     assert energy_decomposition(6).total_energy == 32
-    assert energy_decomposition(1).rows == ((1, 2, 1),)
+    dec = energy_decomposition(1)
+    assert dec.rows == ((1, 2, 1),)
+    with pytest.raises(ValueError):  # the memoised columns are read-only
+        dec.u[0] = 2
     assert sum(u for _, _, u in energy_decomposition(2).rows) == 4
 
 
