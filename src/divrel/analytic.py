@@ -167,12 +167,16 @@ def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
 
 
 def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
-    """_xi_terms over math after _check_xi; a float overflow is a DomainError."""
+    """_xi_terms over math after _check_xi; a float overflow, raised or
+    leaving the numerator infinite, is a DomainError."""
     _check_xi(v, alpha, beta, j, r)
     try:
-        return _xi_terms(math, v, alpha, beta, j, r)
+        num, xi_v = _xi_terms(math, v, alpha, beta, j, r)
+        if math.isfinite(num):
+            return num, xi_v
     except OverflowError:
-        raise DomainError(f"xi: v = {v} is too large for float64 evaluation") from None
+        pass
+    raise DomainError(f"xi: v = {v} is too large for float64 evaluation")
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:

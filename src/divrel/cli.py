@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 
@@ -33,15 +34,18 @@ def _params_str(params: tuple[tuple[str, object], ...]) -> str:
     return ";".join(items)
 
 
+CSV_HEADER = "n,bound_id,lhs,log_rhs,margin,pass,params\n"
+
+
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
-    lines = ["n,bound_id,lhs,log_rhs,margin,pass,params"]
+    lines = [CSV_HEADER]
     for rec in sorted(records, key=attrgetter("n", "bound_id", "params")):
         lines.append(
             f"{rec.n},{rec.bound_id},{rec.lhs},{_fmt(rec.log_rhs)},"
             f"{_fmt(rec.margin)},{'true' if rec.passed else 'false'},"
-            f"{_params_str(rec.params)}"
+            f"{_params_str(rec.params)}\n"
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def format_records_json(records: list[BoundCheckRecord]) -> str:
@@ -76,26 +80,20 @@ def parse_records_json(text: str) -> list[BoundCheckRecord]:
     ]
 
 
-def emit_report(records: list[BoundCheckRecord], fmt: str, path: str | None) -> None:
-    text = format_records_csv(records) if fmt == "csv" else format_records_json(records)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+def _violation_line(records: Iterable[BoundCheckRecord]) -> str | None:
+    """The error line naming the first asserted bound that fails, if any."""
+    for rec in records:
+        if rec.asserted and not rec.passed:
+            witness = f" ({_params_str(rec.params)})" if rec.params else ""
+            return f"error: bound-violation: {rec.bound_id} fails at n={rec.n}{witness}"
+    return None
 
 
-def _exit_code(records: list[BoundCheckRecord]) -> int:
-    bad = [r for r in records if r.asserted and not r.passed]
-    if bad:
-        worst = bad[0]
-        witness = f" ({_params_str(worst.params)})" if worst.params else ""
-        print(
-            f"error: bound-violation: {worst.bound_id} fails at n={worst.n}{witness}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+def _exit_code(violation: str | None) -> int:
+    if violation is None:
+        return 0
+    print(violation, file=sys.stderr)
+    return 1
 
 
 def _divisor_cap(args: argparse.Namespace) -> int | None:
@@ -134,15 +132,25 @@ def _records_for_n(
     return out
 
 
-def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, int | None]) -> list:
-    lo, hi, bounds, squarefree_only, cap = task
+def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, int | None, str]) -> tuple:
+    """(the report rows for n in [lo, hi], without the CSV header or the JSON
+    brackets; the violation line of the first failing asserted row or None).
+
+    Chunks are ascending, contiguous n ranges, so their rows joined in order
+    are the whole report; a pool worker sends back text, not records.
+    """
+    lo, hi, bounds, squarefree_only, cap, fmt = task
     records = []
     for n in range(lo, hi + 1):
         ctx = factorcore.DivisorContext(n, cap)
         if squarefree_only and ctx.stats.v_max > 1:
             continue
         records.extend(_records_for_n(ctx, bounds))
-    return records
+    if fmt == "csv":
+        body = format_records_csv(records)[len(CSV_HEADER):]
+    else:
+        body = format_records_json(records)[1:-2]
+    return body, _violation_line(records)
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
@@ -266,8 +274,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return 0
     table = _load_table(args)
     rec = regmaps.bound_check(table, args.bound)
-    emit_report([rec], "csv", None)
-    return _exit_code([rec])
+    sys.stdout.write(format_records_csv([rec]))
+    return _exit_code(_violation_line([rec]))
 
 
 def _cmd_exact_e(args: argparse.Namespace) -> int:
@@ -328,22 +336,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.n_lo, args.n_hi
     if lo < 1 or hi < lo:
         raise DomainError(f"sweep: bad range [{lo}, {hi}]")
+    task = (bounds, args.squarefree_only, cap, args.format)
     if args.workers > 1:
         size = max(1, (hi - lo + 1) // (4 * args.workers))
-        tasks = [
-            (start, min(hi, start + size - 1), bounds, args.squarefree_only, cap)
-            for start in range(lo, hi + 1, size)
-        ]
-        records = []
+        tasks = [(start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size)]
         # the pool forks every worker at once, so start no more than can run
         workers = min(args.workers, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_sweep_chunk, tasks):
-                records.extend(chunk)
+            chunks = list(pool.map(_sweep_chunk, tasks))
     else:
-        records = _sweep_chunk((lo, hi, bounds, args.squarefree_only, cap))
-    emit_report(records, args.format, args.out)
-    return _exit_code(records)
+        chunks = [_sweep_chunk((lo, hi, *task))]
+    bodies, violations = zip(*chunks)
+    if args.format == "csv":
+        text = CSV_HEADER + "".join(bodies)
+    else:
+        text = "[" + ",".join(body for body in bodies if body) + "]\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    return _exit_code(next(filter(None, violations), None))
 
 
 def _cmd_split_thm4(args: argparse.Namespace) -> int:
@@ -363,7 +376,7 @@ def _cmd_split_thm4(args: argparse.Namespace) -> int:
             sort_keys=True,
         )
     )
-    return _exit_code(list(res.records))
+    return _exit_code(_violation_line(res.records))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -268,22 +268,37 @@ ALL_BOUNDS_200_SHA256 = {
 
 
 def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
-    # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime
+    # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime.
+    # Each pool worker formats its own chunk; the parent joins the texts.
+    def sweep(*args):
+        path = tmp_path / "report"
+        code, _, err = run(capsys, "sweep", *args, "--out", str(path))
+        return code, err, path.read_bytes()
+
     for bounds, n_hi, workers, code in (
         ("corollary1,thm2b", "40", "3", 0),
         (ALL_BOUNDS, "200", "2", 1),
     ):
-        args = ["sweep", "--bounds", bounds, "--n-hi", n_hi, "--format", "csv"]
-        p1, p2, p3 = (tmp_path / f"r{i}.csv" for i in range(3))
-        assert run(capsys, *args, "--out", str(p1))[0] == code
-        assert run(capsys, *args, "--out", str(p2))[0] == code
-        assert run(capsys, *args, "--workers", workers, "--out", str(p3))[0] == code
-        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
-    assert hashlib.sha256(p1.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["csv"]
-    path = tmp_path / "r.json"
-    args = ["sweep", "--bounds", ALL_BOUNDS, "--n-hi", "200", "--format", "json"]
-    assert run(capsys, *args, "--out", str(path))[0] == 1
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256["json"]
+        for fmt in ("csv", "json"):
+            args = ["--bounds", bounds, "--n-hi", n_hi, "--format", fmt]
+            first = sweep(*args)
+            assert first[0] == code
+            assert sweep(*args) == first == sweep(*args, "--workers", workers)
+            if bounds == ALL_BOUNDS:
+                assert hashlib.sha256(first[2]).hexdigest() == ALL_BOUNDS_200_SHA256[fmt]
+    # one-n chunks: 48, 49 and 50 are not squarefree, so their bodies are empty
+    for fmt in ("csv", "json"):
+        args = ["--bounds", "corollary1,eq4.1", "--squarefree-only", "--n-lo", "48",
+                "--n-hi", "51", "--format", fmt]
+        serial = sweep(*args)
+        assert serial[:2] == (0, "") and serial == sweep(*args, "--workers", "2")
+        if fmt == "json":
+            assert hashlib.md5(serial[2]).hexdigest() == "956822571367a78542df2e9bcbe2b036"
+    # the first failing asserted row sits in the last chunk
+    args = ["--bounds", "eq4.2", "--n-lo", "24", "--n-hi", "29"]
+    serial = sweep(*args)
+    assert serial[:2] == (1, "error: bound-violation: eq4.2 fails at n=29 (e=1;m=30)\n")
+    assert sweep(*args, "--workers", "2") == serial
 
 
 def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
@@ -302,7 +317,10 @@ def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            # what a worker sends back: report text, never records
+            for body, violation in map(fn, tasks):
+                assert type(body) is str and type(violation) in (str, type(None))
+                yield body, violation
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     args = ["sweep", "--bounds", "corollary1,thm2b", "--n-lo", "1", "--format", "csv"]
@@ -516,6 +534,8 @@ def test_domain_error_exit(capsys):
         ),
         # xi at a v too large for float64 evaluation
         ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1e262"],
+        ["analytic", "eval", "--fn", "xi", "--alpha", "0.2288541994", "--x", "1e142"],
+        ["analytic", "tail", "--v", str(10**142)],
         ["analytic", "tail", "--v", str(10**300)],
         ["analytic", "tail", "--v", str(10**400)],
     ):
