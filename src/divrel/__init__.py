@@ -36,7 +36,6 @@ from .factorcore import (
     divisors,
     factor,
     kappa,
-    signature,
     t_weight,
 )
 from .records import BoundCheckRecord, make_record
@@ -69,7 +68,6 @@ from .relations import (
     hooley_delta,
     inequality_report,
     residue_profile,
-    shifted_count,
 )
 
 __version__ = "0.1.0"

@@ -54,6 +54,8 @@ BOUNDS.update(
 
 def beta_for(alpha: float, r: float) -> float:
     """The tilt exponent paired with (alpha, r): (2+r)/(1+r)*(1-alpha) - 1."""
+    if r == -1:  # other r < 0 give a beta that xi then refuses
+        raise DomainError("beta_for: r = -1 is the pole of (2+r)/(1+r)")
     return (2 + r) / (1 + r) * (1 - alpha) - 1
 
 
@@ -222,7 +224,10 @@ def delta_j(j: int) -> float:
     """
     if j < 1:
         raise DomainError(f"delta_j: j must be >= 1, got {j}")
-    return f_alpha(1 / (2 * j + 1), j) / math.log(j + 1)
+    try:
+        return f_alpha(1 / (2 * j + 1), j) / math.log(j + 1)
+    except OverflowError:
+        raise DomainError(f"delta_j: j = {j} is too large for float64 evaluation") from None
 
 
 @dataclass(frozen=True)

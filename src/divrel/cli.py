@@ -1,7 +1,7 @@
 """Command-line surface: point queries, map tools, range sweeps, reports.
 
 Exit codes: 0 success / all asserted bounds hold; 1 at least one asserted
-bound violated; 2 usage or domain error; 3 resource cap exceeded; 4 internal
+bound violated; 2 usage or domain error; 3 a kernel's work budget exceeded; 4 internal
 error (an unexpected exception, i.e. a bug).  Errors print one line
 `error: <kind>: <detail>` on stderr.
 """
@@ -9,6 +9,7 @@ error (an unexpected exception, i.e. a bug).  Errors print one line
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -96,18 +97,6 @@ def _exit_code(violation: str | None) -> int:
     return 1
 
 
-def _divisor_cap(args: argparse.Namespace) -> int | None:
-    if getattr(args, "cap_divisors", None) is not None:
-        return args.cap_divisors
-    env = os.environ.get("DIVREL_CAP_DIVISORS")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"DIVREL_CAP_DIVISORS must be an integer, got {env!r}") from None
-
-
 def _records_for_n(
     ctx: factorcore.DivisorContext, bounds: tuple[str, ...]
 ) -> list[BoundCheckRecord]:
@@ -132,17 +121,17 @@ def _records_for_n(
     return out
 
 
-def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, int | None, str]) -> tuple:
+def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, str]) -> tuple:
     """(the report rows for n in [lo, hi], without the CSV header or the JSON
     brackets; the violation line of the first failing asserted row or None).
 
     Chunks are ascending, contiguous n ranges, so their rows joined in order
     are the whole report; a pool worker sends back text, not records.
     """
-    lo, hi, bounds, squarefree_only, cap, fmt = task
+    lo, hi, bounds, squarefree_only, fmt = task
     records = []
     for n in range(lo, hi + 1):
-        ctx = factorcore.DivisorContext(n, cap)
+        ctx = factorcore.DivisorContext(n)
         if squarefree_only and ctx.stats.v_max > 1:
             continue
         records.extend(_records_for_n(ctx, bounds))
@@ -160,18 +149,19 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
-    print(factorcore.kappa(factorcore.factor(args.n), args.j))
+    # str() refuses ints past 4300 digits; Decimal writes an int of any size
+    print(decimal.Decimal(factorcore.kappa(factorcore.factor(args.n), args.j)))
     return 0
 
 
 def _cmd_divisors(args: argparse.Namespace) -> int:
-    divs = factorcore.divisors(factorcore.factor(args.n), _divisor_cap(args))
+    divs = factorcore.divisors(factorcore.factor(args.n))
     print(" ".join(map(str, divs)))
     return 0
 
 
 def _cmd_triples(args: argparse.Namespace) -> int:
-    print(relations.count_sum_triples(args.n, _divisor_cap(args)))
+    print(relations.count_sum_triples(args.n))
     return 0
 
 
@@ -210,23 +200,22 @@ def _decimal_lines(*columns: np.ndarray) -> str:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    cap = _divisor_cap(args)
     if args.decompose:
-        dec = relations.energy_decomposition(args.n, cap)
+        dec = relations.energy_decomposition(args.n)
         sys.stdout.write(_decimal_lines(dec.e, dec.m, dec.u))
         print(f"total {dec.total_energy}")
     else:
-        print(relations.additive_energy(args.n, cap))
+        print(relations.additive_energy(args.n))
     return 0
 
 
 def _cmd_delta_hooley(args: argparse.Namespace) -> int:
-    print(relations.hooley_delta(args.n, _divisor_cap(args)))
+    print(relations.hooley_delta(args.n))
     return 0
 
 
 def _cmd_residues(args: argparse.Namespace) -> int:
-    profile = relations.residue_profile(args.n, args.q, _divisor_cap(args))
+    profile = relations.residue_profile(args.n, args.q)
     nonzero = {t + 1: c for t, c in enumerate(profile.counts) if c}
     print(json.dumps({"n": profile.n, "q": profile.q, "h": profile.h_value,
                       "eta": profile.eta, "counts": nonzero}, sort_keys=True))
@@ -238,13 +227,13 @@ def _load_table(args: argparse.Namespace) -> regmaps.MapTable:
         with open(args.file) as handle:
             return regmaps.map_from_json(handle.read())
     if getattr(args, "kind", None) and getattr(args, "n", None) is not None:
-        return regmaps.build_builtin(args.kind, args.n, _divisor_cap(args))
+        return regmaps.build_builtin(args.kind, args.n)
     raise DomainError("map: provide --file or both --kind and --n")
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
     if args.map_cmd == "build":
-        table = regmaps.build_builtin(args.kind, args.n, _divisor_cap(args))
+        table = regmaps.build_builtin(args.kind, args.n)
         text = regmaps.map_to_json(table)
         if args.out:
             with open(args.out, "w") as handle:
@@ -332,11 +321,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for b in bounds:
         if b not in BOUNDS or not BOUNDS[b].sweepable:
             raise DomainError(f"sweep: unknown bound id {b!r}")
-    cap = _divisor_cap(args)
     lo, hi = args.n_lo, args.n_hi
     if lo < 1 or hi < lo:
         raise DomainError(f"sweep: bad range [{lo}, {hi}]")
-    task = (bounds, args.squarefree_only, cap, args.format)
+    task = (bounds, args.squarefree_only, args.format)
     if args.workers > 1:
         size = max(1, (hi - lo + 1) // (4 * args.workers))
         tasks = [(start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size)]
@@ -386,14 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cap-divisors",
-            type=int,
-            default=None,
-            help="divisor-count cap (default: DIVREL_CAP_DIVISORS or 10^6)",
-        )
-
     p = sub.add_parser("factor", help="prime factorization")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_factor)
@@ -405,29 +385,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divisors", help="sorted divisor list")
     p.add_argument("--n", type=int, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_divisors)
 
     p = sub.add_parser("triples", help="count of d1 + d2 = d3 in divisors")
     p.add_argument("--n", type=int, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_triples)
 
     p = sub.add_parser("energy", help="additive energy of the divisor set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--decompose", action="store_true", help="print (e, m, u) rows")
-    add_cap(p)
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("delta-hooley", help="max divisors in a window (x, e*x]")
     p.add_argument("--n", type=int, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_delta_hooley)
 
     p = sub.add_parser("residues", help="divisor counts per residue class mod q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_residues)
 
     p = sub.add_parser("map", help="build/check/bound explicit divisor maps")
@@ -436,26 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
     mb.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, required=True)
     mb.add_argument("--n", type=int, required=True)
     mb.add_argument("--out", default=None)
-    add_cap(mb)
     mc = msub.add_parser("check", help="regularity constants of a table")
     mc.add_argument("--file", default=None, help="map table JSON file")
     mc.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, default=None)
     mc.add_argument("--n", type=int, default=None)
-    add_cap(mc)
     mo = msub.add_parser("bound", help="check one bound for a table")
     mo.add_argument("--file", default=None)
     mo.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, default=None)
     mo.add_argument("--n", type=int, default=None)
     map_bounds = [b for b, spec in BOUNDS.items() if spec.family == "map"]
     mo.add_argument("--bound", choices=map_bounds, required=True)
-    add_cap(mo)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("exact-e", help="exhaustive max domain size of k-regular maps")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--guard", type=int, default=12, help="max tau(n)^j searched")
+    p.add_argument("--guard", type=int, default=12, help="max of max(tau(n), 2)^j searched")
     p.set_defaults(func=_cmd_exact_e)
 
     p = sub.add_parser("analytic", help="weight functions, certificates, optimization")
@@ -491,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=1)
-    add_cap(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("split-thm4", help="coprime split n = a*b for coprime q")

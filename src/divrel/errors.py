@@ -6,4 +6,4 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed a configured size cap."""
+    """A kernel's work would pass its budget, a module constant beside it."""

@@ -16,10 +16,17 @@ from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError, ResourceLimitError
 
-# Size caps are configuration values, not hard constants; every consumer can
-# pass its own cap.
-DEFAULT_DIVISOR_CAP = 10**6
-DEFAULT_TUPLE_CAP = 10**8
+# Work budgets, one per kernel on its own measure of work.  Past its budget a
+# kernel raises ResourceLimitError before it allocates, or, where the work is
+# not known in advance, as soon as its count passes the budget.
+_MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
+# The pair kernels walk all tau(n)^2 ordered pairs of divisors (the pair-sum
+# histogram and sum triples in relations, the sum and midpoint maps in
+# regmaps) and take them from DivisorContext.pair_divs.  At tau = 10^4 the
+# histogram holds at most 5 * 10^7 sums, 800 MB.
+_MAX_PAIRS = 10**8
+_MAX_TUPLES = 10**8  # coprime_tuples(): kappa_j(n), about 4 minutes of s_bounds
+_RHO_MAX_STEPS = 10**6  # _rho_split(): steps, counted as they run, about 2 s
 
 # factor() trial-divides by the primes below 1000; a cofactor left below
 # 1000**2 is then 1 or a prime, and a larger one goes to Miller-Rabin and rho.
@@ -85,19 +92,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_budget(work: str, amount: int, budget: int) -> None:
+    """Refuse amount units of work past budget; work names the measure."""
+    if amount > budget:
+        raise ResourceLimitError(f"{work} = {amount} exceeds budget {budget}")
+
+
 def _rho_split(n: int) -> int:
-    """Deterministic Pollard rho (Floyd cycle finding), n an odd composite > 1."""
-    for c in range(1, 10_000):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
+    """Deterministic Pollard rho (Floyd cycle finding), n an odd composite > 1;
+    a cycle that closes on n itself moves on to the next constant c."""
+    c, x, y = 1, 2, 2
+    for _ in range(_RHO_MAX_STEPS):
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        d = math.gcd(abs(x - y), n)
+        if d == n:
+            c, x, y = c + 1, 2, 2
+        elif d != 1:
             return d
-    raise RuntimeError(f"rho failed to split {n}")
+    raise ResourceLimitError(f"factor: rho on {n} passed {_RHO_MAX_STEPS} steps")
 
 
 def _factor_into(m: int, counts: dict[int, int]) -> None:
@@ -146,13 +160,9 @@ def arith_stats(f: Factorization) -> ArithStats:
     return ArithStats(tau, len(f.parts), big, sq, vmax)
 
 
-def divisors(f: Factorization, cap: int | None = None) -> tuple[int, ...]:
+def divisors(f: Factorization) -> tuple[int, ...]:
     """All divisors of n in increasing order (length tau(n))."""
-    limit = DEFAULT_DIVISOR_CAP if cap is None else cap
-    if arith_stats(f).tau > limit:
-        raise ResourceLimitError(
-            f"divisors: tau({f.n}) = {arith_stats(f).tau} exceeds cap {limit}"
-        )
+    check_budget(f"divisors: tau({f.n})", arith_stats(f).tau, _MAX_DIVISORS)
     divs = [1]
     for p, v in f.parts:
         powers = [p**e for e in range(1, v + 1)]
@@ -177,12 +187,10 @@ class DivisorContext:
     The arithmetic is computed here on first use; relations and regmaps keep
     their own per-n results (pair sums, map tables) through memo().  A
     context lives for one n only, so nothing is kept from one n to the next.
-    cap is the divisor cap that divs is built under.
     """
 
-    def __init__(self, n: int, cap: int | None = None) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.cap = cap
         self._memo: dict = {}
 
     @cached_property
@@ -195,7 +203,13 @@ class DivisorContext:
 
     @cached_property
     def divs(self) -> tuple[int, ...]:
-        return divisors(self.factorization, self.cap)
+        return divisors(self.factorization)
+
+    def pair_divs(self, kernel: str) -> tuple[int, ...]:
+        """divs, for a kernel that walks all tau^2 ordered pairs of them;
+        refused past _MAX_PAIRS before the divisors are listed."""
+        check_budget(f"{kernel}: tau({self.n})^2 pairs", self.stats.tau**2, _MAX_PAIRS)
+        return self.divs
 
     def kappa(self, j: int) -> int:
         return self.memo(("kappa", j), lambda: kappa(self.factorization, j))
@@ -207,14 +221,7 @@ class DivisorContext:
         return self._memo[key]
 
 
-def signature(f: Factorization) -> tuple[int, ...]:
-    """Exponent multiset sorted non-increasingly; blind to which primes occur."""
-    return tuple(sorted((v for _, v in f.parts), reverse=True))
-
-
-def coprime_tuples(
-    f: Factorization, j: int, cap: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:
     """Stream every ordered j-tuple of pairwise coprime divisors of n.
 
     Exactly kappa(f, j) tuples, one per pick of a choice for each prime power
@@ -223,12 +230,7 @@ def coprime_tuples(
     """
     if j < 1:
         raise DomainError(f"coprime_tuples: j must be >= 1, got {j}")
-    limit = DEFAULT_TUPLE_CAP if cap is None else cap
-    total = kappa(f, j)
-    if total > limit:
-        raise ResourceLimitError(
-            f"coprime_tuples: kappa_{j}({f.n}) = {total} exceeds cap {limit}"
-        )
+    check_budget(f"coprime_tuples: kappa_{j}({f.n})", kappa(f, j), _MAX_TUPLES)
     # (coordinate, factor) picks; "unassigned" multiplies coordinate 0 by 1.
     choices = [
         [(0, 1)] + [(i, p**e) for i in range(j) for e in range(1, v + 1)] for p, v in f.parts

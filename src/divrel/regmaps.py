@@ -119,11 +119,9 @@ def f_value(table: MapTable) -> int:
     return len(table.entries)
 
 
-def builtin_sum_map(
-    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> MapTable:
+def builtin_sum_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
     """g(d1, d2) = d1 + d2 on coprime pairs whose sum divides n coprimely."""
-    divs = (ctx or DivisorContext(n, cap)).divs
+    divs = (ctx or DivisorContext(n)).pair_divs("sum map")
     entries = {}
     for i, a in enumerate(divs):
         for b in divs[i:]:
@@ -136,11 +134,9 @@ def builtin_sum_map(
     return MapTable(n, 2, entries)
 
 
-def builtin_successor_map(
-    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> MapTable:
+def builtin_successor_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
     """g(t_i) = t_{i+1} on divisors coprime to their successor."""
-    divs = (ctx or DivisorContext(n, cap)).divs
+    divs = (ctx or DivisorContext(n)).divs
     entries = {}
     for i in range(len(divs) - 1):
         if math.gcd(divs[i], divs[i + 1]) == 1:
@@ -149,7 +145,7 @@ def builtin_successor_map(
 
 
 def builtin_midpoint_map(
-    n: int, variant: str = "exact", cap: int | None = None, *, ctx: DivisorContext | None = None
+    n: int, variant: str = "exact", ctx: DivisorContext | None = None
 ) -> MapTable:
     """g(t_i, t_j) = t at the (floor) midpoint index, where coprimality allows.
 
@@ -158,7 +154,7 @@ def builtin_midpoint_map(
     """
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
-    divs = (ctx or DivisorContext(n, cap)).divs
+    divs = (ctx or DivisorContext(n)).pair_divs("midpoint map")
     step = 2 if variant == "exact" else 1
     entries = {}
     for i, a in enumerate(divs):
@@ -174,17 +170,15 @@ def builtin_midpoint_map(
 BUILTIN_KINDS = ("sum", "successor", "midpoint-exact", "midpoint-floor")
 
 
-def build_builtin(
-    kind: str, n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> MapTable:
+def build_builtin(kind: str, n: int, ctx: DivisorContext | None = None) -> MapTable:
     if kind == "sum":
-        return builtin_sum_map(n, cap, ctx=ctx)
+        return builtin_sum_map(n, ctx)
     if kind == "successor":
-        return builtin_successor_map(n, cap, ctx=ctx)
+        return builtin_successor_map(n, ctx)
     if kind == "midpoint-exact":
-        return builtin_midpoint_map(n, "exact", cap, ctx=ctx)
+        return builtin_midpoint_map(n, "exact", ctx)
     if kind == "midpoint-floor":
-        return builtin_midpoint_map(n, "floor", cap, ctx=ctx)
+        return builtin_midpoint_map(n, "floor", ctx)
     raise DomainError(f"unknown builtin map kind: {kind!r}")
 
 
@@ -195,7 +189,7 @@ def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityRe
     def compute() -> tuple[tuple[str, MapTable, RegularityReport], ...]:
         out = []
         for kind in BUILTIN_KINDS:
-            table = build_builtin(kind, ctx.n, ctx.cap, ctx=ctx)
+            table = build_builtin(kind, ctx.n, ctx=ctx)
             out.append((kind, table, check_regularity(table)))
         return tuple(out)
 
@@ -223,7 +217,10 @@ def bound_check(
         reg = check_regularity(table)
     if not reg.domain_regular:
         raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
-    log_rhs, params = spec.evaluate(ctx, table, reg)
+    try:
+        log_rhs, params = spec.evaluate(ctx, table, reg)
+    except OverflowError:  # an arity past float range, read from a table file
+        raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
     if kind is not None:
         params["map"] = kind
     return make_record(bound_id, table.n, f_value(table), log_rhs, j=table.j, **params)
@@ -276,22 +273,24 @@ def _corollary2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> 
 _EXACT_E_MAX_NODES = 10**6
 
 
-def exact_E(n: int, j: int, k: int, guard: int = 12, cap: int | None = None) -> int:
+def exact_E(n: int, j: int, k: int, guard: int = 12) -> int:
     """Exact maximum domain size over all k-regular arity-j maps on D_n.
 
     Depth-first search over (tuple, value) assignments in a fixed order,
     counting how often each key of conditions 1 and 2 is hit; branches die
     as soon as a count would pass k or the remaining tuples cannot beat the
-    incumbent.  Only feasible for tiny n, hence the tau^j guard and the
-    _EXACT_E_MAX_NODES budget.
+    incumbent.  Only feasible for tiny n, hence the guard on max(tau, 2)^j
+    (at n = 1 the one tuple still has j entries) and the _EXACT_E_MAX_NODES
+    budget.
     """
     if j < 1 or k < 1:
         raise DomainError(f"exact_E: j and k must be >= 1, got j={j}, k={k}")
     f = factorcore.factor(n)
     tau = factorcore.arith_stats(f).tau
-    if tau**j > guard:
-        raise ResourceLimitError(f"exact_E: tau({n})^{j} = {tau**j} exceeds guard {guard}")
-    divs = factorcore.divisors(f, cap)
+    # 2^j > guard once j reaches guard's bit length: refused without the power
+    if j >= guard.bit_length() or tau**j > guard:
+        raise ResourceLimitError(f"exact_E: max(tau({n}), 2)^{j} exceeds guard {guard}")
+    divs = factorcore.divisors(f)
     # per candidate tuple, the condition-1 and -2 keys of each allowed value,
     # tagged by condition so that one dict counts both
     choices = [
@@ -340,7 +339,8 @@ def map_from_json(text: str) -> MapTable:
         n = obj["n"]
         j = obj["j"]
         raw = obj["entries"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    # JSONDecodeError is a ValueError, and so is an int past 4300 digits
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise DomainError(f"bad map table JSON: {exc}") from exc
     # type() rather than isinstance: JSON true/false are bools, a subclass of int
     if type(n) is not int or type(j) is not int or n < 1 or j < 1:

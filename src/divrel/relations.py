@@ -16,6 +16,9 @@ shifted triples need no histogram: they look the pair sums up among the
 divisors a block at a time, in O(tau) memory beyond a fixed few MB.  The
 arrays are int64 while 2n < 2^62 and hold exact Python ints (object dtype)
 beyond, so every count is exact at any n.
+
+Each kernel refuses work past its own budget before it allocates anything:
+the pair kernels tau^2 (factorcore's _MAX_PAIRS), corollary3 and residues.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
-from .factorcore import DivisorContext
+from .factorcore import DivisorContext, check_budget
 from .records import BoundCheckRecord, applicable_spec, bound, make_record
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
@@ -55,6 +58,15 @@ _INT64_SUMS = 2**62
 # No temporary array of the pair counts below holds more than about this
 # many pairs, so their working memory stays a few MB at any tau.
 _CHUNK = 1 << 18
+
+# corollary3 walks tau(n) pairs (s, d3) per distinct pair sum s.  This admits
+# squarefree tau 512 (4.5 * 10^7 pairs, 1.6 s on 2 cores) and refuses tau 1024
+# (3.7 * 10^8 pairs, which took 24 s).
+_SHIFT_MAX_PAIRS = 10**8
+
+# residue_profile does tau(n) + q units of work: a count per divisor and a
+# slot per class, 8 bytes each.
+_RESIDUE_MAX_WORK = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +158,7 @@ def _as_array(divs: tuple[int, ...]) -> np.ndarray:
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n, counted once per context."""
-    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
+    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.pair_divs("pair sums")))
 
 
 def _shifted_pairs(divs: tuple[int, ...], m: int) -> int:
@@ -165,30 +177,20 @@ def _shifted_pairs(divs: tuple[int, ...], m: int) -> int:
     return hits
 
 
-def count_sum_triples(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
+def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
     """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3."""
-    return _shifted_pairs((ctx or DivisorContext(n, cap)).divs, 0)
+    return _shifted_pairs((ctx or DivisorContext(n)).pair_divs("sum triples"), 0)
 
 
-def additive_energy(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
+def additive_energy(n: int, ctx: DivisorContext | None = None) -> int:
     """Ordered quadruples of divisors with d1 + d2 = d3 + d4."""
-    counts = _pair_sums(ctx or DivisorContext(n, cap))[1]
+    counts = _pair_sums(ctx or DivisorContext(n))[1]
     return int(counts @ counts)
 
 
-def shifted_count(n: int, m: int, cap: int | None = None) -> int:
-    """Ordered triples with d1 + d2 = d3 + m; m may be negative."""
-    divs = DivisorContext(n, cap).divs
-    if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
-        return 0
-    return _shifted_pairs(divs, m)
-
-
-def energy_decomposition(
-    n: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> EnergyDecomposition:
+def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDecomposition:
     """Partition all tau(n)^2 ordered pair sums into (e, m) cells."""
-    ctx = ctx or DivisorContext(n, cap)
+    ctx = ctx or DivisorContext(n)
 
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
@@ -219,6 +221,8 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     of m = s - d3, and only the running best is kept from one to the next.
     """
     values, counts = _pair_sums(ctx)
+    walked = ctx.stats.tau * len(values)
+    check_budget(f"corollary3: tau({ctx.n}) * pair sums", walked, _SHIFT_MAX_PAIRS)
     best_m, best = 0, 0
     for shift, j in _sum_ranges(values, -_as_array(ctx.divs)):
         order = np.argsort(shift)
@@ -257,14 +261,14 @@ def _lt_e_times(d2: int, d1: int) -> bool:
             return False
 
 
-def hooley_delta(n: int, cap: int | None = None, *, ctx: DivisorContext | None = None) -> int:
+def hooley_delta(n: int, ctx: DivisorContext | None = None) -> int:
     """Maximum number of divisors inside a window (x, e*x].
 
     The supremum over real windows is attained with the left edge just below
     a divisor d, so it equals the maximum over divisors d of the count of
     divisors in [d, e*d); e*d is irrational, making the half-open form exact.
     """
-    divs = (ctx or DivisorContext(n, cap)).divs
+    divs = (ctx or DivisorContext(n)).divs
     tau = len(divs)
     best = 0
     hi = 0
@@ -275,9 +279,7 @@ def hooley_delta(n: int, cap: int | None = None, *, ctx: DivisorContext | None =
     return best
 
 
-def residue_profile(
-    n: int, q: int, cap: int | None = None, *, ctx: DivisorContext | None = None
-) -> ResidueProfile:
+def residue_profile(n: int, q: int, ctx: DivisorContext | None = None) -> ResidueProfile:
     """Count divisors of n in each residue class mod q, plus the second moment.
 
     Requires gcd(n, q) = 1; classes are indexed t = 1..q with residue 0
@@ -287,18 +289,19 @@ def residue_profile(
         raise DomainError(f"residue_profile: q must be >= 2, got {q}")
     if math.gcd(n, q) != 1:
         raise DomainError(f"residue_profile: gcd({n}, {q}) != 1")
-    divs = (ctx or DivisorContext(n, cap)).divs
+    ctx = ctx or DivisorContext(n)
+    check_budget(f"residues: tau({n}) + q", ctx.stats.tau + q, _RESIDUE_MAX_WORK)
     counts = [0] * q
-    for d in divs:
+    for d in ctx.divs:
         counts[(d - 1) % q] += 1  # slot t-1 holds class t, so q holds 0
     h = sum(c * c for c in counts)
     eta = math.log(q) / math.log(n) if n >= 2 else math.inf
     return ResidueProfile(n, q, tuple(counts), h, eta)
 
 
-def exp_sum(n: int, theta: float, cap: int | None = None) -> complex:
+def exp_sum(n: int, theta: float) -> complex:
     """Divisor exponential sum: sum over d | n of exp(2*pi*i*theta*d)."""
-    divs = DivisorContext(n, cap).divs
+    divs = DivisorContext(n).divs
     return sum(cmath.exp(2j * math.pi * theta * d) for d in divs)
 
 
@@ -310,8 +313,6 @@ def _omega_of(f: factorcore.Factorization, e: int) -> int:
 def inequality_report(
     n: int,
     bound_id: str,
-    cap: int | None = None,
-    *,
     ctx: DivisorContext | None = None,
     **params: object,
 ) -> list[BoundCheckRecord]:
@@ -320,10 +321,9 @@ def inequality_report(
     Explicit bounds (corollary1, eq4.1, eq4.2) are asserted; growth-rate
     bounds (thm3a, thm3b, thm4, lemma6, corollary3) are recorded as ratios.
     params go to the bound's evaluator (eq4.1 takes e, thm4 takes q).
-    ctx, a DivisorContext of this n, shares its work across bound ids; cap
-    is then ctx's own.
+    ctx, a DivisorContext of this n, shares its work across bound ids.
     """
-    ctx = ctx or DivisorContext(n, cap)
+    ctx = ctx or DivisorContext(n)
     spec = applicable_spec(bound_id, "relation", ctx)
     try:
         rows = spec.evaluate(ctx, **params)

@@ -1,16 +1,20 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
 import dataclasses
+import decimal
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+import sympy
 
 from divrel import (
     BUILTIN_KINDS,
+    additive_energy,
     bound_check,
     build_builtin,
     cli,
@@ -39,6 +43,11 @@ def run(capsys, *argv):
 def test_kappa_command(capsys):
     code, out, _ = run(capsys, "kappa", "--n", "12", "--j", "2")
     assert code == 0 and out.strip() == "15"
+    # past str()'s 4300 digits: (4j+1)(2j+1)(j+1)^4 at 720720 = 2^4 3^2 5 7 11 13
+    j = 10**1000
+    code, out, err = run(capsys, "kappa", "--n", "720720", "--j", str(j))
+    assert (code, err) == (0, "")
+    assert decimal.Decimal(out) == decimal.Decimal((4 * j + 1) * (2 * j + 1) * (j + 1) ** 4)
 
 
 def test_factor_command(capsys):
@@ -143,6 +152,8 @@ def test_map_commands_refuse_bad_tables(capsys, tmp_path):
         '{"n": true, "j": true, "entries": []}',
         '{"n": 6, "j": 1, "entries": [[false, 1]]}',
         '{"n": 6, "j": 1, "entries": [[2, 1], [2, 2]]}',
+        '{"n": 1' + "0" * 5000 + ', "j": 1, "entries": []}',  # past the int digit limit
+        "[" * 10**5 + "]" * 10**5,  # past the parser's recursion limit
     ):
         bad_json.write_text(text)
         for cmd in (["check"], ["bound", "--bound", "thm1a"]):
@@ -538,9 +549,23 @@ def test_domain_error_exit(capsys):
         ["analytic", "tail", "--v", str(10**142)],
         ["analytic", "tail", "--v", str(10**300)],
         ["analytic", "tail", "--v", str(10**400)],
+        # r = -1 is the pole of beta_for; delta_j's f_alpha overflows float64
+        ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--r", "-1"],
+        ["analytic", "verify-xi", "--alpha", "0.2", "--r", "-1", "--delta", "0.04", "--vmax", "10"],
+        ["analytic", "delta-j", "--j", str(10**400)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: domain:"), argv
+
+
+def test_map_bound_refuses_an_arity_past_float_range(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 6, "j": 10**400, "entries": []}))
+    for bound_id, reason in (("thm2a", "thm2a: j = 1000"), ("thm2b", "thm2b: j = 1000"),
+                             ("thm1a", "delta_j: j = 1000")):
+        code, out, err = run(capsys, "map", "bound", "--file", str(path), "--bound", bound_id)
+        assert (code, out) == (2, "") and err.startswith(f"error: domain: {reason}")
+        assert "is too large for float64" in err
 
 
 def test_map_check_and_bound_refuse_n_zero(capsys):
@@ -552,34 +577,46 @@ def test_map_check_and_bound_refuse_n_zero(capsys):
 
 def test_resource_error_exit(capsys, monkeypatch):
     too_many = str(10**8 + 1)
-    # the exact-e search below runs past any budget; a small one refuses it fast
+    hc = "288807105787200"  # tau 21504: 462,422,016 ordered divisor pairs
+    # the exact-e search and the rho below run past their budgets; small ones
+    # refuse them fast
     monkeypatch.setattr(regmaps, "_EXACT_E_MAX_NODES", 1000)
-    for argv in (
-        ["energy", "--n", "720720", "--cap-divisors", "100"],
-        ["analytic", "verify-xi", "--alpha", "0.2288541994", "--r", "0.692466598",
-         "--delta", "0.045072", "--vmax", too_many],
-        ["analytic", "optimize", "--vopt", too_many],
-        ["analytic", "optimize", "--vcertify", too_many],
-        ["exact-e", "--n", "30", "--j", "2", "--k", "1", "--guard", "150"],
+    monkeypatch.setattr(factorcore, "_RHO_MAX_STEPS", 1000)
+    for argv, measure in (
+        (["analytic", "verify-xi", "--alpha", "0.2288541994", "--r", "0.692466598",
+          "--delta", "0.045072", "--vmax", too_many], "v_max"),
+        (["analytic", "optimize", "--vopt", too_many], "v_max"),
+        (["analytic", "optimize", "--vcertify", too_many], "v_max"),
+        (["exact-e", "--n", "30", "--j", "2", "--k", "1", "--guard", "150"], "1000 nodes"),
+        (["exact-e", "--n", "2", "--j", "20000", "--k", "1"], "max(tau(2), 2)^20000 exceeds guard 12"),
+        (["exact-e", "--n", "2", "--j", "300000000", "--k", "1"], "exceeds guard 12"),
+        # n = 1 has one tuple, but of j entries
+        (["exact-e", "--n", "1", "--j", "20000", "--k", "1"], "max(tau(1), 2)^20000 exceeds guard 12"),
+        (["energy", "--n", hc], f"pair sums: tau({hc})^2 pairs = 462422016 exceeds budget"),
+        (["energy", "--n", hc, "--decompose"], "pair sums: tau"),
+        (["triples", "--n", hc], "sum triples: tau"),
+        (["map", "build", "--kind", "sum", "--n", hc], "sum map: tau"),
+        (["map", "check", "--kind", "midpoint-floor", "--n", hc], "midpoint map: tau"),
+        (["sweep", "--bounds", "corollary3", "--n-lo", "6469693230", "--n-hi", "6469693230"],
+         "corollary3: tau(6469693230) * pair sums = 372686848 exceeds budget"),  # tau 1024
+        (["residues", "--n", "6", "--q", "1000000000000001"], "tau(6) + q = 1000000000000005"),
+        (["divisors", "--n", str(math.prod(sympy.primerange(74)))], "= 2097152 exceeds budget"),
+        (["factor", "--n", str(1000000007 * 1000000009)], "passed 1000 steps"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: resource:"), argv
+        assert measure in err, (argv, err)
 
 
-def test_env_var_overrides_divisor_cap(capsys, monkeypatch):
-    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "100")
-    code, _, err = run(capsys, "energy", "--n", "720720")
-    assert code == 3 and err.startswith("error: resource:")
-    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "1000")
-    code, _, _ = run(capsys, "energy", "--n", "720720")
-    assert code == 0
-
-
-def test_env_var_cap_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "abc")
-    code, out, err = run(capsys, "divisors", "--n", "6")
-    assert code == 2 and out == ""
-    assert err.startswith("error: domain: DIVREL_CAP_DIVISORS")
+def test_divisor_cap_knob_is_gone(capsys, monkeypatch):
+    # each kernel has its own fixed budget; no flag or variable moves one
+    code, out, err = run(capsys, "energy", "--n", "720720", "--cap-divisors", "100")
+    assert (code, out) == (2, "") and "unrecognized arguments: --cap-divisors 100" in err
+    energy = f"{additive_energy(720720)}\n"
+    for value in ("100", "abc"):
+        monkeypatch.setenv("DIVREL_CAP_DIVISORS", value)
+        assert run(capsys, "energy", "--n", "720720") == (0, energy, "")
+        assert run(capsys, "divisors", "--n", "6") == (0, "1 2 3 6\n", "")
 
 
 def test_unknown_flag_rejected(capsys):
@@ -599,5 +636,6 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     assert code == 0
     for flag in ("--bounds", "--n-lo", "--n-hi", "--squarefree-only",
-                 "--format", "--out", "--workers", "--cap-divisors"):
+                 "--format", "--out", "--workers"):
         assert flag in out
+    assert "--cap-divisors" not in out

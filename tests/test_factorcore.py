@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrel import factorcore
 from divrel import (
     DomainError,
     ResourceLimitError,
@@ -17,7 +18,6 @@ from divrel import (
     divisors,
     factor,
     kappa,
-    signature,
     t_weight,
 )
 
@@ -114,9 +114,21 @@ def test_divisors_examples():
     assert divisors(factor(12)) == (1, 2, 3, 4, 6, 12)
 
 
-def test_divisors_cap():
-    with pytest.raises(ResourceLimitError):
-        divisors(factor(720720), cap=100)
+def test_divisors_cap(monkeypatch):
+    monkeypatch.setattr(factorcore, "_MAX_DIVISORS", 100)
+    assert len(divisors(factor(2**4 * 3**4 * 5**3))) == 100
+    with pytest.raises(ResourceLimitError, match=r"^divisors: tau\(720720\) = 240 exceeds budget 100$"):
+        divisors(factor(720720))
+
+
+def test_rho_step_budget(monkeypatch):
+    n = 999983 * 1000003  # no prime factor below 1000, so rho splits it
+    assert dict(factor(n).parts) == {999983: 1, 1000003: 1}
+    monkeypatch.setattr(factorcore, "_RHO_MAX_STEPS", 10)
+    with pytest.raises(ResourceLimitError, match=f"^factor: rho on {n} passed 10 steps$"):
+        factor(n)
+    # a cofactor that Miller-Rabin finds prime takes no rho step
+    assert dict(factor(997 * (2**61 - 1)).parts) == {997: 1, 2**61 - 1: 1}
 
 
 def as_tuple(stats):
@@ -154,6 +166,11 @@ def test_kappa_equals_tau_at_j1():
     for n in range(1, 500):
         f = factor(n)
         assert kappa(f, 1) == arith_stats(f).tau
+
+
+def signature(f):
+    """Exponent multiset sorted non-increasingly; blind to which primes occur."""
+    return tuple(sorted((v for _, v in f.parts), reverse=True))
 
 
 def test_signature_examples():
@@ -207,10 +224,12 @@ def test_coprime_tuples_deterministic_order():
     ]
 
 
-def test_coprime_tuples_cap():
+def test_coprime_tuples_cap(monkeypatch):
+    monkeypatch.setattr(factorcore, "_MAX_TUPLES", 1000)
+    assert len(list(coprime_tuples(factor(2**4 * 3**4 * 5**3), 2))) == 9 * 9 * 7
     # refusals come from the call itself, before any next()
-    with pytest.raises(ResourceLimitError):
-        coprime_tuples(factor(720720), 3, cap=1000)
+    with pytest.raises(ResourceLimitError, match=r"kappa_3\(720720\) = 23296 exceeds budget 1000$"):
+        coprime_tuples(factor(720720), 3)
     with pytest.raises(DomainError):
         coprime_tuples(factor(12), 0)
 

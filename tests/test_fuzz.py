@@ -1,0 +1,185 @@
+"""Fuzzed command lines and map tables end in a documented exit code.
+
+Every subcommand gets huge, zero, negative, NaN and malformed option values;
+`map check` and `map bound` also get drawn map table files.  Whatever the
+input, the exit code is 0, 1, 2 or 3, and stderr holds neither an internal
+error (exit 4) nor a traceback.  Every kernel budget is patched down, so an
+input past a budget is refused in a few ms and each example stays cheap; the
+pool of `sweep --workers` runs its chunks in-process, and the argument parser
+is built once.
+"""
+
+import functools
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divrel import analytic, cli, factorcore, regmaps, relations
+from divrel.records import BOUNDS
+
+BUDGETS = (
+    (factorcore, "_MAX_DIVISORS", 64),
+    (factorcore, "_MAX_PAIRS", 4096),
+    (factorcore, "_MAX_TUPLES", 4096),
+    (factorcore, "_RHO_MAX_STEPS", 200),
+    (relations, "_SHIFT_MAX_PAIRS", 20_000),
+    (relations, "_RESIDUE_MAX_WORK", 4096),
+    (regmaps, "_EXACT_E_MAX_NODES", 2000),
+    (analytic, "_XI_MAX_POINTS", 256),
+)
+
+# Large values of every kind: past int64 and float64, semiprimes rho has to
+# split, highly composite n, and arities and moduli big enough to exhaust
+# str()'s digit limit or memory where no budget stops them.
+HUGE = (
+    10**15 + 1, 2**61 - 1, 2**89 - 1, 20_001, 300_000_001, 10**18, 2**64 + 1,
+    1000000007 * 1000000009, 735134400, 6469693230, 288807105787200, 10**40,
+    math.prod(sympy.primerange(72)), 10**400,
+)
+INT = st.one_of(st.integers(-2, 40), st.sampled_from(HUGE)).map(str)
+JUNK = st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0.5", "x", ""])
+REAL = st.one_of(
+    st.floats(-2, 2), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(HUGE)
+).map(str)
+MAP_BOUNDS = sorted(b for b, spec in BOUNDS.items() if spec.family == "map")
+SWEEP_BOUNDS = sorted(b for b, spec in BOUNDS.items() if spec.sweepable)
+
+
+def choice(values):
+    return st.sampled_from([*values, "nope"])
+
+
+# subcommand -> (flag, values, required); a flag with values None is a switch
+COMMANDS = {
+    "factor": [("--n", INT, True)],
+    "kappa": [("--n", INT, True), ("--j", INT, True)],
+    "divisors": [("--n", INT, True)],
+    "triples": [("--n", INT, True)],
+    "energy": [("--n", INT, True), ("--decompose", None, False)],
+    "delta-hooley": [("--n", INT, True)],
+    "residues": [("--n", INT, True), ("--q", INT, True)],
+    "map build": [("--kind", choice(regmaps.BUILTIN_KINDS), True), ("--n", INT, True)],
+    "map check": [("--kind", choice(regmaps.BUILTIN_KINDS), False), ("--n", INT, False)],
+    "map bound": [("--kind", choice(regmaps.BUILTIN_KINDS), False), ("--n", INT, False),
+                  ("--bound", choice(MAP_BOUNDS), True)],
+    "exact-e": [("--n", INT, True), ("--j", INT, True), ("--k", INT, True),
+                ("--guard", INT, False)],
+    "analytic eval": [("--fn", choice(("f", "ell", "xi")), True), ("--alpha", REAL, True),
+                      ("--x", REAL, True), ("--j", INT, False), ("--r", REAL, False)],
+    "analytic delta-j": [("--j", INT, True)],
+    "analytic verify-xi": [("--alpha", REAL, True), ("--r", REAL, True), ("--delta", REAL, True),
+                           ("--vmax", INT, True)],
+    "analytic tail": [("--alpha", REAL, False), ("--r", REAL, False),
+                      ("--v", st.lists(INT, min_size=1, max_size=3).map(" ".join), False)],
+    "analytic optimize": [("--vopt", INT, False), ("--vcertify", INT, False)],
+    "analytic lemmas": [],
+    "sweep": [("--bounds", st.lists(choice(SWEEP_BOUNDS), min_size=1, max_size=3).map(",".join),
+               True),
+              ("--squarefree-only", None, False), ("--format", choice(("csv", "json")), False),
+              ("--workers", INT, False)],
+    "split-thm4": [("--n", INT, True), ("--q", INT, True)],
+}
+
+
+class InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_budgets():
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, value in BUDGETS:
+            patch.setattr(module, name, value)
+        patch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        # one parser serves every example; parse_args leaves it unchanged
+        patch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+        yield
+
+
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "error: internal" not in err and "Traceback" not in err, (argv, err)
+
+
+def draw_argv(draw, command):
+    argv = command.split()
+    for flag, values, required in COMMANDS[command]:
+        # a required flag is now and then left out, and a value now and then
+        # malformed; both are usage errors that argparse stops, so most
+        # examples reach the kernels
+        if not draw(st.integers(0, 19) if required else st.booleans()):
+            continue
+        argv.append(flag)
+        if values is not None:
+            argv.extend(draw(JUNK if draw(st.integers(0, 7)) == 0 else values).split(" "))
+    if command == "sweep":
+        # a sweep does work for each n it is asked for, so its ranges stay a
+        # few n long; their ends are still of any size or sign
+        lo = draw(st.one_of(st.integers(-2, 40), st.sampled_from(HUGE)))
+        argv += ["--n-lo", str(lo), "--n-hi", str(lo + draw(st.integers(-1, 4)))]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(command, data):
+    assert_clean_exit(data.draw(st.composite(draw_argv)(command), label="argv"))
+
+
+JSON_INT = st.one_of(st.integers(-2, 70), st.sampled_from(HUGE))
+JSON_ANY = st.one_of(
+    JSON_INT, st.sampled_from([None, True, 1.5, math.nan, math.inf, "6", [], {}])
+)
+ROW = st.lists(st.one_of(st.integers(1, 30), JSON_ANY), max_size=4)
+TABLE = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.one_of(st.integers(1, 60), JSON_ANY),
+        "j": st.one_of(st.integers(1, 3), JSON_ANY),
+        "entries": st.one_of(st.lists(ROW, max_size=8), JSON_ANY),
+    },
+)
+MAP_TEXT = st.one_of(
+    TABLE.map(json.dumps),
+    st.sampled_from([
+        "", "{", "[1, 2]", "null",
+        '{"n": 1' + "0" * 5000 + ', "j": 1, "entries": []}',  # past the int digit limit
+        "[" * 10**5 + "]" * 10**5,  # past the parser's recursion limit
+    ]),
+)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.json"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    text=MAP_TEXT,
+    cmd=st.sampled_from([["check"]] + [["bound", "--bound", b] for b in MAP_BOUNDS]),
+)
+def test_fuzzed_map_tables_exit_cleanly(table_path, text, cmd):
+    table_path.write_text(text)
+    assert_clean_exit(["map", *cmd, "--file", str(table_path)])

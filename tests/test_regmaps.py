@@ -352,6 +352,31 @@ def test_exact_E_guard():
         exact_E(6, 0, 1)
     with pytest.raises(DomainError):
         exact_E(6, 1, 0)
+    # decided without the power, which at j = 10^9 would take minutes
+    assert exact_E(2, 3, 1) == brute_exact_E(2, 3, 1)  # 2^3 = 8 <= 12
+    assert exact_E(2, 4, 1, guard=16) == brute_exact_E(2, 4, 1)  # 2^4 = 16 <= 16
+    for j, guard in ((4, 12), (5, 16), (20_000, 12), (10**9, 12)):
+        refusal = rf"^exact_E: max\(tau\(2\), 2\)\^{j} exceeds guard {guard}$"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            exact_E(2, j, 1, guard=guard)
+    assert exact_E(1, 3, 1) == 1  # one tuple of 3 entries: 2^3 <= 12
+    with pytest.raises(ResourceLimitError, match=r"^exact_E: max\(tau\(1\), 2\)\^4 exceeds guard 12$"):
+        exact_E(1, 4, 1)
+
+
+def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
+    from divrel import factorcore
+    from divrel.factorcore import DivisorContext
+
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 100)
+    assert build_builtin("successor", 60).n == 60  # tau 12, but no pair walk
+    for kind in ("sum", "midpoint-exact", "midpoint-floor"):
+        build_builtin(kind, 48)  # tau 10: 100 pairs
+        ctx = DivisorContext(60)
+        refusal = rf"^{kind.split('-')[0]} map: tau\(60\)\^2 pairs = 144 exceeds budget 100$"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            build_builtin(kind, 60, ctx)
+        assert "divs" not in vars(ctx)  # refused before the divisors were listed
 
 
 def test_exact_E_below_kappa_power_bound():

@@ -15,6 +15,7 @@ from divrel import (
     ENERGY_SPLIT_ETA,
     SHIFTED_TRIPLE_BASE,
     DomainError,
+    ResourceLimitError,
     additive_energy,
     arith_stats,
     count_sum_triples,
@@ -25,9 +26,8 @@ from divrel import (
     hooley_delta,
     inequality_report,
     residue_profile,
-    shifted_count,
 )
-from divrel import relations
+from divrel import factorcore, relations
 from divrel.factorcore import DivisorContext
 from divrel.relations import _lt_e_times
 
@@ -47,6 +47,14 @@ def brute_energy(n: int) -> int:
                     if d1 + d2 == d3 + d4:
                         count += 1
     return count
+
+
+def shifted_count(n: int, m: int) -> int:
+    """Ordered triples with d1 + d2 = d3 + m, m of any sign, through the
+    numpy kernel behind count_sum_triples."""
+    if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
+        return 0
+    return relations._shifted_pairs(divisor_list(n), m)
 
 
 def rep_count(n: int, m: int) -> int:
@@ -269,6 +277,32 @@ def test_corollary3_memory_is_bounded():
     assert peak < 40 * 2**20, peak
 
 
+def test_pair_kernels_refuse_past_the_pair_budget(monkeypatch):
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 100)
+    assert count_sum_triples(48) == brute_triples(48)  # tau 10: 100 pairs
+    kernels = {
+        "pair sums": (additive_energy, energy_decomposition,
+                      lambda n, ctx: inequality_report(n, "corollary3", ctx)),
+        "sum triples": (count_sum_triples,),
+    }
+    for kernel, calls in kernels.items():
+        for call in calls:
+            ctx = DivisorContext(210)  # squarefree, tau 16
+            with pytest.raises(ResourceLimitError) as exc:
+                call(210, ctx)
+            assert str(exc.value) == f"{kernel}: tau(210)^2 pairs = 256 exceeds budget 100"
+            assert "divs" not in vars(ctx)  # refused before the divisors were listed
+
+
+def test_corollary3_refuses_past_its_pair_budget(monkeypatch):
+    walked = len(relations._pair_sum_counts(divisor_list(30))[0]) * 8
+    monkeypatch.setattr(relations, "_SHIFT_MAX_PAIRS", walked)
+    inequality_report(30, "corollary3")
+    monkeypatch.setattr(relations, "_SHIFT_MAX_PAIRS", walked - 1)
+    with pytest.raises(ResourceLimitError, match=rf"^corollary3: tau\(30\) \* pair sums = {walked} exceeds"):
+        inequality_report(30, "corollary3")
+
+
 def test_count_sum_triples_examples():
     assert count_sum_triples(6) == 4
     assert count_sum_triples(1) == 0
@@ -397,6 +431,13 @@ def test_residue_profile_examples():
         residue_profile(6, 3)
     with pytest.raises(DomainError):
         residue_profile(6, 1)
+
+
+def test_residue_profile_work_budget(monkeypatch):
+    monkeypatch.setattr(relations, "_RESIDUE_MAX_WORK", 20)
+    assert residue_profile(35, 16).h_value == 4  # tau 4 + q 16: 1, 5, 7, 35 in four classes
+    with pytest.raises(ResourceLimitError, match=r"^residues: tau\(35\) \+ q = 21 exceeds budget 20$"):
+        residue_profile(35, 17)
 
 
 def test_residue_profile_invariants():
