@@ -608,15 +608,21 @@ def test_resource_error_exit(capsys, monkeypatch):
         assert measure in err, (argv, err)
 
 
-def test_divisor_cap_knob_is_gone(capsys, monkeypatch):
-    # each kernel has its own fixed budget; no flag or variable moves one
+def test_env_var_overrides_divisor_cap(capsys, monkeypatch):
+    # The user-set divisor cap is gone: each kernel has its own fixed budget,
+    # and neither DIVREL_CAP_DIVISORS nor --cap-divisors moves one.
     code, out, err = run(capsys, "energy", "--n", "720720", "--cap-divisors", "100")
     assert (code, out) == (2, "") and "unrecognized arguments: --cap-divisors 100" in err
-    energy = f"{additive_energy(720720)}\n"
-    for value in ("100", "abc"):
-        monkeypatch.setenv("DIVREL_CAP_DIVISORS", value)
-        assert run(capsys, "energy", "--n", "720720") == (0, energy, "")
-        assert run(capsys, "divisors", "--n", "6") == (0, "1 2 3 6\n", "")
+    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "100")
+    assert run(capsys, "energy", "--n", "720720") == (0, f"{additive_energy(720720)}\n", "")
+    assert run(capsys, "divisors", "--n", "6") == (0, "1 2 3 6\n", "")
+
+
+def test_env_var_cap_must_be_an_integer(capsys, monkeypatch):
+    # DIVREL_CAP_DIVISORS is no longer read, so a non-integer value is not refused
+    monkeypatch.setenv("DIVREL_CAP_DIVISORS", "abc")
+    assert run(capsys, "energy", "--n", "720720") == (0, f"{additive_energy(720720)}\n", "")
+    assert run(capsys, "divisors", "--n", "6") == (0, "1 2 3 6\n", "")
 
 
 def test_unknown_flag_rejected(capsys):
