@@ -312,6 +312,18 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
     assert sweep(*args, "--workers", "2") == serial
 
 
+def test_report_does_not_depend_on_bounds_order(capsys, tmp_path):
+    # the 13 ids in reverse order give the pinned n <= 200 reports byte for byte
+    reverse = ",".join(reversed(ALL_BOUNDS.split(",")))
+    path = tmp_path / "report"
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "sweep", "--bounds", reverse, "--n-hi", "200",
+                             "--format", fmt, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: bound-violation: eq4.2 fails at n=2 (e=1;m=3)\n"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_200_SHA256[fmt]
+
+
 def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
     # the pool starts all its workers at once, so --workers N must not fork
     # N processes; a stand-in pool records its size and maps in-process
