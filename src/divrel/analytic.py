@@ -178,7 +178,7 @@ def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
             return num, xi_v
     except OverflowError:
         pass
-    raise DomainError(f"xi: v = {v} is too large for float64 evaluation")
+    raise DomainError(f"xi: v = {v} and j = {j} are too large for float64 evaluation")
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:

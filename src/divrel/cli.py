@@ -113,12 +113,14 @@ def _records_for_n(
             continue
         if spec.family == "relation":
             out.extend(relations.inequality_report(ctx.n, bound_id, ctx=ctx))
-            continue
-        for kind, table, reg in regmaps.builtin_maps(ctx):
-            if spec.violation(ctx, table.j):
-                continue
-            out.append(regmaps.bound_check(table, bound_id, reg, ctx=ctx, kind=kind))
+        else:
+            out.extend(regmaps.builtin_rows(ctx, bound_id))
     return out
+
+
+# The serial sweep runs its n range in chunks of this many n, so it holds
+# the records of one chunk at a time.
+_SERIAL_CHUNK = 200
 
 
 def _sweep_chunk(task: tuple[int, int, tuple[str, ...], bool, str]) -> tuple:
@@ -325,15 +327,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if lo < 1 or hi < lo:
         raise DomainError(f"sweep: bad range [{lo}, {hi}]")
     task = (bounds, args.squarefree_only, args.format)
+    size = max(1, (hi - lo + 1) // (4 * args.workers)) if args.workers > 1 else _SERIAL_CHUNK
+    tasks = ((start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size))
     if args.workers > 1:
-        size = max(1, (hi - lo + 1) // (4 * args.workers))
-        tasks = [(start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size)]
+        tasks = list(tasks)
         # the pool forks every worker at once, so start no more than can run
         workers = min(args.workers, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_chunk, tasks))
     else:
-        chunks = [_sweep_chunk((lo, hi, *task))]
+        chunks = list(map(_sweep_chunk, tasks))
     bodies, violations = zip(*chunks)
     if args.format == "csv":
         text = CSV_HEADER + "".join(bodies)

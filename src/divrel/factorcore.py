@@ -192,6 +192,7 @@ class DivisorContext:
     def __init__(self, n: int) -> None:
         self.n = n
         self._memo: dict = {}
+        self._kappa: dict[int, int] = {}
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -212,7 +213,10 @@ class DivisorContext:
         return self.divs
 
     def kappa(self, j: int) -> int:
-        return self.memo(("kappa", j), lambda: kappa(self.factorization, j))
+        value = self._kappa.get(j)
+        if value is None:
+            value = self._kappa[j] = kappa(self.factorization, j)
+        return value
 
     def memo(self, key: object, compute: Callable[[], T]) -> T:
         """compute() on the first call for key; the kept value after that."""

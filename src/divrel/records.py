@@ -9,8 +9,8 @@ front, so a row merely captures the ratio; pass means "finite and recorded".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -23,9 +23,10 @@ class BoundSpec:
 
     family is "relation" (evaluate(ctx, **params) -> (lhs, log_rhs, params)
     rows), "map" (evaluate(ctx, table, reg) -> (log_rhs, params), one row per
-    table) or "analytic" (rows come in pairs from analytic; no evaluate); the
-    dispatchers make the records.  Its domain is n squarefree, n >= min_n
-    and, for a map bound, tables of this arity.
+    table, params a sorted tuple of (name, value) pairs whose names sort
+    between "j" and "map") or "analytic" (rows come in pairs from analytic;
+    no evaluate); the dispatchers make the records.  Its domain is n
+    squarefree, n >= min_n and, for a map bound, tables of this arity.
     """
 
     family: str
@@ -73,15 +74,17 @@ def applicable_spec(bound_id: str, family: str, ctx: Any, arity: int | None = No
     return spec
 
 
-@dataclass(frozen=True)
-class BoundCheckRecord:
+class BoundCheckRecord(NamedTuple):
+    """One report row.  A named tuple: immutable, equal and hashed by value,
+    and cheap to build, since a sweep builds one per row."""
+
     bound_id: str
     n: int
     lhs: int
     log_rhs: float
     margin: float
     passed: bool
-    params: tuple[tuple[str, object], ...] = field(default=())
+    params: tuple[tuple[str, object], ...] = ()
 
     @property
     def asserted(self) -> bool:
@@ -92,15 +95,31 @@ def make_record(
     bound_id: str, n: int, lhs: int, log_rhs: float, **params: object
 ) -> BoundCheckRecord:
     """Build a record; pass semantics depend on whether the bound is asserted."""
-    if lhs > 0:
-        margin = log_rhs - math.log(lhs)
-    else:
-        margin = math.inf
-    if BOUNDS[bound_id].asserted:
+    log_lhs = math.log(lhs) if lhs > 0 else None
+    return _build_record(
+        bound_id, BOUNDS[bound_id].asserted, n, lhs, log_lhs, log_rhs,
+        tuple(sorted(params.items())),
+    )
+
+
+def _build_record(
+    bound_id: str,
+    asserted: bool,
+    n: int,
+    lhs: int,
+    log_lhs: float | None,
+    log_rhs: float,
+    params: tuple[tuple[str, object], ...],
+) -> BoundCheckRecord:
+    """The margin and pass rule, for every record.
+
+    log_lhs is log(lhs), or None when lhs <= 0; params are sorted by name.
+    """
+    margin = math.inf if log_lhs is None else log_rhs - log_lhs
+    if asserted:
         passed = margin >= -LOG_SLACK
     else:
         # ratio-only record: anything with a usable rhs counts as recorded
-        passed = not (lhs > 0 and log_rhs == -math.inf)
-    return BoundCheckRecord(
-        bound_id, n, lhs, log_rhs, margin, passed, tuple(sorted(params.items()))
-    )
+        passed = log_lhs is None or log_rhs != -math.inf
+    # _make skips the keyword-handling __new__, which about doubles the cost
+    return BoundCheckRecord._make((bound_id, n, lhs, log_rhs, margin, passed, params))

@@ -15,13 +15,13 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import factorcore
 from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
 from .factorcore import DivisorContext
-from .records import BoundCheckRecord, applicable_spec, bound, make_record
+from .records import BOUNDS, BoundCheckRecord, BoundSpec, _build_record, applicable_spec, bound
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def map_violations(table: MapTable) -> list[str]:
             problems.append(f"value {val} at {tup} does not divide {n}")
         if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(tup, 2)):
             problems.append(f"coordinates of {tup} are not pairwise coprime")
-        if any(math.gcd(val, d) != 1 for d in tup):
+        if math.gcd(val, math.prod(tup)) != 1:
             problems.append(f"value {val} shares a factor with {tup}")
     return problems
 
@@ -90,22 +90,35 @@ def _collisions(tup: tuple[int, ...], val: int) -> tuple[list, list, list]:
 
 def _max_with_witness(buckets: dict) -> tuple[int, tuple | None]:
     """The largest bucket size and (*key, solutions) of the smallest key
-    reaching it."""
-    if not buckets:
+    reaching it, found in one pass; the solutions ascend.
+
+    The entries of one bucket differ only in the coordinates that vary, so
+    ascending solutions list them in the order of their sorted tuples.
+    """
+    best, best_key = 0, None
+    for key, sols in buckets.items():
+        size = len(sols)
+        if size >= best and (size > best or key < best_key):
+            best, best_key = size, key
+    if best_key is None:
         return 0, None
-    best = max(map(len, buckets.values()))
-    key = min(key for key, sols in buckets.items() if len(sols) == best)
-    return best, (*key, tuple(buckets[key]))
+    return best, (*best_key, tuple(sorted(buckets[best_key])))
 
 
 def check_regularity(table: MapTable) -> RegularityReport:
     """Exact minimal k for each condition by counting collisions in the table."""
-    buckets: tuple[dict, ...] = (defaultdict(list), defaultdict(list), defaultdict(list))
-    for tup in sorted(table.entries):
-        for bucket, pairs in zip(buckets, _collisions(tup, table.entries[tup])):
-            for key, sol in pairs:
-                bucket[key].append(sol)
-    (k1, w1), (k2, w2), (k3, w3) = map(_max_with_witness, buckets)
+    b1: dict = defaultdict(list)
+    b2: dict = defaultdict(list)
+    b3: dict = defaultdict(list)
+    for tup, val in table.entries.items():
+        one, two, three = _collisions(tup, val)
+        for key, sol in one:
+            b1[key].append(sol)
+        for key, sol in two:
+            b2[key].append(sol)
+        for key, sol in three:
+            b3[key].append(sol)
+    (k1, w1), (k2, w2), (k3, w3) = map(_max_with_witness, (b1, b2, b3))
     if table.j < 2:
         k3, w3 = None, None
     k = max(k1, k2)
@@ -182,18 +195,49 @@ def build_builtin(kind: str, n: int, ctx: DivisorContext | None = None) -> MapTa
     raise DomainError(f"unknown builtin map kind: {kind!r}")
 
 
-def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityReport], ...]:
-    """(kind, table, regularity report) of every built-in map of ctx.n,
-    built and checked once per context."""
+class CheckedTable(NamedTuple):
+    """A map table with what every map bound reads of it, worked out once."""
 
-    def compute() -> tuple[tuple[str, MapTable, RegularityReport], ...]:
+    table: MapTable
+    reg: RegularityReport
+    size: int  # |U_g|
+    log_size: float | None  # log |U_g|, or None for an empty table
+    kind: str | None = None  # the built-in kind it was built as
+
+
+def _checked(table: MapTable, reg: RegularityReport, kind: str | None = None) -> CheckedTable:
+    size = f_value(table)
+    return CheckedTable(table, reg, size, math.log(size) if size > 0 else None, kind)
+
+
+def builtin_maps(ctx: DivisorContext) -> tuple[CheckedTable, ...]:
+    """Every built-in map of ctx.n, built and checked once per context."""
+
+    def compute() -> tuple[CheckedTable, ...]:
         out = []
         for kind in BUILTIN_KINDS:
             table = build_builtin(kind, ctx.n, ctx=ctx)
-            out.append((kind, table, check_regularity(table)))
+            out.append(_checked(table, check_regularity(table), kind))
         return tuple(out)
 
     return ctx.memo("builtin_maps", compute)
+
+
+def _map_row(
+    bound_id: str, spec: BoundSpec, ctx: DivisorContext, t: CheckedTable, *tail: tuple
+) -> BoundCheckRecord:
+    """bound_id's row for a table in its domain; the tail params go last."""
+    table, reg = t.table, t.reg
+    if not reg.domain_regular:
+        raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
+    try:
+        log_rhs, params = spec.evaluate(ctx, table, reg)
+    except OverflowError:  # an arity past float range, read from a table file
+        raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
+    return _build_record(
+        bound_id, spec.asserted, table.n, t.size, t.log_size, log_rhs,
+        (("j", table.j), *params, *tail),
+    )
 
 
 def bound_check(
@@ -202,28 +246,31 @@ def bound_check(
     reg: RegularityReport | None = None,
     *,
     ctx: DivisorContext | None = None,
-    kind: str | None = None,
 ) -> BoundCheckRecord:
     """Compare |U_g| against one named domain-size bound at the table's own k.
 
     A table that breaks the domain contract (see map_violations) is refused.
     ctx, a DivisorContext of table.n, supplies the factorization, its
-    statistics and kappa without recomputing them.  kind, the built-in map
-    kind the table was built as, is added to the row's params as map=kind.
+    statistics and kappa without recomputing them.
     """
     ctx = ctx or DivisorContext(table.n)
     spec = applicable_spec(bound_id, "map", ctx, table.j)
     if reg is None:
         reg = check_regularity(table)
-    if not reg.domain_regular:
-        raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
-    try:
-        log_rhs, params = spec.evaluate(ctx, table, reg)
-    except OverflowError:  # an arity past float range, read from a table file
-        raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
-    if kind is not None:
-        params["map"] = kind
-    return make_record(bound_id, table.n, f_value(table), log_rhs, j=table.j, **params)
+    return _map_row(bound_id, spec, ctx, _checked(table, reg))
+
+
+def builtin_rows(ctx: DivisorContext, bound_id: str) -> list[BoundCheckRecord]:
+    """bound_id's rows over the built-in tables of ctx.n of the arity it
+    takes, in BUILTIN_KINDS order: each is bound_check's row for the table
+    with map=kind added.  The caller has checked that bound_id applies to
+    ctx.n, and each table was checked once for all map bounds."""
+    spec = BOUNDS[bound_id]
+    return [
+        _map_row(bound_id, spec, ctx, t, ("map", t.kind))
+        for t in builtin_maps(ctx)
+        if spec.arity is None or spec.arity == t.table.j
+    ]
 
 
 def _log_or_ninf(x: float) -> float:
@@ -232,19 +279,20 @@ def _log_or_ninf(x: float) -> float:
 
 @bound("thm1a", "map", asserted=True, sweepable=True)
 def _thm1a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
-    return _log_or_ninf(reg.k) + (1 - delta_j(table.j)) * math.log(ctx.kappa(table.j)), {"k": reg.k}
+    log_rhs = _log_or_ninf(reg.k) + (1 - delta_j(table.j)) * math.log(ctx.kappa(table.j))
+    return log_rhs, (("k", reg.k),)
 
 
 @bound("thm1b", "map", asserted=True, arity=2, sweepable=True)
 def _thm1b(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
-    return _log_or_ninf(reg.k) + (1 - DELTA2) * math.log(ctx.kappa(table.j)), {"k": reg.k}
+    return _log_or_ninf(reg.k) + (1 - DELTA2) * math.log(ctx.kappa(table.j)), (("k", reg.k),)
 
 
 @bound("thm2a", "map", asserted=True, squarefree_only=True, sweepable=True)
 def _thm2a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
     j, ks = table.j, reg.k_strong
     log_rhs = _log_or_ninf(ks) + ctx.stats.omega * math.log((j + 2) / 2 ** (2 / (j + 2)))
-    return log_rhs, {"k_strong": ks}
+    return log_rhs, (("k_strong", ks),)
 
 
 @bound("thm2b", "map", asserted=True, sweepable=True)
@@ -253,20 +301,20 @@ def _thm2b(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple
     log_rhs = _log_or_ninf(reg.k) + sum(
         math.log((j + 1) * v ** (j / (j + 1))) for _, v in ctx.factorization.parts
     )
-    return log_rhs, {"k": reg.k}
+    return log_rhs, (("k", reg.k),)
 
 
 @bound("c2", "map", asserted=True, sweepable=True)
 def _c2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
     j, k = table.j, reg.k
     log_rhs = math.log(j * k + 1) + math.log(ctx.kappa(j)) - math.log(j * ctx.stats.v_max + 1)
-    return log_rhs, {"k": k}
+    return log_rhs, (("k", k),)
 
 
 @bound("corollary2", "map", asserted=False, min_n=2, sweepable=True)
 def _corollary2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
     log_rhs = _log_or_ninf(reg.k) + math.log(ctx.kappa(table.j)) - math.log(ctx.stats.big_omega)
-    return log_rhs, {"k": reg.k}
+    return log_rhs, (("k", reg.k),)
 
 
 # exact_E refuses a search that would visit more nodes than this.

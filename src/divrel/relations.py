@@ -45,6 +45,10 @@ C_EXP = math.log(3) / math.log(2) - 2 / 3
 ENERGY_BASE = 7.8784716
 SHIFTED_TRIPLE_BASE = 3.969502
 
+# eq4.1's right-hand side is 3^(omega(n) - omega(e)) * 2^omega(e).
+_LOG_3 = math.log(3)
+_LOG_2_3 = math.log(2 / 3)
+
 # omega(e)/omega(n) threshold that balances the two halves of the energy
 # bound; at this split 2^((2+C_EXP) + (1-C_EXP)(1-eta)) equals ENERGY_BASE.
 ENERGY_SPLIT_ETA = 0.2702949686
@@ -346,7 +350,7 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
     for d in ctx.divs:
         if e is not None and d != e:
             continue
-        log_rhs = ctx.stats.omega * math.log(3) + _omega_of(ctx.factorization, d) * math.log(2 / 3)
+        log_rhs = ctx.stats.omega * _LOG_3 + _omega_of(ctx.factorization, d) * _LOG_2_3
         out.append((per_e.get(d, 0), log_rhs, {"e": d}))
     if e is not None and not out:
         raise DomainError(f"e = {e} does not divide {ctx.n}")

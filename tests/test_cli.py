@@ -1,6 +1,5 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
-import dataclasses
 import decimal
 import hashlib
 import json
@@ -278,13 +277,24 @@ ALL_BOUNDS_200_SHA256 = {
 }
 
 
-def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
+def test_sweep_deterministic_and_parallel_identical(capsys, monkeypatch, tmp_path):
     # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime.
     # Each pool worker formats its own chunk; the parent joins the texts.
+    # The serial sweep runs chunks of cli._SERIAL_CHUNK n; at 7 and at 1 n
+    # its output is unchanged.
     def sweep(*args):
         path = tmp_path / "report"
         code, _, err = run(capsys, "sweep", *args, "--out", str(path))
         return code, err, path.read_bytes()
+
+    def serial_in_chunks(*args):
+        outs = []
+        for size in (7, 1):
+            monkeypatch.setattr(cli, "_SERIAL_CHUNK", size)
+            outs.append(sweep(*args))
+        monkeypatch.undo()
+        assert outs[0] == outs[1]
+        return outs[0]
 
     for bounds, n_hi, workers, code in (
         ("corollary1,thm2b", "40", "3", 0),
@@ -295,6 +305,7 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
             first = sweep(*args)
             assert first[0] == code
             assert sweep(*args) == first == sweep(*args, "--workers", workers)
+            assert serial_in_chunks(*args) == first
             if bounds == ALL_BOUNDS:
                 assert hashlib.sha256(first[2]).hexdigest() == ALL_BOUNDS_200_SHA256[fmt]
     # one-n chunks: 48, 49 and 50 are not squarefree, so their bodies are empty
@@ -303,13 +314,19 @@ def test_sweep_deterministic_and_parallel_identical(capsys, tmp_path):
                 "--n-hi", "51", "--format", fmt]
         serial = sweep(*args)
         assert serial[:2] == (0, "") and serial == sweep(*args, "--workers", "2")
+        assert serial_in_chunks(*args) == serial
         if fmt == "json":
             assert hashlib.md5(serial[2]).hexdigest() == "956822571367a78542df2e9bcbe2b036"
     # the first failing asserted row sits in the last chunk
     args = ["--bounds", "eq4.2", "--n-lo", "24", "--n-hi", "29"]
     serial = sweep(*args)
     assert serial[:2] == (1, "error: bound-violation: eq4.2 fails at n=29 (e=1;m=30)\n")
-    assert sweep(*args, "--workers", "2") == serial
+    assert sweep(*args, "--workers", "2") == serial == serial_in_chunks(*args)
+    # with failures in many chunks, the first chunk's is the one named
+    args = ["--bounds", "eq4.2", "--n-lo", "2", "--n-hi", "29"]
+    serial = sweep(*args)
+    assert serial[:2] == (1, "error: bound-violation: eq4.2 fails at n=2 (e=1;m=3)\n")
+    assert sweep(*args, "--workers", "2") == serial == serial_in_chunks(*args)
 
 
 def test_report_does_not_depend_on_bounds_order(capsys, tmp_path):
@@ -398,7 +415,7 @@ def _fresh_records(n):
             if bound_id == "thm1b" and table.j != 2:
                 continue
             rec = bound_check(table, bound_id)
-            out.append(dataclasses.replace(rec, params=rec.params + (("map", kind),)))
+            out.append(rec._replace(params=rec.params + (("map", kind),)))
     return out
 
 
@@ -565,9 +582,12 @@ def test_domain_error_exit(capsys):
         ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--r", "-1"],
         ["analytic", "verify-xi", "--alpha", "0.2", "--r", "-1", "--delta", "0.04", "--vmax", "10"],
         ["analytic", "delta-j", "--j", str(10**400)],
+        # here it is j, not v, that leaves float range
+        ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--j", str(10**200)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: domain:"), argv
+    assert err == f"error: domain: xi: v = 1.0 and j = {10**200} are too large for float64 evaluation\n"
 
 
 def test_map_bound_refuses_an_arity_past_float_range(capsys, tmp_path):

@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
 from divrel import (
+    BUILTIN_KINDS,
     DomainError,
     MapTable,
     ResourceLimitError,
@@ -26,7 +28,9 @@ from divrel import (
     map_from_json,
     map_to_json,
 )
-from divrel.regmaps import map_violations
+from divrel.factorcore import DivisorContext
+from divrel.records import BOUNDS
+from divrel.regmaps import _collisions, builtin_rows, map_violations
 
 
 def brute_regularity(table: MapTable):
@@ -195,6 +199,46 @@ def test_regularity_on_random_tables():
         assert report.domain_regular
 
 
+def sorted_entry_regularity(table: MapTable) -> tuple:
+    """(k1, k2, k3, witnesses) with every entry grouped in sorted tuple
+    order, each constant taken by a max and its witness key by a min."""
+    buckets = (defaultdict(list), defaultdict(list), defaultdict(list))
+    for tup in sorted(table.entries):
+        for bucket, pairs in zip(buckets, _collisions(tup, table.entries[tup])):
+            for key, sol in pairs:
+                bucket[key].append(sol)
+    out = []
+    for bucket in buckets:
+        best = max(map(len, bucket.values()), default=0)
+        key = min((key for key, sols in bucket.items() if len(sols) == best), default=None)
+        out.append((best, None if key is None else (*key, tuple(bucket[key]))))
+    (k1, w1), (k2, w2), (k3, w3) = out
+    return (k1, k2, k3, w1, w2, w3) if table.j >= 2 else (k1, k2, None, w1, w2, None)
+
+
+def test_witnesses_match_the_sorted_entry_oracle():
+    # entries are grouped in table order, and only a witness's solutions are
+    # sorted; constants and witnesses equal the sorted-entry grouping's
+    rng = random.Random(11)
+    tables = [build_builtin(kind, n) for n in [*range(1, 401), 720720] for kind in BUILTIN_KINDS]
+    for _ in range(200):
+        n = rng.choice([30, 210, 360, 2310, 30030])
+        f = factor(n)
+        divs = divisors(f)
+        j = rng.randrange(1, 4)
+        tuples = list(coprime_tuples(f, j))
+        rng.shuffle(tuples)
+        entries = {}
+        for tup in tuples[: rng.randrange(len(tuples) + 1)]:
+            options = [d for d in divs if math.gcd(d, math.prod(tup)) == 1]
+            entries[tup] = rng.choice(options[:3])  # few values, many collisions
+        tables.append(MapTable(n, j, entries))
+    for table in tables:
+        report = check_regularity(table)
+        got = (report.k1, report.k2, report.k3, report.witness1, report.witness2, report.witness3)
+        assert got == sorted_entry_regularity(table), table
+
+
 def test_witnesses_realize_the_maxima():
     table = builtin_sum_map(6)
     report = check_regularity(table)
@@ -279,6 +323,23 @@ def test_bound_check_sum_map_examples():
     # arity 1, k = 1: (j*k + 1) * kappa_1(6) / (j*v_max + 1) = 2 * 4 / 2
     rec = bound_check(builtin_successor_map(6), "c2")
     assert math.exp(rec.log_rhs) == pytest.approx(4.0)
+
+
+def test_map_rows_have_params_in_name_order():
+    # map evaluators hand their params over in name order, and no row sorts
+    # them again: j first, then the constant, then map= on a sweep's rows
+    for n in (1, 6, 30, 360):
+        ctx = DivisorContext(n)
+        for bound_id in ("thm1a", "thm1b", "thm2a", "thm2b", "c2", "corollary2"):
+            if BOUNDS[bound_id].violation(ctx):
+                continue
+            constant = "k_strong" if bound_id == "thm2a" else "k"
+            rows = builtin_rows(ctx, bound_id)
+            assert len(rows) == (3 if bound_id == "thm1b" else 4)
+            for rec in rows:
+                assert [name for name, _ in rec.params] == ["j", constant, "map"]
+                table = build_builtin(dict(rec.params)["map"], n)
+                assert [name for name, _ in bound_check(table, bound_id).params] == ["j", constant]
 
 
 def test_bound_check_preconditions():
