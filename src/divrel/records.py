@@ -96,15 +96,11 @@ def make_record(
 ) -> BoundCheckRecord:
     """Build a record; pass semantics depend on whether the bound is asserted."""
     log_lhs = math.log(lhs) if lhs > 0 else None
-    return _build_record(
-        bound_id, BOUNDS[bound_id].asserted, n, lhs, log_lhs, log_rhs,
-        tuple(sorted(params.items())),
-    )
+    return _build_record(bound_id, n, lhs, log_lhs, log_rhs, tuple(sorted(params.items())))
 
 
 def _build_record(
     bound_id: str,
-    asserted: bool,
     n: int,
     lhs: int,
     log_lhs: float | None,
@@ -116,7 +112,7 @@ def _build_record(
     log_lhs is log(lhs), or None when lhs <= 0; params are sorted by name.
     """
     margin = math.inf if log_lhs is None else log_rhs - log_lhs
-    if asserted:
+    if BOUNDS[bound_id].asserted:
         passed = margin >= -LOG_SLACK
     else:
         # ratio-only record: anything with a usable rhs counts as recorded

@@ -235,8 +235,7 @@ def _map_row(
     except OverflowError:  # an arity past float range, read from a table file
         raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
     return _build_record(
-        bound_id, spec.asserted, table.n, t.size, t.log_size, log_rhs,
-        (("j", table.j), *params, *tail),
+        bound_id, table.n, t.size, t.log_size, log_rhs, (("j", table.j), *params, *tail)
     )
 
 

@@ -587,6 +587,7 @@ def test_domain_error_exit(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: domain:"), argv
+    # the last argv's refusal names j as well as v
     assert err == f"error: domain: xi: v = 1.0 and j = {10**200} are too large for float64 evaluation\n"
 
 
