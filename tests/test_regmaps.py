@@ -222,7 +222,7 @@ def test_witnesses_match_the_sorted_entry_oracle():
     rng = random.Random(11)
     tables = [build_builtin(kind, n) for n in [*range(1, 401), 720720] for kind in BUILTIN_KINDS]
     for _ in range(200):
-        n = rng.choice([30, 210, 360, 2310, 30030])
+        n = rng.choice([30, 210, 360, 2310])
         f = factor(n)
         divs = divisors(f)
         j = rng.randrange(1, 4)
