@@ -9,6 +9,7 @@ underlying (alpha, r) pair by direct optimization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -217,10 +218,12 @@ def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
     return min_margin, argmin_v
 
 
+@functools.lru_cache(maxsize=16)
 def delta_j(j: int) -> float:
     """Exponent saving at arity j: f_{1/(2j+1)}(j) / log(j+1).
 
-    At j = 1 this equals 1 - (log 3/log 2 - 2/3) exactly.
+    At j = 1 this equals 1 - (log 3/log 2 - 2/3) exactly.  Kept per j: the
+    map bound thm1a reads it on every row.
     """
     if j < 1:
         raise DomainError(f"delta_j: j must be >= 1, got {j}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -379,34 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="prime factorization")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("kappa", help="ordered pairwise-coprime divisor tuple count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("divisors", help="sorted divisor list")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_divisors)
 
     p = sub.add_parser("triples", help="count of d1 + d2 = d3 in divisors")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_triples)
 
     p = sub.add_parser("energy", help="additive energy of the divisor set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--decompose", action="store_true", help="print (e, m, u) rows")
-    p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("delta-hooley", help="max divisors in a window (x, e*x]")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_delta_hooley)
 
     p = sub.add_parser("residues", help="divisor counts per residue class mod q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_residues)
 
     p = sub.add_parser("map", help="build/check/bound explicit divisor maps")
     msub = p.add_subparsers(dest="map_cmd", required=True)
@@ -424,14 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--n", type=int, default=None)
     map_bounds = [b for b, spec in BOUNDS.items() if spec.family == "map"]
     mo.add_argument("--bound", choices=map_bounds, required=True)
-    p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("exact-e", help="exhaustive max domain size of k-regular maps")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--guard", type=int, default=12, help="max of max(tau(n), 2)^j searched")
-    p.set_defaults(func=_cmd_exact_e)
 
     p = sub.add_parser("analytic", help="weight functions, certificates, optimization")
     asub = p.add_subparsers(dest="analytic_cmd", required=True)
@@ -451,12 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     at = asub.add_parser("tail", help="large-v envelope checks")
     at.add_argument("--alpha", type=float, default=analytic.ALPHA_STAR)
     at.add_argument("--r", type=float, default=analytic.R_STAR)
-    at.add_argument("--v", type=int, nargs="+", default=[10**6, 10**7, 10**9])
+    at.add_argument("--v", type=int, nargs="+", default=(10**6, 10**7, 10**9))
     ao = asub.add_parser("optimize", help="re-derive (alpha, r) by direct search")
     ao.add_argument("--vopt", type=int, default=10_000)
     ao.add_argument("--vcertify", type=int, default=10**6)
     asub.add_parser("lemmas", help="grid checks behind the concentration bounds")
-    p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("sweep", help="evaluate bounds over an n range; emit report")
     p.add_argument("--bounds", required=True, help="comma-separated bound ids")
@@ -466,24 +457,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("split-thm4", help="coprime split n = a*b for coprime q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_split_thm4)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on the first call in a process.
+
+    parse_args leaves a parser as it was, the parser holds no handler (main
+    finds `_cmd_<command>` by name at each call) and every default is
+    immutable, so one parser serves every later call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.cmd.replace("-", "_")](args)
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2

@@ -20,13 +20,18 @@ from .errors import DomainError, ResourceLimitError
 # kernel raises ResourceLimitError before it allocates, or, where the work is
 # not known in advance, as soon as its count passes the budget.
 _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
-# The pair kernels walk all tau(n)^2 ordered pairs of divisors (the pair-sum
-# histogram and sum triples in relations, the sum and midpoint maps in
-# regmaps) and take them from DivisorContext.pair_divs.  At tau = 10^4 the
-# histogram holds at most 5 * 10^7 sums, 800 MB.
+# The pair kernels count over the tau(n)^2 ordered pairs of divisors (the
+# pair-sum histogram and sum triples in relations, the sum and midpoint maps
+# in regmaps) and take them from DivisorContext.pair_divs.  At tau = 10^4
+# the histogram holds at most 5 * 10^7 sums, 800 MB.
 _MAX_PAIRS = 10**8
 _MAX_TUPLES = 10**8  # coprime_tuples(): kappa_j(n), about 4 minutes of s_bounds
-_RHO_MAX_STEPS = 10**6  # _rho_split(): steps, counted as they run, about 2 s
+# _rho_split(): steps times the square of n's size in 64-bit limbs, the cost
+# of a step's products mod n, counted as they run.  On a 2-core x86 box a
+# step takes 1.6 us at one limb and 2.2 us at two, so this is 3 * 10^6 or
+# 7.5 * 10^5 steps, under 5 s; at 4000 digits (208 limbs) it is 69 steps of
+# 1.2 ms.
+_RHO_MAX_WORK = 3 * 10**6
 
 # factor() trial-divides by the primes below 1000; a cofactor left below
 # 1000**2 is then 1 or a prime, and a larger one goes to Miller-Rabin and rho.
@@ -100,9 +105,12 @@ def check_budget(work: str, amount: int, budget: int) -> None:
 
 def _rho_split(n: int) -> int:
     """Deterministic Pollard rho (Floyd cycle finding), n an odd composite > 1;
-    a cycle that closes on n itself moves on to the next constant c."""
+    a cycle that closes on n itself moves on to the next constant c.  Each
+    step is charged limbs(n)^2 of the _RHO_MAX_WORK budget."""
+    limbs = -(-n.bit_length() // 64)
+    steps = _RHO_MAX_WORK // limbs**2
     c, x, y = 1, 2, 2
-    for _ in range(_RHO_MAX_STEPS):
+    for _ in range(steps):
         x = (x * x + c) % n
         y = (y * y + c) % n
         y = (y * y + c) % n
@@ -111,7 +119,10 @@ def _rho_split(n: int) -> int:
             c, x, y = c + 1, 2, 2
         elif d != 1:
             return d
-    raise ResourceLimitError(f"factor: rho on {n} passed {_RHO_MAX_STEPS} steps")
+    raise ResourceLimitError(
+        f"factor: rho on {n} passed {steps} steps of {limbs}^2 limb products,"
+        f" budget {_RHO_MAX_WORK}"
+    )
 
 
 def _factor_into(m: int, counts: dict[int, int]) -> None:

@@ -297,10 +297,11 @@ def _thm2a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple
 @bound("thm2b", "map", asserted=True, sweepable=True)
 def _thm2b(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
     j = table.j
-    log_rhs = _log_or_ninf(reg.k) + sum(
-        math.log((j + 1) * v ** (j / (j + 1))) for _, v in ctx.factorization.parts
+    log_prod = ctx.memo(
+        ("thm2b", j),
+        lambda: sum(math.log((j + 1) * v ** (j / (j + 1))) for _, v in ctx.factorization.parts),
     )
-    return log_rhs, (("k", reg.k),)
+    return _log_or_ninf(reg.k) + log_prod, (("k", reg.k),)
 
 
 @bound("c2", "map", asserted=True, sweepable=True)

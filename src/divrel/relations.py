@@ -13,7 +13,10 @@ runs of e, so no Python object is made per cell.  The histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
 ranges of the sum, so building it needs little beyond twice that.  Sum and
 shifted triples need no histogram: they look the pair sums up among the
-divisors a block at a time, in O(tau) memory beyond a fixed few MB.  The
+divisors a block at a time, in O(tau) memory beyond a fixed few MB.  Since
+d1 + d2 is symmetric, a pair table that spans more than one range or block
+is walked as a triangle, each unordered pair once, and the ordered counts
+are read off it; one range or block walks the whole square.  The
 arrays are int64 while 2n < 2^62 and hold exact Python ints (object dtype)
 beyond, so every count is exact at any n.
 
@@ -107,23 +110,29 @@ class ResidueProfile:
     eta: float
 
 
-def _sum_ranges(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every sum x[j] + y[i] over all pairs (i, j), x ascending, in ascending
-    ranges of the sum; no sum is split between two ranges.
+def _sum_ranges(
+    x: np.ndarray, y: np.ndarray, first: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every sum x[j] + y[i] over the pairs (i, j) with j >= first[i] (all
+    pairs when first is None; each first[i] < len(x)), x ascending, in
+    ascending ranges of the sum; no sum is split between two ranges.
 
     Yields (sums, j) per range, unordered.  A range holds at most _CHUNK
     pairs, or only the pairs of one sum if that sum alone has more.
     """
-    if len(x) * len(y) <= _CHUNK:  # one range holds every pair
-        yield np.add.outer(y, x).ravel(), np.arange(len(x) * len(y)) % len(x)
-        return
-    lo, top = int(x[0] + y.min()), int(x[-1] + y.max()) + 1  # top: one past the largest sum
+    if first is None:
+        if len(x) * len(y) <= _CHUNK:  # one range holds every pair
+            yield np.add.outer(y, x).ravel(), np.arange(len(x) * len(y)) % len(x)
+            return
+        first = np.zeros(len(y), dtype=np.intp)
+    # lo: the smallest sum; top: one past the largest
+    lo, top = int((x[first] + y).min()), int(x[-1] + y.max()) + 1
 
     def first_at_or_above(s: int) -> np.ndarray:
-        # per i, the index of the first x[j] with x[j] + y[i] >= s
-        return np.searchsorted(x, s - y)
+        # per i, the index of the first x[j], j >= first[i], with x[j] + y[i] >= s
+        return np.maximum(np.searchsorted(x, s - y), first)
 
-    start = first_at_or_above(lo)
+    start = first
     while lo < top:
         # a becomes the largest end in (lo, top] whose range [lo, a) fits the
         # budget; lo is a sum that occurs, so the range is never empty
@@ -150,9 +159,17 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram: every distinct d1 + d2 over ordered pairs of
     divs, ascending, and the number of pairs giving each."""
     a = _as_array(divs)
-    ranges = [np.unique(sums, return_counts=True) for sums, _ in _sum_ranges(a, a)]
-    values, counts = zip(*ranges)
-    return np.concatenate(values), np.concatenate(counts)
+    # past one range, walk each unordered pair once: the pairs d1 <= d2
+    triangle = len(a) ** 2 > _CHUNK
+    first = np.arange(len(a)) if triangle else None
+    ranges = [np.unique(sums, return_counts=True) for sums, _ in _sum_ranges(a, a, first)]
+    values, counts = map(np.concatenate, zip(*ranges))
+    if triangle:
+        # d1 < d2 stands for two ordered pairs, d1 = d2 for one; the sums 2d
+        # are distinct, so each diagonal pair fixes one count
+        counts *= 2
+        counts[np.searchsorted(values, 2 * a)] -= 1
+    return values, counts
 
 
 def _as_array(divs: tuple[int, ...]) -> np.ndarray:
@@ -169,16 +186,27 @@ def _shifted_pairs(divs: tuple[int, ...], m: int) -> int:
     """Ordered pairs (d1, d2) of divs with d1 + d2 - m in divs.
 
     The sums are looked up a block of rows of the pair table at a time, with
-    no histogram, so the memory stays O(_CHUNK) at any tau.
+    no histogram, so the memory stays O(_CHUNK) at any tau.  Each block
+    counts its diagonal square, which holds both orders of its pairs, once
+    and the part of its rows right of that square twice, for the mirror
+    image below it; a block of all rows is the whole table.
     """
     a = _as_array(divs)
+    shifted = a - m
     rows = max(1, _CHUNK // len(a))
-    hits = 0
-    for i in range(0, len(a), rows):
-        probes = np.add.outer(a[i : i + rows], a - m).ravel()
+
+    def hits(block: np.ndarray, columns: np.ndarray) -> int:
+        probes = np.add.outer(block, columns).ravel()
         idx = np.minimum(np.searchsorted(a, probes), len(a) - 1)
-        hits += int(np.count_nonzero(a[idx] == probes))
-    return hits
+        return int(np.count_nonzero(a[idx] == probes))
+
+    total = 0
+    for i in range(0, len(a), rows):
+        block = a[i : i + rows]
+        total += hits(block, shifted[i : i + rows])
+        if i + rows < len(a):
+            total += 2 * hits(block, shifted[i + rows :])
+    return total
 
 
 def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:

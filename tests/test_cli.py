@@ -614,7 +614,7 @@ def test_resource_error_exit(capsys, monkeypatch):
     # the exact-e search and the rho below run past their budgets; small ones
     # refuse them fast
     monkeypatch.setattr(regmaps, "_EXACT_E_MAX_NODES", 1000)
-    monkeypatch.setattr(factorcore, "_RHO_MAX_STEPS", 1000)
+    monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 1000)
     for argv, measure in (
         (["analytic", "verify-xi", "--alpha", "0.2288541994", "--r", "0.692466598",
           "--delta", "0.045072", "--vmax", too_many], "v_max"),
@@ -678,3 +678,39 @@ def test_help_lists_flags(capsys):
                  "--format", "--out", "--workers"):
         assert flag in out
     assert "--cap-divisors" not in out
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path):
+    table, report = tmp_path / "table.json", tmp_path / "report.csv"
+    assert run(capsys, "map", "build", "--kind", "sum", "--n", "60", "--out", str(table))[0] == 0
+    sequence = (
+        ["analytic", "tail"],  # the default --v samples
+        ["analytic", "tail", "--v", "2000000"],
+        ["analytic", "tail"],
+        ["map", "check", "--file", str(table)],
+        ["map", "check", "--kind", "midpoint-floor", "--n", "36"],  # no --file left over
+        ["sweep", "--bounds", "corollary1,thm1a", "--n-hi", "30", "--format", "json"],
+        ["sweep", "--bounds", "eq4.1", "--n-hi", "30", "--out", str(report)],
+        ["sweep", "--bounds", "eq4.2", "--n-hi", "30"],  # eq4.2 fails at n = 2: exit 1
+        ["kappa", "--n", "12"],  # usage error: --j missing
+    )
+
+    def one_pass(fresh):
+        outcomes = []
+        for argv in sequence:
+            if fresh:
+                cli._parser.cache_clear()
+            report.unlink(missing_ok=True)
+            outcome = run(capsys, *argv)
+            outcomes.append((*outcome, report.read_text() if report.exists() else None))
+        return outcomes
+
+    # each call of the first pass parses with a parser of its own
+    first = one_pass(fresh=True)
+    assert [o[0] for o in first] == [0, 0, 0, 0, 0, 0, 0, 1, 2]
+    assert first[0] == first[2] and first[1] != first[0]
+    assert first[6][1] == "" and first[6][3].startswith(cli.CSV_HEADER)
+    cli._parser.cache_clear()
+    assert one_pass(fresh=False) == first
+    assert one_pass(fresh=False) == first
+    assert cli._parser.cache_info().misses == 1  # one parser served both passes

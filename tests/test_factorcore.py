@@ -124,11 +124,29 @@ def test_divisors_cap(monkeypatch):
 def test_rho_step_budget(monkeypatch):
     n = 999983 * 1000003  # no prime factor below 1000, so rho splits it
     assert dict(factor(n).parts) == {999983: 1, 1000003: 1}
-    monkeypatch.setattr(factorcore, "_RHO_MAX_STEPS", 10)
-    with pytest.raises(ResourceLimitError, match=f"^factor: rho on {n} passed 10 steps$"):
+    monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 10)
+    message = f"^factor: rho on {n} passed 10 steps of 1\\^2 limb products, budget 10$"
+    with pytest.raises(ResourceLimitError, match=message):
         factor(n)
     # a cofactor that Miller-Rabin finds prime takes no rho step
     assert dict(factor(997 * (2**61 - 1)).parts) == {997: 1, 2**61 - 1: 1}
+
+
+def test_rho_budget_charges_limbs_squared(monkeypatch):
+    # rho splits off 1000003 in 1276 steps from each of these, whose sizes
+    # are 2, 3 and 4 limbs of 64 bits; a step costs limbs^2 of the budget
+    for limbs, big in ((2, 10**20), (3, 10**40), (4, 10**60)):
+        n = 1000003 * sympy.nextprime(big)
+        assert -(-n.bit_length() // 64) == limbs
+        monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 1276 * limbs**2)
+        assert factor(n).parts[0] == (1000003, 1)
+        monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 1276 * limbs**2 - 1)
+        with pytest.raises(ResourceLimitError, match=f"passed 1275 steps of {limbs}\\^2 limb"):
+            factor(n)
+    # a step that alone costs more than the budget is never taken
+    monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 15)
+    with pytest.raises(ResourceLimitError, match="passed 0 steps of 4\\^2 limb"):
+        factor(n)
 
 
 def as_tuple(stats):

@@ -5,11 +5,9 @@ Every subcommand gets huge, zero, negative, NaN and malformed option values;
 input, the exit code is 0, 1, 2 or 3, and stderr holds neither an internal
 error (exit 4) nor a traceback.  Every kernel budget is patched down, so an
 input past a budget is refused in a few ms and each example stays cheap; the
-pool of `sweep --workers` runs its chunks in-process, and the argument parser
-is built once.
+pool of `sweep --workers` runs its chunks in-process.
 """
 
-import functools
 import io
 import json
 import math
@@ -27,7 +25,7 @@ BUDGETS = (
     (factorcore, "_MAX_DIVISORS", 64),
     (factorcore, "_MAX_PAIRS", 4096),
     (factorcore, "_MAX_TUPLES", 4096),
-    (factorcore, "_RHO_MAX_STEPS", 200),
+    (factorcore, "_RHO_MAX_WORK", 200),
     (relations, "_SHIFT_MAX_PAIRS", 20_000),
     (relations, "_RESIDUE_MAX_WORK", 4096),
     (regmaps, "_EXACT_E_MAX_NODES", 2000),
@@ -107,8 +105,6 @@ def small_budgets():
         for module, name, value in BUDGETS:
             patch.setattr(module, name, value)
         patch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        # one parser serves every example; parse_args leaves it unchanged
-        patch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
         yield
 
 

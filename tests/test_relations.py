@@ -249,6 +249,27 @@ def test_pair_counts_in_small_ranges(monkeypatch):
             check_against_loops(n)
 
 
+def test_pair_triangles_at_odd_tau(monkeypatch):
+    # Past one range the kernels walk each unordered pair once.  An odd tau
+    # leaves the diagonal's last block short: row blocks of 4 and 6 do not
+    # divide tau 15, nor blocks of 5 and 10 tau 183; at tau 15 a _CHUNK of
+    # 1000 holds the whole table in one range and one block.
+    for n, dtype, chunks in (
+        (2025, "int64", (7, 60, 100, 1000)),  # tau 15
+        (9 * 2**60, "object", (100, 1000, 2000)),  # tau 183
+    ):
+        divs = divisor_list(n)
+        sums = loop_pair_sums(divs)
+        for chunk in chunks:
+            monkeypatch.setattr(relations, "_CHUNK", chunk)
+            values, counts = relations._pair_sum_counts(divs)
+            assert values.dtype == dtype
+            assert values.tolist() == sorted(sums), (n, chunk)
+            assert counts.tolist() == [sums[s] for s in sorted(sums)], (n, chunk)
+            for m in (-3, 0, 1, 7):
+                assert shifted_count(n, m) == sum(sums.get(d + m, 0) for d in divs), (n, chunk, m)
+
+
 def test_pair_count_memory_is_bounded():
     n = 13967553600  # 2^6 3^3 5^2 7 11 13 17 19, tau 2688
     divs = divisor_list(n)
