@@ -6,6 +6,16 @@ from fractions import Fraction
 
 import divrel as dr
 
+
+def t_weight(f: dr.Factorization, d: int) -> Fraction:
+    """Reciprocal-exponent weight: prod over primes p | d of 1/v where p^v || n."""
+    w = Fraction(1)
+    for p, v in f.parts:
+        if d % p == 0:
+            w *= Fraction(1, v)
+    return w
+
+
 print("Factorizations and the statistics the rest of the library runs on:")
 for n in (360, 1001, 2**61 - 1):
     f = dr.factor(n)
@@ -35,6 +45,6 @@ for n in (12, 540):
     f = dr.factor(n)
     total = Fraction(0)
     for d1, d2 in dr.coprime_tuples(f, 2):
-        total += dr.t_weight(f, d1) * dr.t_weight(f, d2)
+        total += t_weight(f, d1) * t_weight(f, d2)
     omega = dr.arith_stats(f).omega
     print(f"  n={n}: sum = {total}, 3^omega = {3**omega}")

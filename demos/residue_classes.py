@@ -2,9 +2,16 @@
 coprime split that controls them.
 """
 
+import cmath
 import math
 
 import divrel as dr
+
+
+def exp_sum(n: int, theta: float) -> complex:
+    """Divisor exponential sum W(theta): sum over d | n of exp(2*pi*i*theta*d)."""
+    return sum(cmath.exp(2j * math.pi * theta * d) for d in dr.divisors(dr.factor(n)))
+
 
 print("lambda(t) counts divisors in class t mod q; H is the second moment.")
 profile = dr.residue_profile(12, 5)
@@ -20,7 +27,7 @@ for q in (7, 11, 13, 50):
 
 print("\nH can also be reached through the divisor exponential sum W(theta):")
 n, q = 12, 5
-w_avg = sum(abs(dr.exp_sum(n, a / q)) ** 2 for a in range(1, q + 1)) / q
+w_avg = sum(abs(exp_sum(n, a / q)) ** 2 for a in range(1, q + 1)) / q
 print(f"  mean of |W(a/q)|^2 over a = 1..q: {w_avg:.6f} (equals H = "
       f"{dr.residue_profile(n, q).h_value})")
 

@@ -36,7 +36,6 @@ from .factorcore import (
     divisors,
     factor,
     kappa,
-    t_weight,
 )
 from .records import BoundCheckRecord, make_record
 from .regmaps import (
@@ -64,7 +63,6 @@ from .relations import (
     additive_energy,
     count_sum_triples,
     energy_decomposition,
-    exp_sum,
     hooley_delta,
     inequality_report,
     residue_profile,

@@ -210,13 +210,18 @@ def _checked(table: MapTable, reg: RegularityReport, kind: str | None = None) ->
     return CheckedTable(table, reg, size, math.log(size) if size > 0 else None, kind)
 
 
+def builtin_table(ctx: DivisorContext, kind: str) -> MapTable:
+    """The built-in map of ctx.n of the given kind, built once per context."""
+    return ctx.memo(("builtin", kind), lambda: build_builtin(kind, ctx.n, ctx=ctx))
+
+
 def builtin_maps(ctx: DivisorContext) -> tuple[CheckedTable, ...]:
     """Every built-in map of ctx.n, built and checked once per context."""
 
     def compute() -> tuple[CheckedTable, ...]:
         out = []
         for kind in BUILTIN_KINDS:
-            table = build_builtin(kind, ctx.n, ctx=ctx)
+            table = builtin_table(ctx, kind)
             out.append(_checked(table, check_regularity(table), kind))
         return tuple(out)
 

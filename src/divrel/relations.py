@@ -4,21 +4,23 @@ The divisor set D_n is the sorted tuple of all divisors of n.  Counted
 objects are always ordered tuples; the identities below (energy
 decomposition, residue-class second moment) only hold for ordered counts.
 
-The counts over pairs of divisors are numpy array code.  The additive
+The pair-sum counts are numpy array code.  The additive
 energy, its (e, m) cells and corollary3's most frequent shift read one
 pair-sum histogram per DivisorContext: the distinct sums d1 + d2, ascending,
 with the number of ordered pairs giving each.  The cells stay numpy columns
 (e, m, u), and eq4.1 and eq4.2 read them with reduceat and lexsort over the
 runs of e, so no Python object is made per cell.  The histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
-ranges of the sum, so building it needs little beyond twice that.  Sum and
-shifted triples need no histogram: they look the pair sums up among the
-divisors a block at a time, in O(tau) memory beyond a fixed few MB.  Since
-d1 + d2 is symmetric, a pair table that spans more than one range or block
-is walked as a triangle, each unordered pair once, and the ordered counts
-are read off it; one range or block walks the whole square.  The
+ranges of the sum, so building it needs little beyond twice that.  Since
+d1 + d2 is symmetric, a histogram that spans more than one range is built
+from the triangle, each unordered pair once, and the ordered counts are
+read off it; one range walks the whole square.  The
 arrays are int64 while 2n < 2^62 and hold exact Python ints (object dtype)
 beyond, so every count is exact at any n.
+
+Sum triples d1 + d2 = d3 need no pair table: they are counted in Python
+ints from the primitive solutions that the built-in sum map lists (see
+count_sum_triples).
 
 Each kernel refuses work past its own budget before it allocates anything:
 the pair kernels tau^2 (factorcore's _MAX_PAIRS), corollary3 and residues.
@@ -26,7 +28,6 @@ the pair kernels tau^2 (factorcore's _MAX_PAIRS), corollary3 and residues.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext, check_budget
 from .records import BoundCheckRecord, applicable_spec, bound, make_record
+from .regmaps import builtin_table
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
 # divisors of a squarefree n share one fixed sum.
@@ -57,9 +59,9 @@ _LOG_2_3 = math.log(2 / 3)
 ENERGY_SPLIT_ETA = 0.2702949686
 
 # Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
-# (-n, 2n), and the probes d1 + d2 - m for such m in (-2n, 3n).  While 2n is
-# below this limit all of them fit int64; from it on the arrays hold exact
-# Python ints (object dtype) and the same code runs on them.
+# (-n, 2n), and the sums m + d3 that corollary3 looks up for such m below
+# 3n.  While 2n is below this limit all of them fit int64; from it on the
+# arrays hold exact Python ints (object dtype) and the same code runs on them.
 _INT64_SUMS = 2**62
 
 # No temporary array of the pair counts below holds more than about this
@@ -182,36 +184,26 @@ def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.pair_divs("pair sums")))
 
 
-def _shifted_pairs(divs: tuple[int, ...], m: int) -> int:
-    """Ordered pairs (d1, d2) of divs with d1 + d2 - m in divs.
-
-    The sums are looked up a block of rows of the pair table at a time, with
-    no histogram, so the memory stays O(_CHUNK) at any tau.  Each block
-    counts its diagonal square, which holds both orders of its pairs, once
-    and the part of its rows right of that square twice, for the mirror
-    image below it; a block of all rows is the whole table.
-    """
-    a = _as_array(divs)
-    shifted = a - m
-    rows = max(1, _CHUNK // len(a))
-
-    def hits(block: np.ndarray, columns: np.ndarray) -> int:
-        probes = np.add.outer(block, columns).ravel()
-        idx = np.minimum(np.searchsorted(a, probes), len(a) - 1)
-        return int(np.count_nonzero(a[idx] == probes))
-
-    total = 0
-    for i in range(0, len(a), rows):
-        block = a[i : i + rows]
-        total += hits(block, shifted[i : i + rows])
-        if i + rows < len(a):
-            total += 2 * hits(block, shifted[i + rows :])
-    return total
-
-
 def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
-    """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3."""
-    return _shifted_pairs((ctx or DivisorContext(n)).pair_divs("sum triples"), 0)
+    """Ordered triples (d1, d2, d3) of divisors of n with d1 + d2 = d3.
+
+    Each is g*(a, b, a + b) with g = gcd(d1, d2), for exactly one entry
+    (a, b) -> a + b of the built-in sum map and one divisor g of
+    n / (a*b*(a + b)); so the count is the sum of tau(n / (a*b*(a + b)))
+    over the map's entries, each tau read off n's own primes.
+    """
+    ctx = ctx or DivisorContext(n)
+    ctx.pair_divs("sum triples")  # the sum map's pair budget, refused as this kernel
+    total = 0
+    for (a, b), s in builtin_table(ctx, "sum").entries.items():
+        q, tau = a * b * s, 1
+        for p, v in ctx.factorization.parts:
+            while q % p == 0:
+                q //= p
+                v -= 1
+            tau *= v + 1
+        total += tau
+    return total
 
 
 def additive_energy(n: int, ctx: DivisorContext | None = None) -> int:
@@ -329,12 +321,6 @@ def residue_profile(n: int, q: int, ctx: DivisorContext | None = None) -> Residu
     h = sum(c * c for c in counts)
     eta = math.log(q) / math.log(n) if n >= 2 else math.inf
     return ResidueProfile(n, q, tuple(counts), h, eta)
-
-
-def exp_sum(n: int, theta: float) -> complex:
-    """Divisor exponential sum: sum over d | n of exp(2*pi*i*theta*d)."""
-    divs = DivisorContext(n).divs
-    return sum(cmath.exp(2j * math.pi * theta * d) for d in divs)
 
 
 def _omega_of(f: factorcore.Factorization, e: int) -> int:

@@ -635,6 +635,8 @@ def test_resource_error_exit(capsys, monkeypatch):
         (["residues", "--n", "6", "--q", "1000000000000001"], "tau(6) + q = 1000000000000005"),
         (["divisors", "--n", str(math.prod(sympy.primerange(74)))], "= 2097152 exceeds budget"),
         (["factor", "--n", str(1000000007 * 1000000009)], "passed 1000 steps"),
+        # the Mersenne prime 2^11213 - 1, 3376 digits, before its first round
+        (["factor", "--n", str(2**11213 - 1)], "Miller-Rabin: 12 rounds x 176^3 limbs"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: resource:"), argv

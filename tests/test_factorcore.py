@@ -18,8 +18,22 @@ from divrel import (
     divisors,
     factor,
     kappa,
-    t_weight,
 )
+
+
+def t_weight(f, d: int) -> Fraction:
+    """Reciprocal-exponent weight: prod over primes p | d of 1/v where p^v || n.
+
+    Summing prod_i t_weight(d_i) over the coprime j-tuples gives exactly
+    (j+1)^omega(n), an exact rational oracle for coprime_tuples.
+    """
+    if d < 1 or f.n % d != 0:
+        raise DomainError(f"t_weight: {d} does not divide {f.n}")
+    w = Fraction(1)
+    for p, v in f.parts:
+        if d % p == 0:
+            w *= Fraction(1, v)
+    return w
 
 
 def brute_coprime_count(n: int, j: int) -> int:
@@ -147,6 +161,17 @@ def test_rho_budget_charges_limbs_squared(monkeypatch):
     monkeypatch.setattr(factorcore, "_RHO_MAX_WORK", 15)
     with pytest.raises(ResourceLimitError, match="passed 0 steps of 4\\^2 limb"):
         factor(n)
+
+
+def test_miller_rabin_budget(monkeypatch):
+    # the 12 rounds are charged limbs^3 each, before the first one
+    p = sympy.nextprime(10**60)  # 4 limbs: 768
+    monkeypatch.setattr(factorcore, "_MR_MAX_WORK", 768)
+    assert factor(p).parts == ((p, 1),)
+    monkeypatch.setattr(factorcore, "_MR_MAX_WORK", 767)
+    message = r"^factor: Miller-Rabin: 12 rounds x 4\^3 limbs = 768 exceeds budget 767$"
+    with pytest.raises(ResourceLimitError, match=message):
+        factor(p)
 
 
 def as_tuple(stats):

@@ -26,6 +26,7 @@ BUDGETS = (
     (factorcore, "_MAX_PAIRS", 4096),
     (factorcore, "_MAX_TUPLES", 4096),
     (factorcore, "_RHO_MAX_WORK", 200),
+    (factorcore, "_MR_MAX_WORK", 200),
     (relations, "_SHIFT_MAX_PAIRS", 20_000),
     (relations, "_RESIDUE_MAX_WORK", 4096),
     (regmaps, "_EXACT_E_MAX_NODES", 2000),

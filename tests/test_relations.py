@@ -21,13 +21,12 @@ from divrel import (
     count_sum_triples,
     divisors,
     energy_decomposition,
-    exp_sum,
     factor,
     hooley_delta,
     inequality_report,
     residue_profile,
 )
-from divrel import factorcore, relations
+from divrel import factorcore, regmaps, relations
 from divrel.factorcore import DivisorContext
 from divrel.relations import _lt_e_times
 
@@ -47,14 +46,6 @@ def brute_energy(n: int) -> int:
                     if d1 + d2 == d3 + d4:
                         count += 1
     return count
-
-
-def shifted_count(n: int, m: int) -> int:
-    """Ordered triples with d1 + d2 = d3 + m, m of any sign, through the
-    numpy kernel behind count_sum_triples."""
-    if not -n < m < 2 * n:  # d1 + d2 - d3 always lies in (-n, 2n)
-        return 0
-    return relations._shifted_pairs(divisor_list(n), m)
 
 
 def rep_count(n: int, m: int) -> int:
@@ -114,9 +105,8 @@ def loop_max_shift(divs, sums) -> tuple[int, int]:
 
 
 def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> None:
-    """Energy, decomposition, triples, shifted triples and corollary3
-    against the loop oracles; max_shift, when given, stands in for
-    loop_max_shift's result."""
+    """Energy, decomposition, triples and corollary3 against the loop
+    oracles; max_shift, when given, stands in for loop_max_shift's result."""
     ctx = DivisorContext(n)
     divs = ctx.divs
     sums = loop_pair_sums(divs)
@@ -131,8 +121,6 @@ def check_against_loops(n: int, max_shift: tuple[int, int] | None = None) -> Non
     assert dec.total_energy == energy
     assert {type(x) for x in dec.rows[0] + dec.rows[-1]} == {int}
     assert count_sum_triples(n, ctx=ctx) == sum(sums.get(d, 0) for d in divs)
-    for m in (-1, 0, 1):
-        assert shifted_count(n, m) == sum(sums.get(d + m, 0) for d in divs)
     if ctx.stats.v_max == 1:
         (rec,) = inequality_report(n, "corollary3", ctx=ctx)
         m = dict(rec.params)["m"]
@@ -223,8 +211,6 @@ def test_pair_sum_histogram_dtype_guard():
         dec = energy_decomposition(n)
         assert values.dtype == dec.e.dtype == dec.m.dtype == dtype, n
         check_against_loops(n)
-    assert shifted_count(above, 2 * above - 1) == 1  # n + n - 1
-    assert shifted_count(above, 2 * above) == 0
 
 
 def test_corollary3_ties_take_the_smallest_m(monkeypatch):
@@ -242,7 +228,7 @@ def test_corollary3_ties_take_the_smallest_m(monkeypatch):
 
 
 def test_pair_counts_in_small_ranges(monkeypatch):
-    # ranges and row blocks of a few pairs each, on both dtypes
+    # ranges of a few pairs each, on both dtypes
     for chunk in (1, 7, 100):
         monkeypatch.setattr(relations, "_CHUNK", chunk)
         for n in (1, 2, 12, 30, 360, 15 * (2**61 - 1)):
@@ -250,10 +236,10 @@ def test_pair_counts_in_small_ranges(monkeypatch):
 
 
 def test_pair_triangles_at_odd_tau(monkeypatch):
-    # Past one range the kernels walk each unordered pair once.  An odd tau
-    # leaves the diagonal's last block short: row blocks of 4 and 6 do not
-    # divide tau 15, nor blocks of 5 and 10 tau 183; at tau 15 a _CHUNK of
-    # 1000 holds the whole table in one range and one block.
+    # Past one range the histogram walks each unordered pair once, doubles
+    # the counts and takes one off each diagonal sum 2d; both n are squares,
+    # of odd tau.  At tau 15 a _CHUNK of 1000 holds the whole table in one
+    # range.
     for n, dtype, chunks in (
         (2025, "int64", (7, 60, 100, 1000)),  # tau 15
         (9 * 2**60, "object", (100, 1000, 2000)),  # tau 183
@@ -266,8 +252,6 @@ def test_pair_triangles_at_odd_tau(monkeypatch):
             assert values.dtype == dtype
             assert values.tolist() == sorted(sums), (n, chunk)
             assert counts.tolist() == [sums[s] for s in sorted(sums)], (n, chunk)
-            for m in (-3, 0, 1, 7):
-                assert shifted_count(n, m) == sum(sums.get(d + m, 0) for d in divs), (n, chunk, m)
 
 
 def test_pair_count_memory_is_bounded():
@@ -335,6 +319,41 @@ def test_count_sum_triples_brute_force():
         assert count_sum_triples(n) == brute_triples(n)
 
 
+def test_count_sum_triples_at_large_n():
+    # from an independent count that looked every pair sum up among the divisors
+    for n, tau, count in (
+        (735134400, 1344, 71294),
+        (994593600, 1344, 67300),
+        (6469693230, 1024, 14802),
+        (200560490130, 2048, 39590),
+        (60610578481152000, 1476, 37142),
+        (7420738134810, 4096, 104192),
+        (304250263527210, 8192, 274826),
+        (9 * 2**60, 183, 772),  # past the int64 guard of the pair kernels
+    ):
+        ctx = DivisorContext(n)
+        assert (ctx.stats.tau, count_sum_triples(n, ctx=ctx)) == (tau, count), n
+
+
+def test_one_context_builds_the_sum_table_once(monkeypatch):
+    built = Counter()
+    real = regmaps.build_builtin
+
+    def counting(kind, n, ctx=None):
+        built[kind] += 1
+        return real(kind, n, ctx)
+
+    monkeypatch.setattr(regmaps, "build_builtin", counting)
+    for first_relation in (True, False):
+        built.clear()
+        ctx = DivisorContext(720720)
+        calls = [lambda: inequality_report(720720, "corollary1", ctx=ctx),
+                 lambda: regmaps.builtin_rows(ctx, "thm1a")]
+        for call in calls if first_relation else calls[::-1]:
+            call()
+        assert built["sum"] == 1, built
+
+
 def test_additive_energy_examples():
     assert additive_energy(2) == 6
     assert additive_energy(6) == 32
@@ -351,17 +370,6 @@ def test_rep_count_examples():
     assert rep_count(6, 13) == 0
     for n in (1, 5, 12, 100):
         assert rep_count(n, 2) >= 1
-
-
-def test_shifted_count_examples():
-    assert shifted_count(6, 0) == 4
-    assert shifted_count(6, 1) == 8
-    assert shifted_count(1, 1) == 1
-
-
-def test_shifted_count_matches_triples():
-    for n in range(1, 2001):
-        assert shifted_count(n, 0) == count_sum_triples(n)
 
 
 def test_u_count_examples():
@@ -480,6 +488,11 @@ def test_residue_profile_invariants():
             if (d1 - d2) % q == 0
         )
         assert prof.h_value == brute
+
+
+def exp_sum(n: int, theta: float) -> complex:
+    """Divisor exponential sum W(theta): sum over d | n of exp(2*pi*i*theta*d)."""
+    return sum(cmath.exp(2j * math.pi * theta * d) for d in divisor_list(n))
 
 
 def test_exp_sum_examples():
