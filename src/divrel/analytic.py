@@ -470,22 +470,28 @@ def s_bounds(
         beta = beta_for(alpha, r)
     f = factorcore.factor(n)
     divs = factorcore.divisors(f)
-    h = {d: h_value(alpha, j, f, d) for d in divs}
+    # h_value's sums, with u_weight computed once per distinct exponent.
+    u = {v: u_weight(alpha, j, v) for v in {v for _, v in f.parts}}
+    h = {d: sum(u[v] for p, v in f.parts if d % p == 0) for d in divs}
     avg = a_mean(alpha, j, f)
+    # The bounds come first: a bad beta or r, or a float overflow in xi, is
+    # refused before the walk, and the tuple budget after them.
+    log_kappa = math.log(factorcore.kappa(f, j))
+    log_minus = log_kappa - sum(f_alpha(alpha, j * v) for _, v in f.parts)
+    log_plus = log_kappa - sum(xi(v, alpha, beta, j, r) for _, v in f.parts)
     s = 1 + (j - 1) * r
     lo_thresh = j * (1 - alpha) * avg
     hi_thresh = (1 + beta) * avg
     s_minus = 0
     s_plus = 0
+    weight = h.__getitem__
     for tup in factorcore.coprime_tuples(f, j):
-        hs = sum(h[d] for d in tup)
+        hs = sum(map(weight, tup))
         if hs <= lo_thresh:
             s_minus += 1
-        if (h[tup[0]] + r * (hs - h[tup[0]])) / s >= hi_thresh:
+        h0 = h[tup[0]]
+        if (h0 + r * (hs - h0)) / s >= hi_thresh:
             s_plus += 1
-    log_kappa = math.log(factorcore.kappa(f, j))
-    log_minus = log_kappa - sum(f_alpha(alpha, j * v) for _, v in f.parts)
-    log_plus = log_kappa - sum(xi(v, alpha, beta, j, r) for _, v in f.parts)
     common = {"alpha": alpha, "beta": beta, "r": r, "j": j}
     return (
         make_record("s_minus", n, s_minus, log_minus, **common),

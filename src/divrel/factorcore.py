@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
@@ -24,7 +25,9 @@ _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # in regmaps) and take them from DivisorContext.pair_divs.  At tau = 10^4
 # the histogram holds at most 5 * 10^7 sums, 800 MB.
 _MAX_PAIRS = 10**8
-_MAX_TUPLES = 10**8  # coprime_tuples(): kappa_j(n), about 4 minutes of s_bounds
+# coprime_tuples(): kappa_j(n).  On a 2-core x86 box s_bounds walks 10^8
+# tuples in about 1.5 minutes at j = 2 and 3 minutes at j = 9.
+_MAX_TUPLES = 10**8
 # _rho_split(): steps times the square of n's size in 64-bit limbs, the cost
 # of a step's products mod n, counted as they run.  On a 2-core x86 box a
 # step takes 1.6 us at one limb and 2.2 us at two, so this is 3 * 10^6 or
@@ -249,20 +252,34 @@ def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:
     Exactly kappa(f, j) tuples, one per pick of a choice for each prime power
     p^v of n: unassigned first, then coordinate 1..j with exponent 1..v.  The
     first prime varies slowest.  Refusals are raised at the call, not lazily.
+
+    The tuples of a prefix and of a suffix of the primes, about sqrt(kappa)
+    each, are listed once; each tuple is a prefix tuple times a suffix tuple,
+    coordinatewise, so the stream holds O(sqrt(kappa)) tuples.
     """
     if j < 1:
         raise DomainError(f"coprime_tuples: j must be >= 1, got {j}")
-    check_budget(f"coprime_tuples: kappa_{j}({f.n})", kappa(f, j), _MAX_TUPLES)
-    # (coordinate, factor) picks; "unassigned" multiplies coordinate 0 by 1.
-    choices = [
-        [(0, 1)] + [(i, p**e) for i in range(j) for e in range(1, v + 1)] for p, v in f.parts
-    ]
+    total = kappa(f, j)
+    check_budget(f"coprime_tuples: kappa_{j}({f.n})", total, _MAX_TUPLES)
+    # Split where the prefix's tuple count is nearest sqrt(kappa); a tie
+    # keeps the longer suffix, which is the loop that runs in C.
+    sizes = list(itertools.accumulate((j * v + 1 for _, v in f.parts), operator.mul, initial=1))
+    k = min(range(len(sizes)), key=lambda i: max(sizes[i], total // sizes[i]))
+    prefix = _tuples_of(f.parts[:k], j)
+    columns = list(zip(*_tuples_of(f.parts[k:], j)))
 
     def tuples() -> Iterator[tuple[int, ...]]:
-        for picks in itertools.product(*choices):
-            coords = [1] * j
-            for i, q in picks:
-                coords[i] *= q
-            yield tuple(coords)
+        for head in prefix:
+            yield from zip(*[map(q.__mul__, col) for q, col in zip(head, columns)])
 
     return tuples()
+
+
+def _tuples_of(parts: tuple[tuple[int, int], ...], j: int) -> list[tuple[int, ...]]:
+    """Every coprime j-tuple over the prime powers parts, in coprime_tuples' order."""
+    out = [(1,) * j]
+    for p, v in parts:
+        # (coordinate, factor) picks; "unassigned" multiplies coordinate 0 by 1.
+        picks = [(0, 1)] + [(i, p**e) for i in range(j) for e in range(1, v + 1)]
+        out = [t[:i] + (t[i] * q,) + t[i + 1 :] for t in out for i, q in picks]
+    return out

@@ -495,6 +495,84 @@ def test_s_bounds_brute_force_thresholds():
     assert (rec_lo.lhs, rec_hi.lhs) == (lo, hi)
 
 
+def oracle_s_counts(n, j, alpha, beta=None, r=R_STAR):
+    """(S-, S+) by the loop s_bounds ran before it cached its weights:
+    h_value per divisor and a generator sum per tuple."""
+    if beta is None:
+        beta = beta_for(alpha, r)
+    f = factor(n)
+    h = {d: h_value(alpha, j, f, d) for d in divisors(f)}
+    avg = a_mean(alpha, j, f)
+    s = 1 + (j - 1) * r
+    lo = hi = 0
+    for tup in coprime_tuples(f, j):
+        hs = sum(h[d] for d in tup)
+        if hs <= j * (1 - alpha) * avg:
+            lo += 1
+        if (h[tup[0]] + r * (hs - h[tup[0]])) / s >= (1 + beta) * avg:
+            hi += 1
+    return lo, hi
+
+
+# (exponents, j, alpha): the shapes of divbench's concentration workload.
+CONC_SHAPES = (
+    ((1,) * 10, 2, 0.2),
+    ((1,) * 8, 3, 0.1),
+    ((2, 2, 2, 1, 1, 1, 1, 1), 2, 1 / 3),
+    ((3, 2, 1, 1, 1, 1), 3, 0.2),
+    ((2, 2, 1, 1, 1, 1, 1), 2, 0.2),
+    ((1,) * 6, 3, 1 / 3),
+    ((3, 2, 1, 1, 1, 1), 2, 0.1),
+    ((1,) * 9, 1, 0.2),
+    ((3, 2, 1, 1, 1, 1), 1, 1 / 3),
+)
+SHAPE_PRIMES = (3, 5, 7, 11, 13, 19, 23, 29, 31, 37)
+
+
+def test_s_bounds_counts_match_oracle():
+    cases = [
+        (math.prod(p**v for p, v in zip(SHAPE_PRIMES, exps)), j, alpha, None, R_STAR)
+        for exps, j, alpha in CONC_SHAPES
+    ]
+    # ties on the thresholds: alpha = 0 (every weight 0), beta = 0, r = 1
+    cases += [(30030, j, 0.0, 0.0, 1.0) for j in (1, 2, 3)]
+    cases += [(2**3 * 3**2 * 5 * 7, 2, 0.2, 0.0, 1.0), (2**3 * 3**2 * 5 * 7, 3, 1 / 3, 0.0, R_STAR)]
+    cases += [(1, j, 0.2, None, R_STAR) for j in (1, 2, 3)]
+    cases += [(3**7, j, ALPHA_STAR, None, R_STAR) for j in (1, 2, 3)]
+    for n, j, alpha, beta, r in cases:
+        lo, hi = s_bounds(n, j, alpha, beta=beta, r=r)
+        assert (lo.lhs, hi.lhs) == oracle_s_counts(n, j, alpha, beta, r), (n, j, alpha, beta, r)
+
+
+def test_s_bounds_refuses_bad_parameters_before_the_walk(monkeypatch):
+    nan = math.nan
+    bad = [
+        ((30030, 2, 0.2), {"beta": -0.1}, "beta and r must be >= 0"),
+        ((30030, 2, 0.2), {"beta": nan}, "beta and r must be >= 0"),
+        ((30030, 2, 0.2), {"r": -0.5}, "beta and r must be >= 0"),
+        ((2, 300, 0.5), {"r": 0.0}, "too large for float64"),
+        ((30030, 2, 1.5), {"beta": -0.1}, "alpha must lie in"),
+    ]
+    errors = []
+    for args, kw, match in bad:
+        with pytest.raises(DomainError, match=match) as exc:
+            s_bounds(*args, **kw)
+        errors.append(str(exc.value))
+
+    def no_walk(f, j):
+        raise AssertionError("s_bounds walked the tuples of a refused call")
+
+    monkeypatch.setattr(analytic.factorcore, "coprime_tuples", no_walk)
+    for (args, kw, _), message in zip(bad, errors):
+        with pytest.raises(DomainError) as exc:
+            s_bounds(*args, **kw)
+        assert str(exc.value) == message
+    # beta and r are refused before the tuple budget
+    monkeypatch.setattr(analytic.factorcore, "_MAX_TUPLES", 10)
+    with pytest.raises(DomainError, match="beta and r must be >= 0"):
+        s_bounds(30030, 2, 0.2, beta=-0.1)
+
+
 def test_thm4_split_structured_example():
     n = 2**10 * 3**5 * 5**3 * 7**2
     res = thm4_split(n, 11)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -298,10 +299,23 @@ def recursive_coprime_tuples(f, j):
 
 def test_coprime_tuples_match_recursive_oracle():
     cases = [(n, j) for n in range(1, 3001) for j in (1, 2, 3)]
-    cases += [(6469693230, 2), (9699690, 3), (360360, 3)]
+    cases += [(6469693230, 2), (9699690, 3), (360360, 3), (2**20 * 3 * 5 * 7, 3)]
     for n, j in cases:
         f = factor(n)
         assert list(coprime_tuples(f, j)) == list(recursive_coprime_tuples(f, j)), (n, j)
+
+
+def test_coprime_tuples_stream_stays_lazy():
+    # 3^12 = 531441 tuples; a list of them would take about 60 MB
+    f = factor(math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in coprime_tuples(f, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3**12
+    assert peak < 2 * 2**20, peak
 
 
 def test_t_weight_examples():
