@@ -10,6 +10,7 @@ underlying (alpha, r) pair by direct optimization.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -43,6 +44,8 @@ TAIL_LOG_TERM = 0.63
 
 # Points per block of the xi-ratio scan; bounds its temporaries to a few MiB.
 _XI_CHUNK = 1 << 16
+# Tuple coordinates per block of s_bounds' walk, 512 KiB of float64 weights.
+_S_BLOCK = 1 << 16
 # Most points one xi-ratio scan may take, about 6 s at 0.06 s per 10^6 points.
 _XI_MAX_POINTS = 10**8
 
@@ -465,6 +468,10 @@ def s_bounds(
     (1-alpha) times the average; S+ counts tuples whose (1, r, .., r)-tilted
     weight reaches (1+beta) times the average.  Both are asserted against
     kappa_j(n) * exp(-sum_p f_alpha(j v)) and kappa_j(n) * exp(-sum_p xi(v)).
+
+    A tuple's weight is 0.0 plus its coordinates' weights, added left to
+    right in float64.  The tuples are read from coprime_tuples in blocks of
+    _S_BLOCK coordinates and counted with numpy, so the walk holds one block.
     """
     if beta is None:
         beta = beta_for(alpha, r)
@@ -476,7 +483,8 @@ def s_bounds(
     avg = a_mean(alpha, j, f)
     # The bounds come first: a bad beta or r, or a float overflow in xi, is
     # refused before the walk, and the tuple budget after them.
-    log_kappa = math.log(factorcore.kappa(f, j))
+    total = factorcore.kappa(f, j)
+    log_kappa = math.log(total)
     log_minus = log_kappa - sum(f_alpha(alpha, j * v) for _, v in f.parts)
     log_plus = log_kappa - sum(xi(v, alpha, beta, j, r) for _, v in f.parts)
     s = 1 + (j - 1) * r
@@ -484,14 +492,18 @@ def s_bounds(
     hi_thresh = (1 + beta) * avg
     s_minus = 0
     s_plus = 0
-    weight = h.__getitem__
-    for tup in factorcore.coprime_tuples(f, j):
-        hs = sum(map(weight, tup))
-        if hs <= lo_thresh:
-            s_minus += 1
-        h0 = h[tup[0]]
-        if (h0 + r * (hs - h0)) / s >= hi_thresh:
-            s_plus += 1
+    tuples = factorcore.coprime_tuples(f, j)
+    rows = max(1, _S_BLOCK // j)
+    for done in range(0, total, rows):
+        m = min(rows, total - done)
+        coords = itertools.chain.from_iterable(itertools.islice(tuples, m))
+        w = np.fromiter(map(h.__getitem__, coords), np.float64, m * j).reshape(m, j)
+        hs = 0.0
+        for c in range(j):
+            hs = hs + w[:, c]
+        h0 = w[:, 0]
+        s_minus += int(np.count_nonzero(hs <= lo_thresh))
+        s_plus += int(np.count_nonzero((h0 + r * (hs - h0)) / s >= hi_thresh))
     common = {"alpha": alpha, "beta": beta, "r": r, "j": j}
     return (
         make_record("s_minus", n, s_minus, log_minus, **common),

@@ -113,7 +113,7 @@ def _records_for_n(
         if spec.violation(ctx):
             continue
         if spec.family == "relation":
-            out.extend(relations.inequality_report(ctx.n, bound_id, ctx=ctx))
+            out.extend(relations.relation_rows(ctx, bound_id))
         else:
             out.extend(regmaps.builtin_rows(ctx, bound_id))
     return out

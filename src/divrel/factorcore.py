@@ -26,7 +26,8 @@ _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # the histogram holds at most 5 * 10^7 sums, 800 MB.
 _MAX_PAIRS = 10**8
 # coprime_tuples(): kappa_j(n).  On a 2-core x86 box s_bounds walks 10^8
-# tuples in about 1.5 minutes at j = 2 and 3 minutes at j = 9.
+# tuples in about 1 minute at j = 2 (27 s for the 4.3 * 10^7 of the 16-prime
+# primorial) and 2.6 minutes at j = 9 (158 s for s_bounds(9699690, 9)).
 _MAX_TUPLES = 10**8
 # _rho_split(): steps times the square of n's size in 64-bit limbs, the cost
 # of a step's products mod n, counted as they run.  On a 2-core x86 box a

@@ -38,7 +38,7 @@ from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext, check_budget
-from .records import BoundCheckRecord, applicable_spec, bound, make_record
+from .records import BOUNDS, BoundCheckRecord, applicable_spec, bound, make_record
 from .regmaps import builtin_table
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
@@ -342,9 +342,17 @@ def inequality_report(
     ctx, a DivisorContext of this n, shares its work across bound ids.
     """
     ctx = ctx or DivisorContext(n)
-    spec = applicable_spec(bound_id, "relation", ctx)
+    applicable_spec(bound_id, "relation", ctx)
+    return relation_rows(ctx, bound_id, **params)
+
+
+def relation_rows(
+    ctx: DivisorContext, bound_id: str, **params: object
+) -> list[BoundCheckRecord]:
+    """inequality_report's rows for ctx.n, without its domain check: the
+    caller has checked that the relation bound bound_id applies to ctx.n."""
     try:
-        rows = spec.evaluate(ctx, **params)
+        rows = BOUNDS[bound_id].evaluate(ctx, **params)
     except DomainError as exc:  # a refused parameter, named by the bound it was for
         raise DomainError(f"{bound_id}: {exc}") from None
     return [make_record(bound_id, ctx.n, lhs, log_rhs, **kw) for lhs, log_rhs, kw in rows]

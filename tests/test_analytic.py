@@ -496,8 +496,11 @@ def test_s_bounds_brute_force_thresholds():
 
 
 def oracle_s_counts(n, j, alpha, beta=None, r=R_STAR):
-    """(S-, S+) by the loop s_bounds ran before it cached its weights:
-    h_value per divisor and a generator sum per tuple."""
+    """(S-, S+) by a plain loop over the tuples: h_value per divisor, and
+    each tuple's weight 0.0 plus its coordinates' weights, left to right.
+
+    The loop pins that order: sum() of floats is compensated on Python 3.12
+    and later, so it could round a tie differently."""
     if beta is None:
         beta = beta_for(alpha, r)
     f = factor(n)
@@ -506,7 +509,9 @@ def oracle_s_counts(n, j, alpha, beta=None, r=R_STAR):
     s = 1 + (j - 1) * r
     lo = hi = 0
     for tup in coprime_tuples(f, j):
-        hs = sum(h[d] for d in tup)
+        hs = 0.0
+        for d in tup:
+            hs += h[d]
         if hs <= j * (1 - alpha) * avg:
             lo += 1
         if (h[tup[0]] + r * (hs - h[tup[0]])) / s >= (1 + beta) * avg:
@@ -542,6 +547,36 @@ def test_s_bounds_counts_match_oracle():
     for n, j, alpha, beta, r in cases:
         lo, hi = s_bounds(n, j, alpha, beta=beta, r=r)
         assert (lo.lhs, hi.lhs) == oracle_s_counts(n, j, alpha, beta, r), (n, j, alpha, beta, r)
+
+
+def test_s_bounds_block_boundaries(monkeypatch):
+    # blocks of one coordinate (smaller than a tuple), a few, and one tuple
+    # short of or past the whole stream
+    cases = [
+        (math.prod(p**v for p, v in zip(SHAPE_PRIMES, exps)), j, alpha)
+        for exps, j, alpha in CONC_SHAPES[4:]
+    ]
+    cases += [(n, j, ALPHA_STAR) for n in (1, 3**7) for j in (1, 2, 3)]
+    for n, j, alpha in cases:
+        want = oracle_s_counts(n, j, alpha)
+        kap = kappa(factor(n), j)
+        for block in sorted({1, 2, 5, (kap - 1) * j, (kap + 1) * j}):
+            monkeypatch.setattr(analytic, "_S_BLOCK", block)
+            lo, hi = s_bounds(n, j, alpha)
+            assert (lo.lhs, hi.lhs) == want, (n, j, alpha, block)
+
+
+def test_s_bounds_walk_is_blockwise():
+    # 3^12 = 531441 tuples; a list of their weights alone would take 8.5 MB
+    n = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    tracemalloc.start()
+    try:
+        lo, hi = s_bounds(n, 2, ALPHA_STAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lo.lhs, hi.lhs) == (94449, 80096)
+    assert peak < 4 * 2**20, peak
 
 
 def test_s_bounds_refuses_bad_parameters_before_the_walk(monkeypatch):

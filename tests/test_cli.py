@@ -24,7 +24,7 @@ from divrel import (
     regmaps,
 )
 from divrel.cli import format_records_csv, format_records_json, main, parse_records_json
-from divrel.records import BOUNDS
+from divrel.records import BOUNDS, BoundSpec
 
 # The tests' own copy of the sweepable bound ids, so the oracles below do not
 # share the registry they check.
@@ -446,10 +446,13 @@ def test_one_n_sweep_computes_each_piece_once(capsys, monkeypatch):
     counted(regmaps, "check_regularity")
     counted(factorcore, "factor")
     counted(factorcore, "divisors")
-    # 30 is squarefree, so every bound id applies
+    counted(BoundSpec, "violation")
+    # 30 is squarefree, so every bound id applies; each is domain-checked once
     code, _, _ = run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-lo", "30", "--n-hi", "30")
     assert code == 0
-    assert calls == {"build_builtin": 4, "check_regularity": 4, "factor": 1, "divisors": 1}
+    assert calls == {
+        "build_builtin": 4, "check_regularity": 4, "factor": 1, "divisors": 1, "violation": 13,
+    }
 
 
 def test_sweep_header_only_when_no_rows(capsys, tmp_path):
