@@ -42,11 +42,11 @@ TAIL_ARG2_COEFF = 0.29677163413447
 TAIL_DELTA_FLOOR = 0.0450722
 TAIL_LOG_TERM = 0.63
 
-# Points per block of the xi-ratio scan; bounds its temporaries to a few MiB.
-_XI_CHUNK = 1 << 16
+# Points per block of the xi-ratio scan: each 128 KiB temporary stays in L2.
+_XI_CHUNK = 1 << 14
 # Tuple coordinates per block of s_bounds' walk, 512 KiB of float64 weights.
 _S_BLOCK = 1 << 16
-# Most points one xi-ratio scan may take, about 6 s at 0.06 s per 10^6 points.
+# Most points one xi-ratio scan may take, about 3.6 s at 0.036 s per 10^6 points.
 _XI_MAX_POINTS = 10**8
 
 # s_bounds and thm4_split produce these asserted rows in pairs, so they have
@@ -112,7 +112,8 @@ def _xi_terms(xp, v, alpha: float, beta: float, j: int, r: float) -> tuple:
     u = _u(xp, alpha, j, v)
     s = 1 + (j - 1) * r
     num = 1 + v * xp.exp(u / s) + (j - 1) * v * xp.exp(r * u / s)
-    return num, -xp.log(num / (j * v + 1)) + (1 + beta) * v * u / (j * v + 1)
+    t = j * v + 1
+    return num, -xp.log(num / t) + (1 + beta) * v * u / t
 
 
 def f_alpha(alpha: float, x: float) -> float:
@@ -182,7 +183,11 @@ def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
             return num, xi_v
     except OverflowError:
         pass
-    raise DomainError(f"xi: v = {v} and j = {j} are too large for float64 evaluation")
+    raise _overflow_error(v, j)
+
+
+def _overflow_error(v: float, j: int) -> DomainError:
+    return DomainError(f"xi: v = {v} and j = {j} are too large for float64 evaluation")
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
@@ -200,9 +205,20 @@ def _check_scan_size(v_max: int) -> None:
         raise ResourceLimitError(f"xi scan: v_max = {v_max} exceeds cap {_XI_MAX_POINTS}")
 
 
+@functools.lru_cache(maxsize=4)
+def _xi_columns(j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 (v, log(j*v+1)) for v = lo..hi: the scan's
+    parameter-free columns, kept for at most four blocks (1 MiB)."""
+    v = np.arange(lo, hi + 1, dtype=np.float64)
+    log_t = np.log(j * v + 1)
+    v.flags.writeable = log_t.flags.writeable = False  # shared by every scan
+    return v, log_t
+
+
 def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
     """(min over v = 1..v_max of xi(v)/log(j*v+1) - delta, first v attaining it),
-    in float64 blocks of _XI_CHUNK points; parameters are checked as for xi."""
+    in float64 blocks of _XI_CHUNK points; parameters, and float overflow
+    in the numerator, are refused as by xi."""
     _check_scan_size(v_max)
     alpha, beta, j, r = params.alpha, params.beta, params.j, params.r
     _check_xi(1, alpha, beta, j, r)
@@ -211,10 +227,15 @@ def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
     min_margin = math.inf
     argmin_v = 1
     for lo in range(1, v_max + 1, _XI_CHUNK):
-        vs = np.arange(lo, min(v_max, lo + _XI_CHUNK - 1) + 1, dtype=np.float64)
-        margins = _xi_terms(np, vs, alpha, beta, j, r)[1] / np.log(j * vs + 1)
+        v, log_t = _xi_columns(j, lo, min(v_max, lo + _XI_CHUNK - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, margins = _xi_terms(np, v, alpha, beta, j, r)
+        margins /= log_t
         margins -= params.delta
         i = int(np.argmin(margins))
+        # a numerator that is not finite makes the least margin -inf or NaN
+        if not math.isfinite(margins[i]) and not np.isfinite(num).all():
+            raise _overflow_error(lo + int(np.argmin(np.isfinite(num))), j)
         if margins[i] < min_margin:
             min_margin = float(margins[i])
             argmin_v = lo + i
@@ -343,6 +364,23 @@ OPT_R_BOUNDS = (0.05, 1.95)
 OPT_GRID = (24, 20)
 
 
+def _opt_grid() -> tuple[np.ndarray, tuple[float, float]]:
+    """The search objective at v = 512 over the OPT_GRID cells, one scan per
+    alpha row over columns of r and beta, and the first cell at its maximum."""
+    alphas = np.linspace(*OPT_ALPHA_BOUNDS, OPT_GRID[0])
+    rs = np.linspace(*OPT_R_BOUNDS, OPT_GRID[1])
+    v, log_t = _xi_columns(2, 1, 512)
+    cells = np.empty(OPT_GRID)
+    for row, alpha in zip(cells, alphas.tolist()):
+        beta = np.array([beta_for(alpha, r) for r in rs.tolist()])
+        xis = _xi_terms(np, v, alpha, beta[:, None], 2, rs[:, None])[1]
+        gain = np.minimum(f_alpha(alpha, 2) / math.log(3), (xis / log_t).min(axis=1))
+        gain = np.minimum(gain, _xi_ratio_limit(alpha, beta, rs))
+        row[:] = np.where(beta < 0, -math.inf, gain)
+    a, r = np.unravel_index(np.argmax(cells), OPT_GRID)
+    return cells, (float(alphas[a]), float(rs[r]))
+
+
 def optimize_constants(
     v_search: int = 10_000, v_certify: int = 10**6
 ) -> tuple[float, float, float]:
@@ -366,17 +404,9 @@ def optimize_constants(
         limit = _xi_ratio_limit(alpha, beta_for(alpha, r), r)
         return min(pair_exponent_gain(alpha, r, v_max), limit)
 
-    na, nr = OPT_GRID
-    best = (-math.inf, a_lo, r_lo)
-    for alpha in np.linspace(a_lo, a_hi, na):
-        for r in np.linspace(r_lo, r_hi, nr):
-            val = search_objective(float(alpha), float(r), 512)
-            if val > best[0]:
-                best = (val, float(alpha), float(r))
-
     result = minimize(
         lambda x: -search_objective(x[0], x[1], v_search),
-        x0=[best[1], best[2]],
+        x0=list(_opt_grid()[1]),
         method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 600},
     )
@@ -412,14 +442,16 @@ def lemma45_scan() -> LemmaScanReport:
     """
     alphas = np.arange(1, 100, dtype=np.float64) / 100
     xs = 0.01 * np.arange(1, 10_001, dtype=np.float64)
+    log_x1 = np.log(xs + 1)
+    mask = xs >= 1
+    xs_ge1 = xs[mask]
     worst_step = math.inf
     worst_dom = math.inf
     for alpha in alphas:
         fa = _f(np, alpha, xs)
-        ratio = fa / np.log(xs + 1)
+        ratio = fa / log_x1
         worst_step = min(worst_step, float(np.min(np.diff(ratio))))
-        mask = xs >= 1
-        worst_dom = min(worst_dom, float(np.min(_ell(np, alpha, xs[mask]) - fa[mask])))
+        worst_dom = min(worst_dom, float(np.min(_ell(np, alpha, xs_ge1) - fa[mask])))
 
     worst_sum = math.inf
     s_grid = np.arange(10_001, dtype=np.float64)

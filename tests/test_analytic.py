@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_xi_float_overflow_is_a_domain_error():
         xi(1e262, 0.2, beta_for(0.2, R_STAR), 2, R_STAR)
 
 
+def test_xi_scan_refuses_float_overflow_like_xi():
+    # the scan names the first v whose numerator overflows, as xi does, and
+    # numpy warns of nothing on the way
+    assert math.isfinite(xi(7880, 0.2, 0.3, 60, 0.0))
+    for j, v, v_max in ((400, 1, 1000), (60, 7881, 10**6)):
+        msg = f"xi: v = {v} and j = {j} are too large for float64 evaluation"
+        with pytest.raises(DomainError, match=msg):
+            xi(v, 0.2, 0.3, j, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=msg):
+                verify_xi_range(AnalyticParams(0.2, 0.3, 0.0, j, 0.01), v_max)
+
+
 def test_delta_j_values():
     assert delta_j(1) == pytest.approx(1 - (LN3 / LN2 - 2 / 3), abs=1e-12)
     assert delta_j(2) == pytest.approx(0.03459863270029111, abs=1e-12)
@@ -253,7 +268,13 @@ def _one_shot_scan(params, v_max):
     return float(margins[i]), i + 1
 
 
-@pytest.mark.parametrize("v_max", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+# Block boundaries of the scan, at its first block and at four blocks, the
+# most its column cache keeps.
+_CHUNK = analytic._XI_CHUNK
+_EDGES = [e + d for e in (_CHUNK, 4 * _CHUNK) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("v_max", [1, *_EDGES, 10**6])
 def test_xi_scan_matches_one_shot_oracle(v_max):
     # the least margin lies at v = 1 for the standard pair and at v = v_max
     # for (0.2, 1.5), whose ratio falls; at alpha = 0 every v ties, so v = 1
@@ -263,6 +284,19 @@ def test_xi_scan_matches_one_shot_oracle(v_max):
         AnalyticParams(0.0, 0.0, 1.0, 2, 0.001),
     ):
         assert analytic._xi_margin_scan(params, v_max) == _one_shot_scan(params, v_max)
+
+
+def test_xi_scan_columns_are_kept_per_arity_and_range():
+    # scans that alternate j and v_max over the same blocks: a cached column
+    # read under the wrong key would change the result
+    for v_max in (500, _CHUNK + 7, 500, 3 * _CHUNK):
+        for j in (1, 2, 3, 2, 1):
+            params = AnalyticParams.from_alpha_r(0.2, 0.5, j=j)
+            assert analytic._xi_margin_scan(params, v_max) == _one_shot_scan(params, v_max)
+    v, log_t = analytic._xi_columns(2, 1, 10)
+    for column in (v, log_t):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
 
 
 def test_xi_scan_memory_is_bounded():
@@ -363,6 +397,24 @@ def test_optimizer_quick_budget_recovers_constants():
     assert delta >= 0.045072
     assert abs(alpha - ALPHA_STAR) <= 1e-3
     assert abs(r - R_STAR) <= 1e-2
+
+
+def test_opt_grid_matches_per_cell_oracle():
+    # the search objective evaluated cell by cell is the reference for the
+    # grid scanned one alpha row at a time, cell values and start alike
+    cells, start = analytic._opt_grid()
+    alphas = np.linspace(*analytic.OPT_ALPHA_BOUNDS, analytic.OPT_GRID[0]).tolist()
+    rs = np.linspace(*analytic.OPT_R_BOUNDS, analytic.OPT_GRID[1]).tolist()
+    best = (-math.inf, alphas[0], rs[0])
+    for a, alpha in enumerate(alphas):
+        for k, r in enumerate(rs):
+            limit = analytic._xi_ratio_limit(alpha, beta_for(alpha, r), r)
+            val = min(pair_exponent_gain(alpha, r, 512), limit)
+            assert cells[a, k] == val, (alpha, r)
+            if val > best[0]:
+                best = (val, alpha, r)
+    assert start == best[1:]
+    assert np.isneginf(cells).any() and np.isfinite(cells).any()
 
 
 def test_objective_at_named_points():
