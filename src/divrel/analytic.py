@@ -169,8 +169,8 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
 
 def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
     _check_u(alpha, j, v)  # first, as a bad alpha also makes beta < 0
-    if not (beta >= 0 and r >= 0):  # also refuses NaN
-        raise DomainError(f"xi: beta and r must be >= 0, got beta={beta}, r={r}")
+    if not (0 <= beta < math.inf and 0 <= r < math.inf):  # also refuses NaN
+        raise DomainError(f"xi: beta and r must be finite and >= 0, got beta={beta}, r={r}")
 
 
 def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:

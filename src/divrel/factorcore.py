@@ -20,10 +20,10 @@ from .errors import DomainError, ResourceLimitError
 # kernel raises ResourceLimitError before it allocates, or, where the work is
 # not known in advance, as soon as its count passes the budget.
 _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
-# The pair kernels count over the tau(n)^2 ordered pairs of divisors (the
-# pair-sum histogram and sum triples in relations, the sum and midpoint maps
-# in regmaps) and take them from DivisorContext.pair_divs.  At tau = 10^4
-# the histogram holds at most 5 * 10^7 sums, 800 MB.
+# A pair kernel is charged the pairs of divisors it visits: the pair-sum
+# histogram all tau(n)^2 before the divisors are listed (at most 5 * 10^7
+# sums, 800 MB, at tau = 10^4); the map walks the pairs they test, row by row
+# (the 16-prime primorial, tau 65536, passes in 10 to 26 s on 2 x86 cores).
 _MAX_PAIRS = 10**8
 # coprime_tuples(): kappa_j(n).  On a 2-core x86 box s_bounds walks 10^8
 # tuples in about 1 minute at j = 2 (27 s for the 4.3 * 10^7 of the 16-prime
@@ -228,12 +228,6 @@ class DivisorContext:
     def divs(self) -> tuple[int, ...]:
         return divisors(self.factorization)
 
-    def pair_divs(self, kernel: str) -> tuple[int, ...]:
-        """divs, for a kernel that walks all tau^2 ordered pairs of them;
-        refused past _MAX_PAIRS before the divisors are listed."""
-        check_budget(f"{kernel}: tau({self.n})^2 pairs", self.stats.tau**2, _MAX_PAIRS)
-        return self.divs
-
     def kappa(self, j: int) -> int:
         value = self._kappa.get(j)
         if value is None:
@@ -245,6 +239,13 @@ class DivisorContext:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+
+def context_of(n: int, ctx: DivisorContext | None) -> DivisorContext:
+    """ctx, refused unless it is a context of n; a new context of n for None."""
+    if ctx is not None and ctx.n != n:
+        raise DomainError(f"a DivisorContext of {ctx.n} was given for n = {n}")
+    return ctx or DivisorContext(n)
 
 
 def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:

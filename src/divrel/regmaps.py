@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 from . import factorcore
 from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
-from .factorcore import DivisorContext
+from .factorcore import DivisorContext, context_of
 from .records import BOUNDS, BoundCheckRecord, BoundSpec, _build_record, applicable_spec, bound
 
 
@@ -134,27 +134,27 @@ def f_value(table: MapTable) -> int:
 
 def builtin_sum_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
     """g(d1, d2) = d1 + d2 on coprime pairs whose sum divides n coprimely."""
-    divs = (ctx or DivisorContext(n)).pair_divs("sum map")
-    entries = {}
+    divs = context_of(n, ctx).divs
+    entries, tested = {}, 0
     for i, a in enumerate(divs):
-        for b in divs[i:]:
+        for j in range(i, len(divs)):
+            b = divs[j]
             s = a + b
             # gcd(a + b, a) = gcd(b, a), so an entry's a, b, s are pairwise coprime: a*b*s | n
             if a * b * s > n:
                 break
             if n % s == 0 and math.gcd(a, b) == 1:
                 entries[a, b] = entries[b, a] = s
+        tested += j - i + 1  # the pairs of row i, the one that broke it too
+        if tested > factorcore._MAX_PAIRS:  # the message is made only on refusal
+            factorcore.check_budget(f"sum map of {n}: pairs tested", tested, factorcore._MAX_PAIRS)
     return MapTable(n, 2, entries)
 
 
 def builtin_successor_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
     """g(t_i) = t_{i+1} on divisors coprime to their successor."""
-    divs = (ctx or DivisorContext(n)).divs
-    entries = {}
-    for i in range(len(divs) - 1):
-        if math.gcd(divs[i], divs[i + 1]) == 1:
-            entries[(divs[i],)] = divs[i + 1]
-    return MapTable(n, 1, entries)
+    divs = context_of(n, ctx).divs
+    return MapTable(n, 1, {(a,): b for a, b in zip(divs, divs[1:]) if math.gcd(a, b) == 1})
 
 
 def builtin_midpoint_map(
@@ -167,9 +167,9 @@ def builtin_midpoint_map(
     """
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
-    divs = (ctx or DivisorContext(n)).pair_divs("midpoint map")
+    divs = context_of(n, ctx).divs
     step = 2 if variant == "exact" else 1
-    entries = {}
+    entries, tested = {}, 0
     for i, a in enumerate(divs):
         for j in range(i, len(divs), step):
             b, val = divs[j], divs[(i + j) // 2]
@@ -177,6 +177,10 @@ def builtin_midpoint_map(
                 break
             if math.gcd(a, b) == 1 and math.gcd(val, a * b) == 1:
                 entries[a, b] = entries[b, a] = val
+        tested += (j - i) // step + 1
+        if tested > factorcore._MAX_PAIRS:
+            walk = f"midpoint-{variant} map of {n}: pairs tested"
+            factorcore.check_budget(walk, tested, factorcore._MAX_PAIRS)
     return MapTable(n, 2, entries)
 
 
@@ -188,10 +192,8 @@ def build_builtin(kind: str, n: int, ctx: DivisorContext | None = None) -> MapTa
         return builtin_sum_map(n, ctx)
     if kind == "successor":
         return builtin_successor_map(n, ctx)
-    if kind == "midpoint-exact":
-        return builtin_midpoint_map(n, "exact", ctx)
-    if kind == "midpoint-floor":
-        return builtin_midpoint_map(n, "floor", ctx)
+    if kind in ("midpoint-exact", "midpoint-floor"):
+        return builtin_midpoint_map(n, kind.removeprefix("midpoint-"), ctx)
     raise DomainError(f"unknown builtin map kind: {kind!r}")
 
 
@@ -257,11 +259,9 @@ def bound_check(
     ctx, a DivisorContext of table.n, supplies the factorization, its
     statistics and kappa without recomputing them.
     """
-    ctx = ctx or DivisorContext(table.n)
+    ctx = context_of(table.n, ctx)
     spec = applicable_spec(bound_id, "map", ctx, table.j)
-    if reg is None:
-        reg = check_regularity(table)
-    return _map_row(bound_id, spec, ctx, _checked(table, reg))
+    return _map_row(bound_id, spec, ctx, _checked(table, reg or check_regularity(table)))
 
 
 def builtin_rows(ctx: DivisorContext, bound_id: str) -> list[BoundCheckRecord]:

@@ -23,7 +23,7 @@ ints from the primitive solutions that the built-in sum map lists (see
 count_sum_triples).
 
 Each kernel refuses work past its own budget before it allocates anything:
-the pair kernels tau^2 (factorcore's _MAX_PAIRS), corollary3 and residues.
+the pair-sum histogram (tau^2 pairs), corollary3 and residues.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
-from .factorcore import DivisorContext, check_budget
+from .factorcore import DivisorContext, check_budget, context_of
 from .records import BOUNDS, BoundCheckRecord, applicable_spec, bound, make_record
 from .regmaps import builtin_table
 
@@ -181,7 +181,8 @@ def _as_array(divs: tuple[int, ...]) -> np.ndarray:
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n, counted once per context."""
-    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.pair_divs("pair sums")))
+    check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
+    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
 
 
 def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
@@ -192,8 +193,7 @@ def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
     n / (a*b*(a + b)); so the count is the sum of tau(n / (a*b*(a + b)))
     over the map's entries, each tau read off n's own primes.
     """
-    ctx = ctx or DivisorContext(n)
-    ctx.pair_divs("sum triples")  # the sum map's pair budget, refused as this kernel
+    ctx = context_of(n, ctx)
     total = 0
     for (a, b), s in builtin_table(ctx, "sum").entries.items():
         q, tau = a * b * s, 1
@@ -208,13 +208,13 @@ def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
 
 def additive_energy(n: int, ctx: DivisorContext | None = None) -> int:
     """Ordered quadruples of divisors with d1 + d2 = d3 + d4."""
-    counts = _pair_sums(ctx or DivisorContext(n))[1]
+    counts = _pair_sums(context_of(n, ctx))[1]
     return int(counts @ counts)
 
 
 def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDecomposition:
     """Partition all tau(n)^2 ordered pair sums into (e, m) cells."""
-    ctx = ctx or DivisorContext(n)
+    ctx = context_of(n, ctx)
 
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
@@ -292,10 +292,9 @@ def hooley_delta(n: int, ctx: DivisorContext | None = None) -> int:
     a divisor d, so it equals the maximum over divisors d of the count of
     divisors in [d, e*d); e*d is irrational, making the half-open form exact.
     """
-    divs = (ctx or DivisorContext(n)).divs
+    divs = context_of(n, ctx).divs
     tau = len(divs)
-    best = 0
-    hi = 0
+    best = hi = 0
     for lo in range(tau):
         while hi < tau and _lt_e_times(divs[hi], divs[lo]):
             hi += 1
@@ -313,7 +312,7 @@ def residue_profile(n: int, q: int, ctx: DivisorContext | None = None) -> Residu
         raise DomainError(f"residue_profile: q must be >= 2, got {q}")
     if math.gcd(n, q) != 1:
         raise DomainError(f"residue_profile: gcd({n}, {q}) != 1")
-    ctx = ctx or DivisorContext(n)
+    ctx = context_of(n, ctx)
     check_budget(f"residues: tau({n}) + q", ctx.stats.tau + q, _RESIDUE_MAX_WORK)
     counts = [0] * q
     for d in ctx.divs:
@@ -341,7 +340,7 @@ def inequality_report(
     params go to the bound's evaluator (eq4.1 takes e, thm4 takes q).
     ctx, a DivisorContext of this n, shares its work across bound ids.
     """
-    ctx = ctx or DivisorContext(n)
+    ctx = context_of(n, ctx)
     applicable_spec(bound_id, "relation", ctx)
     return relation_rows(ctx, bound_id, **params)
 

@@ -182,6 +182,16 @@ def test_xi_domain():
         xi(0.5, 0.2, 0.2, 2, 1.0)
     with pytest.raises(DomainError, match="beta and r"):
         xi(1, 0.2, -0.1, 2, 1.0)
+    # an infinite beta or r is refused as a negative one is, not certified
+    inf = math.inf
+    for call, got in (
+        (lambda: xi(1, 0.2, inf, 2, 0.5), "beta=inf, r=0.5"),
+        (lambda: xi(1, 0.2, 0.3, 2, inf), "beta=0.3, r=inf"),
+        (lambda: verify_xi_range(AnalyticParams(0.2, inf, 0.5, 2, 0.01), 10), "beta=inf, r=0.5"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"xi: beta and r must be finite and >= 0, got {got}"
 
 
 def test_weights_refuse_non_finite_points():
@@ -319,8 +329,8 @@ def test_xi_scan_refuses_out_of_domain_params():
     for params, match in (
         (AnalyticParams.from_alpha_r(1.5, R_STAR), "alpha must lie in"),
         (AnalyticParams.from_alpha_r(nan, R_STAR), "alpha must lie in"),
-        (AnalyticParams.from_alpha_r(0.999, R_STAR), "beta and r must be >= 0"),
-        (AnalyticParams.from_alpha_r(ALPHA_STAR, nan), "beta and r must be >= 0"),
+        (AnalyticParams.from_alpha_r(0.999, R_STAR), "beta and r must be finite and >= 0"),
+        (AnalyticParams.from_alpha_r(ALPHA_STAR, nan), "beta and r must be finite and >= 0"),
         (AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR, delta=nan), "delta must be finite"),
         (AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR, delta=math.inf), "delta must be finite"),
     ):
@@ -634,9 +644,9 @@ def test_s_bounds_walk_is_blockwise():
 def test_s_bounds_refuses_bad_parameters_before_the_walk(monkeypatch):
     nan = math.nan
     bad = [
-        ((30030, 2, 0.2), {"beta": -0.1}, "beta and r must be >= 0"),
-        ((30030, 2, 0.2), {"beta": nan}, "beta and r must be >= 0"),
-        ((30030, 2, 0.2), {"r": -0.5}, "beta and r must be >= 0"),
+        ((30030, 2, 0.2), {"beta": -0.1}, "beta and r must be finite and >= 0"),
+        ((30030, 2, 0.2), {"beta": nan}, "beta and r must be finite and >= 0"),
+        ((30030, 2, 0.2), {"r": -0.5}, "beta and r must be finite and >= 0"),
         ((2, 300, 0.5), {"r": 0.0}, "too large for float64"),
         ((30030, 2, 1.5), {"beta": -0.1}, "alpha must lie in"),
     ]
@@ -656,7 +666,7 @@ def test_s_bounds_refuses_bad_parameters_before_the_walk(monkeypatch):
         assert str(exc.value) == message
     # beta and r are refused before the tuple budget
     monkeypatch.setattr(analytic.factorcore, "_MAX_TUPLES", 10)
-    with pytest.raises(DomainError, match="beta and r must be >= 0"):
+    with pytest.raises(DomainError, match="beta and r must be finite and >= 0"):
         s_bounds(30030, 2, 0.2, beta=-0.1)
 
 

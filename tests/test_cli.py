@@ -630,9 +630,6 @@ def test_resource_error_exit(capsys, monkeypatch):
         (["exact-e", "--n", "1", "--j", "20000", "--k", "1"], "max(tau(1), 2)^20000 exceeds guard 12"),
         (["energy", "--n", hc], f"pair sums: tau({hc})^2 pairs = 462422016 exceeds budget"),
         (["energy", "--n", hc, "--decompose"], "pair sums: tau"),
-        (["triples", "--n", hc], "sum triples: tau"),
-        (["map", "build", "--kind", "sum", "--n", hc], "sum map: tau"),
-        (["map", "check", "--kind", "midpoint-floor", "--n", hc], "midpoint map: tau"),
         (["sweep", "--bounds", "corollary3", "--n-lo", "6469693230", "--n-hi", "6469693230"],
          "corollary3: tau(6469693230) * pair sums = 372686848 exceeds budget"),  # tau 1024
         (["residues", "--n", "6", "--q", "1000000000000001"], "tau(6) + q = 1000000000000005"),
@@ -640,6 +637,18 @@ def test_resource_error_exit(capsys, monkeypatch):
         (["factor", "--n", str(1000000007 * 1000000009)], "passed 1000 steps"),
         # the Mersenne prime 2^11213 - 1, 3376 digits, before its first round
         (["factor", "--n", str(2**11213 - 1)], "Miller-Rabin: 12 rounds x 176^3 limbs"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: resource:"), argv
+        assert measure in err, (argv, err)
+    # the map walks are charged the pairs they test: at tau 240 the sum map
+    # tests 2159 pairs and the midpoint-floor map more
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 2000)
+    for argv, measure in (
+        (["triples", "--n", "720720"], "sum map of 720720: pairs tested = "),
+        (["map", "build", "--kind", "sum", "--n", "720720"], "sum map of 720720: pairs tested"),
+        (["map", "check", "--kind", "midpoint-floor", "--n", "720720"],
+         "midpoint-floor map of 720720: pairs tested"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: resource:"), argv

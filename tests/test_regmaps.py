@@ -425,19 +425,43 @@ def test_exact_E_guard():
         exact_E(1, 4, 1)
 
 
+def walk_rows(kind, n):
+    """Per row of a pair map's walk, the pairs it tests, the one whose
+    product passes n included, counted one pair at a time."""
+    divs = divisors(factor(n))
+    step = 2 if kind == "midpoint-exact" else 1
+    rows = []
+    for i, a in enumerate(divs):
+        rows.append(0)
+        for j in range(i, len(divs), step):
+            rows[-1] += 1
+            val = a + divs[j] if kind == "sum" else divs[(i + j) // 2]
+            if a * divs[j] * val > n:
+                break
+    return rows
+
+
 def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
     from divrel import factorcore
-    from divrel.factorcore import DivisorContext
 
-    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 100)
-    assert build_builtin("successor", 60).n == 60  # tau 12, but no pair walk
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 1)
+    assert build_builtin("successor", 60).n == 60  # no pair walk
     for kind in ("sum", "midpoint-exact", "midpoint-floor"):
-        build_builtin(kind, 48)  # tau 10: 100 pairs
-        ctx = DivisorContext(60)
-        refusal = rf"^{kind.split('-')[0]} map: tau\(60\)\^2 pairs = 144 exceeds budget 100$"
-        with pytest.raises(ResourceLimitError, match=refusal):
-            build_builtin(kind, 60, ctx)
-        assert "divs" not in vars(ctx)  # refused before the divisors were listed
+        for n in (60, 720720):
+            rows = walk_rows(kind, n)
+            tested = sum(rows)
+            monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested)
+            build_builtin(kind, n)  # admitted at exactly the pairs it tests
+            # one pair fewer is refused after the last row, with the count so far
+            monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested - 1)
+            refusal = rf"^{kind} map of {n}: pairs tested = {tested} exceeds budget {tested - 1}$"
+            with pytest.raises(ResourceLimitError, match=refusal):
+                build_builtin(kind, n)
+            # a budget the first rows pass is refused after the row that passes it
+            monkeypatch.setattr(factorcore, "_MAX_PAIRS", rows[0])
+            refusal = rf"^{kind} map of {n}: pairs tested = {rows[0] + rows[1]} exceeds"
+            with pytest.raises(ResourceLimitError, match=refusal):
+                build_builtin(kind, n)
 
 
 def test_exact_E_below_kappa_power_bound():

@@ -1,6 +1,7 @@
 """Additive and congruence relation counts on divisor sets."""
 
 import cmath
+import inspect
 import math
 import random
 import tracemalloc
@@ -284,19 +285,35 @@ def test_corollary3_memory_is_bounded():
 
 def test_pair_kernels_refuse_past_the_pair_budget(monkeypatch):
     monkeypatch.setattr(factorcore, "_MAX_PAIRS", 100)
-    assert count_sum_triples(48) == brute_triples(48)  # tau 10: 100 pairs
-    kernels = {
-        "pair sums": (additive_energy, energy_decomposition,
-                      lambda n, ctx: inequality_report(n, "corollary3", ctx)),
-        "sum triples": (count_sum_triples,),
-    }
-    for kernel, calls in kernels.items():
-        for call in calls:
-            ctx = DivisorContext(210)  # squarefree, tau 16
-            with pytest.raises(ResourceLimitError) as exc:
-                call(210, ctx)
-            assert str(exc.value) == f"{kernel}: tau(210)^2 pairs = 256 exceeds budget 100"
-            assert "divs" not in vars(ctx)  # refused before the divisors were listed
+    assert additive_energy(48) == brute_energy(48)  # tau 10: 100 pairs
+    calls = (additive_energy, energy_decomposition,
+             lambda n, ctx: inequality_report(n, "corollary3", ctx))
+    for call in calls:
+        ctx = DivisorContext(210)  # squarefree, tau 16
+        with pytest.raises(ResourceLimitError) as exc:
+            call(210, ctx)
+        assert str(exc.value) == "pair sums: tau(210)^2 pairs = 256 exceeds budget 100"
+        assert "divs" not in vars(ctx)  # refused before the divisors were listed
+
+
+def test_sum_triples_are_charged_the_sum_map_walk(monkeypatch):
+    # the pairs (a, b), a <= b, that the sum map's walk tests: each row
+    # stops at the first a*b*(a + b) > n, which is tested too
+    divs = divisor_list(720720)
+    tested = sum(
+        next((j - i + 1 for j in range(i, len(divs)) if a * divs[j] * (a + divs[j]) > 720720),
+             len(divs) - i)
+        for i, a in enumerate(divs)
+    )
+    assert tested < len(divs) ** 2 // 20
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested)
+    members = set(divs)
+    assert count_sum_triples(720720) == sum(a + b in members for a in divs for b in divs)
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested - 1)
+    refusal = f"sum map of 720720: pairs tested = {tested} exceeds budget {tested - 1}"
+    with pytest.raises(ResourceLimitError) as exc:
+        count_sum_triples(720720)
+    assert str(exc.value) == refusal
 
 
 def test_corollary3_refuses_past_its_pair_budget(monkeypatch):
@@ -329,10 +346,44 @@ def test_count_sum_triples_at_large_n():
         (60610578481152000, 1476, 37142),
         (7420738134810, 4096, 104192),
         (304250263527210, 8192, 274826),
+        (13082761331670030, 16384, 726344),
         (9 * 2**60, 183, 772),  # past the int64 guard of the pair kernels
     ):
         ctx = DivisorContext(n)
         assert (ctx.stats.tau, count_sum_triples(n, ctx=ctx)) == (tau, count), n
+
+
+def test_a_context_of_another_n_is_refused():
+    calls = {
+        "count_sum_triples": lambda ctx: count_sum_triples(6, ctx=ctx),
+        "additive_energy": lambda ctx: additive_energy(6, ctx=ctx),
+        "energy_decomposition": lambda ctx: energy_decomposition(6, ctx=ctx),
+        "hooley_delta": lambda ctx: hooley_delta(6, ctx=ctx),
+        "residue_profile": lambda ctx: residue_profile(6, 5, ctx=ctx),
+        "inequality_report": lambda ctx: inequality_report(6, "thm3b", ctx=ctx),
+        "builtin_sum_map": lambda ctx: regmaps.builtin_sum_map(6, ctx=ctx),
+        "builtin_successor_map": lambda ctx: regmaps.builtin_successor_map(6, ctx=ctx),
+        "builtin_midpoint_map": lambda ctx: regmaps.builtin_midpoint_map(6, "floor", ctx=ctx),
+        "build_builtin": lambda ctx: regmaps.build_builtin("sum", 6, ctx),
+        "bound_check": lambda ctx: regmaps.bound_check(
+            regmaps.build_builtin("sum", 6), "thm1a", ctx=ctx),
+    }
+    # every public function that takes an optional context is called
+    optional_ctx = {
+        name
+        for module in (relations, regmaps)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        and "ctx" in inspect.signature(fn).parameters
+        and inspect.signature(fn).parameters["ctx"].default is None
+    }
+    assert optional_ctx == set(calls)
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as exc:
+            call(DivisorContext(30))
+        assert str(exc.value) == "a DivisorContext of 30 was given for n = 6", name
+        call(DivisorContext(6))
 
 
 def test_one_context_builds_the_sum_table_once(monkeypatch):
