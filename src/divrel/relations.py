@@ -58,12 +58,6 @@ _LOG_2_3 = math.log(2 / 3)
 # bound; at this split 2^((2+C_EXP) + (1-C_EXP)(1-eta)) equals ENERGY_BASE.
 ENERGY_SPLIT_ETA = 0.2702949686
 
-# Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
-# (-n, 2n), and the sums m + d3 that corollary3 looks up for such m below
-# 3n.  While 2n is below this limit all of them fit int64; from it on the
-# arrays hold exact Python ints (object dtype) and the same code runs on them.
-_INT64_SUMS = 2**62
-
 # No temporary array of the pair counts below holds more than about this
 # many pairs, so their working memory stays a few MB at any tau.
 _CHUNK = 1 << 18
@@ -175,8 +169,14 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_array(divs: tuple[int, ...]) -> np.ndarray:
-    """divs as int64 while 2n < _INT64_SUMS, else as exact Python ints."""
-    return np.array(divs, dtype=np.int64 if 2 * divs[-1] < _INT64_SUMS else object)
+    """divs as int64 while 2n < factorcore._INT64_SUMS, else as exact Python ints.
+
+    Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
+    (-n, 2n), and the sums m + d3 that corollary3 looks up for such m below
+    3n.  While 2n < _INT64_SUMS all of them fit int64; from it on the arrays
+    hold exact Python ints (object dtype) and the same code runs on them.
+    """
+    return np.array(divs, dtype=np.int64 if 2 * divs[-1] < factorcore._INT64_SUMS else object)
 
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:

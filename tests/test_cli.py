@@ -641,8 +641,10 @@ def test_resource_error_exit(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: resource:"), argv
         assert measure in err, (argv, err)
-    # the map walks are charged the pairs they test: at tau 240 the sum map
-    # tests 2159 pairs and the midpoint-floor map more
+    # the map walks are charged the pairs they test: at tau 240, where the
+    # numpy walk builds them, the sum map tests 2159 pairs and the
+    # midpoint-floor map more
+    assert len(factorcore.DivisorContext(720720).divs) >= regmaps._NUMPY_MIN_TAU
     monkeypatch.setattr(factorcore, "_MAX_PAIRS", 2000)
     for argv, measure in (
         (["triples", "--n", "720720"], "sum map of 720720: pairs tested = "),

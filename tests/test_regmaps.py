@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from divrel import (
@@ -28,6 +30,7 @@ from divrel import (
     map_from_json,
     map_to_json,
 )
+from divrel import factorcore, regmaps
 from divrel.factorcore import DivisorContext
 from divrel.records import BOUNDS
 from divrel.regmaps import _collisions, builtin_rows, map_violations
@@ -441,12 +444,15 @@ def walk_rows(kind, n):
     return rows
 
 
-def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
-    from divrel import factorcore
+PAIR_KINDS = ("sum", "midpoint-exact", "midpoint-floor")
 
+
+def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
     monkeypatch.setattr(factorcore, "_MAX_PAIRS", 1)
     assert build_builtin("successor", 60).n == 60  # no pair walk
-    for kind in ("sum", "midpoint-exact", "midpoint-floor"):
+    # 60 takes the row walk, 720720 (tau 240) the numpy walk
+    assert arith_stats(factor(720720)).tau >= regmaps._NUMPY_MIN_TAU > arith_stats(factor(60)).tau
+    for kind in PAIR_KINDS:
         for n in (60, 720720):
             rows = walk_rows(kind, n)
             tested = sum(rows)
@@ -462,6 +468,87 @@ def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
             refusal = rf"^{kind} map of {n}: pairs tested = {rows[0] + rows[1]} exceeds"
             with pytest.raises(ResourceLimitError, match=refusal):
                 build_builtin(kind, n)
+
+
+# 2n = 2^62 is the int64 limit: 30 * 2^56 is below it, 30 * 2^57 past it
+INT64_BELOW, INT64_ABOVE = 30 * 2**56, 30 * 2**57
+# One member of each divbench point-hc template, tau 1344, 256, 480, 384, 432
+HC_MEMBERS = (
+    735134400,
+    9699690,
+    2**4 * 3**2 * 5 * 7 * 11 * 13 * 10000019,
+    2**3 * 3**3 * 5**2 * 7 * 11 * 13,
+    2**2 * 3**2 * 5**2 * 7 * 11 * 17 * 10000019,
+)
+
+
+def row_walk(kind, n):
+    divs = divisors(factor(n))
+    return regmaps._sum_walk(n, divs) if kind == "sum" else regmaps._midpoint_walk(n, divs, kind)
+
+
+def assert_walks_agree(n):
+    """The numpy walk gives the row walk's entries in its order and is
+    charged walk_rows' count on every row, whatever the crossover is."""
+    ctx = DivisorContext(n)
+    d = np.array(ctx.divs, dtype=np.int64)
+    for kind in PAIR_KINDS:
+        assert list(regmaps._numpy_walk(ctx, kind).items()) == list(row_walk(kind, n).items()), (n, kind)
+        assert regmaps._numpy_rows(n, d, kind)[0].tolist() == walk_rows(kind, n), (n, kind)
+
+
+def test_numpy_walk_matches_the_row_walk():
+    for n in [*range(1, 3001), *HC_MEMBERS, INT64_BELOW]:
+        assert_walks_agree(n)
+
+
+def test_numpy_walk_matches_the_row_walk_at_tau_16384():
+    assert_walks_agree(13082761331670030)
+
+
+def test_pair_maps_take_the_numpy_walk_from_the_crossover_below_the_int64_limit(monkeypatch):
+    # tau 168 and 192 on each side of the crossover, then tau 232 and 236
+    # on each side of the int64 limit
+    assert 168 < regmaps._NUMPY_MIN_TAU <= 192
+    taken = []
+    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append(ctx.n) or {})
+    for n, numpy in ((221760, False), (332640, True), (INT64_BELOW, True), (INT64_ABOVE, False)):
+        for kind in PAIR_KINDS:
+            taken.clear()
+            table = build_builtin(kind, n)
+            assert taken == ([n] if numpy else []), (n, kind)
+            if not numpy:
+                assert list(table.entries.items()) == list(row_walk(kind, n).items())
+    # past the limit the row walk's table is the ordered-pair oracle's
+    divs = divisors(factor(INT64_ABOVE))
+    assert builtin_sum_map(INT64_ABOVE).entries == oracle_sum_map(INT64_ABOVE, divs)
+    for variant in ("exact", "floor"):
+        assert builtin_midpoint_map(INT64_ABOVE, variant).entries == oracle_midpoint_map(divs, variant)
+
+
+def test_a_refused_numpy_walk_lists_no_candidate(monkeypatch):
+    # with one block for every candidate, an admitted walk allocates at least
+    # one int64 column of them; a refused walk stops at its per-row arrays
+    n = 735134400
+    monkeypatch.setattr(regmaps, "_BLOCK", 1 << 22)
+    for kind in PAIR_KINDS:
+        ctx = DivisorContext(n)
+        tested, candidates = regmaps._numpy_rows(n, np.array(ctx.divs, dtype=np.int64), kind)
+        ctx.stats, ctx.factorization  # worked out before tracing
+        column = 8 * int(candidates.sum())
+        peaks = []
+        for budget in (int(tested.sum()) - 1, int(tested.sum())):
+            monkeypatch.setattr(factorcore, "_MAX_PAIRS", budget)
+            tracemalloc.start()
+            try:
+                regmaps._numpy_walk(ctx, kind)
+            except ResourceLimitError:
+                assert budget < tested.sum()
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        refused, admitted = peaks
+        assert refused < column < admitted, (kind, refused, column, admitted)
 
 
 def test_exact_E_below_kappa_power_bound():

@@ -298,8 +298,10 @@ def test_pair_kernels_refuse_past_the_pair_budget(monkeypatch):
 
 def test_sum_triples_are_charged_the_sum_map_walk(monkeypatch):
     # the pairs (a, b), a <= b, that the sum map's walk tests: each row
-    # stops at the first a*b*(a + b) > n, which is tested too
+    # stops at the first a*b*(a + b) > n, which is tested too; at tau 240
+    # the sum map is built by the numpy walk
     divs = divisor_list(720720)
+    assert len(divs) >= regmaps._NUMPY_MIN_TAU
     tested = sum(
         next((j - i + 1 for j in range(i, len(divs)) if a * divs[j] * (a + divs[j]) > 720720),
              len(divs) - i)
