@@ -226,10 +226,10 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 
 
 def _load_table(args: argparse.Namespace) -> regmaps.MapTable:
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file) as handle:
             return regmaps.map_from_json(handle.read())
-    if getattr(args, "kind", None) and getattr(args, "n", None) is not None:
+    if args.kind and args.n is not None:
         return regmaps.build_builtin(args.kind, args.n)
     raise DomainError("map: provide --file or both --kind and --n")
 
@@ -327,6 +327,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.n_lo, args.n_hi
     if lo < 1 or hi < lo:
         raise DomainError(f"sweep: bad range [{lo}, {hi}]")
+    if args.workers < 1:
+        raise DomainError(f"sweep: --workers must be at least 1, got {args.workers}")
     task = (bounds, args.squarefree_only, args.format)
     size = max(1, (hi - lo + 1) // (4 * args.workers)) if args.workers > 1 else _SERIAL_CHUNK
     tasks = ((start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size))

@@ -24,13 +24,9 @@ _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # histogram all tau(n)^2 before the divisors are listed (at most 5 * 10^7
 # sums, 800 MB, at tau = 10^4); the map walks the pairs they test, row by row
 # (on 2 x86 cores the numpy walk takes 0.75 s for 6.6 * 10^7 pairs at tau
-# 60000; past 2n = 2^62 the row walk passes the 16-prime primorial, tau
-# 65536, in 10 to 27 s).
+# 60000, and 1 to 2 s for the 3.3 to 6.6 * 10^7 of the 16-prime primorial,
+# tau 65536, in exact Python ints).
 _MAX_PAIRS = 10**8
-# Exact int64 arithmetic on the divisors of n and their pair sums, which lie
-# in [2, 2n], holds while 2n is below this limit; the numpy kernels switch
-# to exact Python ints (object dtype) or to Python loops from it on.
-_INT64_SUMS = 2**62
 # coprime_tuples(): kappa_j(n).  On a 2-core x86 box s_bounds walks 10^8
 # tuples in about 1 minute at j = 2 (27 s for the 4.3 * 10^7 of the 16-prime
 # primorial) and 2.6 minutes at j = 9 (158 s for s_bounds(9699690, 9)).
@@ -220,7 +216,6 @@ class DivisorContext:
     def __init__(self, n: int) -> None:
         self.n = n
         self._memo: dict = {}
-        self._kappa: dict[int, int] = {}
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -235,10 +230,7 @@ class DivisorContext:
         return divisors(self.factorization)
 
     def kappa(self, j: int) -> int:
-        value = self._kappa.get(j)
-        if value is None:
-            value = self._kappa[j] = kappa(self.factorization, j)
-        return value
+        return self.memo(("kappa", j), lambda: kappa(self.factorization, j))
 
     def memo(self, key: object, compute: Callable[[], T]) -> T:
         """compute() on the first call for key; the kept value after that."""

@@ -158,65 +158,61 @@ def builtin_midpoint_map(
     return MapTable(n, 2, _pair_entries(context_of(n, ctx), f"midpoint-{variant}"))
 
 
-# The pair maps are built by the numpy walk from this tau(n) on, while
-# 2n < 2^62; below it the numpy walk's fixed cost, about 0.2 ms, loses.  On
-# a 2-core x86 box (best of 300) the row walks of the sum, midpoint-exact
-# and midpoint-floor maps took 0.11, 0.15 and 0.25 ms at tau 128 (510510)
-# against 0.19, 0.19 and 0.22 ms for the numpy walks, and 0.22, 0.24 and
-# 0.40 ms at tau 192 (332640) against 0.21, 0.20 and 0.22 ms.
+# The pair maps are built by the numpy walk from this tau(n) on; below it
+# the numpy walk's fixed cost, about 0.2 ms, loses.  On a 2-core x86 box
+# (best of 300) the row walks of the sum, midpoint-exact and midpoint-floor
+# maps took 0.11, 0.15 and 0.25 ms at tau 128 (510510) against 0.19, 0.19
+# and 0.22 ms for the numpy walks, and 0.22, 0.24 and 0.40 ms at tau 192
+# (332640) against 0.21, 0.20 and 0.22 ms.
 _NUMPY_MIN_TAU = 192
 # A candidate block of the numpy walk holds at most about this many pairs.
 _BLOCK = 1 << 14
+# The divisors of n, their pair sums (in [2, 2n]) and every other value the
+# numpy kernels form from them (shifts in (-n, 2n), lookups below 3n) fit
+# int64 while 2n is below this limit; from it on the kernels run the same
+# code on exact Python ints (object dtype).
+_INT64_SUMS = 2**62
+
+
+def _as_array(divs: tuple[int, ...]) -> np.ndarray:
+    """divs as int64 while 2n < _INT64_SUMS, else as exact Python ints."""
+    return np.array(divs, dtype=np.int64 if 2 * divs[-1] < _INT64_SUMS else object)
 
 
 def _pair_entries(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
-    """The entries of the pair map kind of ctx.n, from the walk that suits n."""
-    if ctx.stats.tau >= _NUMPY_MIN_TAU and 2 * ctx.n < factorcore._INT64_SUMS:
+    """The entries of the pair map kind of ctx.n, from the walk that suits tau."""
+    if ctx.stats.tau >= _NUMPY_MIN_TAU:
         return _numpy_walk(ctx, kind)
-    if kind == "sum":
-        return _sum_walk(ctx.n, ctx.divs)
-    return _midpoint_walk(ctx.n, ctx.divs, kind)
+    return _row_walk(ctx.n, ctx.divs, kind)
 
 
-def _sum_walk(n: int, divs: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """The sum map's entries, walked row by row in Python ints."""
-    entries, tested = {}, 0
-    for i, a in enumerate(divs):
-        for j in range(i, len(divs)):
-            b = divs[j]
-            s = a + b
-            # gcd(a + b, a) = gcd(b, a), so an entry's a, b, s are pairwise coprime: a*b*s | n
-            if a * b * s > n:
-                break
-            if n % s == 0 and math.gcd(a, b) == 1:
-                entries[a, b] = entries[b, a] = s
-        tested += j - i + 1  # the pairs of row i, the one that broke it too
-        if tested > factorcore._MAX_PAIRS:  # the message is made only on refusal
-            factorcore.check_budget(f"sum map of {n}: pairs tested", tested, factorcore._MAX_PAIRS)
-    return entries
+def _row_walk(n: int, divs: tuple[int, ...], kind: str) -> dict[tuple[int, int], int]:
+    """The entries of the pair map kind, walked row by row in Python ints.
 
-
-def _midpoint_walk(n: int, divs: tuple[int, ...], kind: str) -> dict[tuple[int, int], int]:
-    """The entries of the midpoint map kind, walked row by row in Python ints."""
-    step = 2 if kind == "midpoint-exact" else 1
+    An entry's a, b, val are pairwise coprime, so a*b*val | n and a row ends
+    at its first pair with a*b*val > n.  gcd(a + b, a) = gcd(b, a), so a
+    coprime pair's sum is coprime to both: the sum map needs only val | n.
+    """
+    step, is_sum = (2 if kind == "midpoint-exact" else 1), kind == "sum"
     entries, tested = {}, 0
     for i, a in enumerate(divs):
         for j in range(i, len(divs), step):
-            b, val = divs[j], divs[(i + j) // 2]
-            if a * b * val > n:  # an entry's a, b, val are pairwise coprime: a*b*val | n
+            b = divs[j]
+            val = a + b if is_sum else divs[(i + j) // 2]
+            if a * b * val > n:
                 break
-            if math.gcd(a, b) == 1 and math.gcd(val, a * b) == 1:
+            if math.gcd(a, b) == 1 and (n % val == 0 if is_sum else math.gcd(val, a * b) == 1):
                 entries[a, b] = entries[b, a] = val
-        tested += (j - i) // step + 1
-        if tested > factorcore._MAX_PAIRS:
+        tested += (j - i) // step + 1  # the pairs of row i, the one that broke it too
+        if tested > factorcore._MAX_PAIRS:  # the message is made only on refusal
             factorcore.check_budget(f"{kind} map of {n}: pairs tested", tested, factorcore._MAX_PAIRS)
     return entries
 
 
 def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i of the walk of the pair map kind over the int64 divisors d
-    of n, the pairs it tests and the pairs before the one that ends it, the
-    candidates.
+    """Per row i of the walk of the pair map kind over the divisors d of n
+    (as _as_array gives them), the pairs it tests and the pairs before the
+    one that ends it, the candidates.
 
     Pair k of row i is (i, i + step*k); it ends the row when
     val > (n // a) // b, the same as a*b*val > n without overflow.  That
@@ -246,22 +242,22 @@ def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
 def _numpy_walk(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
     """The row walk's entries, in its order, from numpy blocks of rows.
 
-    Needs 2n < 2^62.  The walk is charged the row walk's tested pairs, and
-    refused with its count and text, before any candidate is listed.  Two
-    divisors are coprime when their bitmasks of n's primes do not meet;
-    omega(n) <= 15 below 2^61, so the masks fit int16.
+    The walk is charged the row walk's tested pairs, and refused with its
+    count and text, before any candidate is listed.  Two divisors are
+    coprime when their bitmasks of n's primes do not meet; the divisors
+    budget keeps omega(n) <= 20, so the masks fit int32.
     """
     n, tau = ctx.n, ctx.stats.tau
-    d = np.array(ctx.divs, dtype=np.int64)
+    d = _as_array(ctx.divs)
     tested, candidates = _numpy_rows(n, d, kind)
     charged = np.cumsum(tested)
     over = int(np.searchsorted(charged, factorcore._MAX_PAIRS, side="right"))
     if over < tau:
         factorcore.check_budget(f"{kind} map of {n}: pairs tested", int(charged[over]), factorcore._MAX_PAIRS)
     step = 2 if kind == "midpoint-exact" else 1
-    masks = np.zeros(tau, dtype=np.int16)
+    masks = np.zeros(tau, dtype=np.int32)
     for bit, (p, _) in enumerate(ctx.factorization.parts):
-        masks |= (d % p == 0).astype(np.int16) << bit
+        masks |= (d % p == 0).astype(np.int32) << bit
     listed = np.cumsum(candidates)  # the candidates of rows 0..r
     entries: dict[tuple[int, int], int] = {}
     r0 = 0

@@ -39,7 +39,7 @@ from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext, check_budget, context_of
 from .records import BOUNDS, BoundCheckRecord, applicable_spec, bound, make_record
-from .regmaps import builtin_table
+from .regmaps import _as_array, builtin_table
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
 # divisors of a squarefree n share one fixed sum.
@@ -166,17 +166,6 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         counts *= 2
         counts[np.searchsorted(values, 2 * a)] -= 1
     return values, counts
-
-
-def _as_array(divs: tuple[int, ...]) -> np.ndarray:
-    """divs as int64 while 2n < factorcore._INT64_SUMS, else as exact Python ints.
-
-    Pair sums of divisors of n lie in [2, 2n], the shifts d1 + d2 - d3 in
-    (-n, 2n), and the sums m + d3 that corollary3 looks up for such m below
-    3n.  While 2n < _INT64_SUMS all of them fit int64; from it on the arrays
-    hold exact Python ints (object dtype) and the same code runs on them.
-    """
-    return np.array(divs, dtype=np.int64 if 2 * divs[-1] < factorcore._INT64_SUMS else object)
 
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:

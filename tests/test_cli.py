@@ -477,6 +477,13 @@ def test_sweep_rejects_empty_range(capsys):
     assert err == "error: domain: sweep: bad range [5, 4]\n"
 
 
+def test_sweep_rejects_fewer_than_one_worker(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "--bounds", "thm3a", "--n-hi", "4", "--workers", workers)
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: sweep: --workers must be at least 1, got {workers}\n"
+
+
 def test_sweep_squarefree_only_keeps_squarefree_rows(capsys):
     argv = ("sweep", "--bounds", "thm3b,c2", "--n-hi", "40")
     code, full, _ = run(capsys, *argv)

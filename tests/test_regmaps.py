@@ -6,7 +6,6 @@ import random
 import tracemalloc
 from collections import defaultdict
 
-import numpy as np
 import pytest
 
 from divrel import (
@@ -450,10 +449,12 @@ PAIR_KINDS = ("sum", "midpoint-exact", "midpoint-floor")
 def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
     monkeypatch.setattr(factorcore, "_MAX_PAIRS", 1)
     assert build_builtin("successor", 60).n == 60  # no pair walk
-    # 60 takes the row walk, 720720 (tau 240) the numpy walk
+    # 60 takes the row walk, 720720 (tau 240) the numpy walk, and 30 * 2^57
+    # (tau 236) the numpy walk on object arrays
     assert arith_stats(factor(720720)).tau >= regmaps._NUMPY_MIN_TAU > arith_stats(factor(60)).tau
+    assert arith_stats(factor(INT64_ABOVE)).tau >= regmaps._NUMPY_MIN_TAU
     for kind in PAIR_KINDS:
-        for n in (60, 720720):
+        for n in (60, 720720, INT64_ABOVE):
             rows = walk_rows(kind, n)
             tested = sum(rows)
             monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested)
@@ -483,22 +484,22 @@ HC_MEMBERS = (
 
 
 def row_walk(kind, n):
-    divs = divisors(factor(n))
-    return regmaps._sum_walk(n, divs) if kind == "sum" else regmaps._midpoint_walk(n, divs, kind)
+    return regmaps._row_walk(n, divisors(factor(n)), kind)
 
 
 def assert_walks_agree(n):
     """The numpy walk gives the row walk's entries in its order and is
     charged walk_rows' count on every row, whatever the crossover is."""
     ctx = DivisorContext(n)
-    d = np.array(ctx.divs, dtype=np.int64)
+    d = regmaps._as_array(ctx.divs)
     for kind in PAIR_KINDS:
         assert list(regmaps._numpy_walk(ctx, kind).items()) == list(row_walk(kind, n).items()), (n, kind)
         assert regmaps._numpy_rows(n, d, kind)[0].tolist() == walk_rows(kind, n), (n, kind)
 
 
 def test_numpy_walk_matches_the_row_walk():
-    for n in [*range(1, 3001), *HC_MEMBERS, INT64_BELOW]:
+    # past the int64 limit: tau 236, and tau 5120 at omega 8
+    for n in [*range(1, 3001), *HC_MEMBERS, INT64_BELOW, INT64_ABOVE, 9699690 * 2**38]:
         assert_walks_agree(n)
 
 
@@ -506,20 +507,22 @@ def test_numpy_walk_matches_the_row_walk_at_tau_16384():
     assert_walks_agree(13082761331670030)
 
 
-def test_pair_maps_take_the_numpy_walk_from_the_crossover_below_the_int64_limit(monkeypatch):
-    # tau 168 and 192 on each side of the crossover, then tau 232 and 236
-    # on each side of the int64 limit
+def test_pair_maps_take_the_numpy_walk_from_the_crossover_at_any_n(monkeypatch):
+    # tau 168 and 192 on each side of the crossover and tau 232 below the
+    # int64 limit, then tau 124 and 236 on each side of the crossover past it
     assert 168 < regmaps._NUMPY_MIN_TAU <= 192
     taken = []
     monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append(ctx.n) or {})
-    for n, numpy in ((221760, False), (332640, True), (INT64_BELOW, True), (INT64_ABOVE, False)):
+    cases = ((221760, False), (332640, True), (INT64_BELOW, True), (3 * 2**61, False), (INT64_ABOVE, True))
+    for n, numpy in cases:
         for kind in PAIR_KINDS:
             taken.clear()
             table = build_builtin(kind, n)
             assert taken == ([n] if numpy else []), (n, kind)
             if not numpy:
                 assert list(table.entries.items()) == list(row_walk(kind, n).items())
-    # past the limit the row walk's table is the ordered-pair oracle's
+    monkeypatch.undo()
+    # past the limit the numpy walk's table is the ordered-pair oracle's
     divs = divisors(factor(INT64_ABOVE))
     assert builtin_sum_map(INT64_ABOVE).entries == oracle_sum_map(INT64_ABOVE, divs)
     for variant in ("exact", "floor"):
@@ -528,12 +531,12 @@ def test_pair_maps_take_the_numpy_walk_from_the_crossover_below_the_int64_limit(
 
 def test_a_refused_numpy_walk_lists_no_candidate(monkeypatch):
     # with one block for every candidate, an admitted walk allocates at least
-    # one int64 column of them; a refused walk stops at its per-row arrays
-    n = 735134400
+    # one int64 column of them; a refused walk stops at its per-row arrays,
+    # int64 at 735134400 and object past the int64 limit (tau 744)
     monkeypatch.setattr(regmaps, "_BLOCK", 1 << 22)
-    for kind in PAIR_KINDS:
+    for n, kind in itertools.product((735134400, 2**61 * 315), PAIR_KINDS):
         ctx = DivisorContext(n)
-        tested, candidates = regmaps._numpy_rows(n, np.array(ctx.divs, dtype=np.int64), kind)
+        tested, candidates = regmaps._numpy_rows(n, regmaps._as_array(ctx.divs), kind)
         ctx.stats, ctx.factorization  # worked out before tracing
         column = 8 * int(candidates.sum())
         peaks = []
@@ -548,7 +551,7 @@ def test_a_refused_numpy_walk_lists_no_candidate(monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
         refused, admitted = peaks
-        assert refused < column < admitted, (kind, refused, column, admitted)
+        assert refused < column < admitted, (n, kind, refused, column, admitted)
 
 
 def test_exact_E_below_kappa_power_bound():
