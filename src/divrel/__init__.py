@@ -52,6 +52,7 @@ from .regmaps import (
     f_value,
     map_from_json,
     map_to_json,
+    map_violations,
 )
 from .relations import (
     C_EXP,

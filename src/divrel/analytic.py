@@ -132,7 +132,10 @@ def ell_alpha(alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if not 1 <= x < math.inf:
         raise DomainError(f"ell_alpha: x must be finite and >= 1, got {x}")
-    return _ell(math, alpha, x)
+    value = _ell(math, alpha, x)
+    if not math.isfinite(value):  # alpha*x overflowed: inf - inf
+        raise DomainError(f"ell_alpha: x = {x} is too large for float64 evaluation")
+    return value
 
 
 def _check_u(alpha: float, j: int, v: float) -> None:
@@ -146,7 +149,10 @@ def _check_u(alpha: float, j: int, v: float) -> None:
 def u_weight(alpha: float, j: int, v: float) -> float:
     """Per-prime additive weight j*log((alpha*j*v+1)/(1-alpha))."""
     _check_u(alpha, j, v)
-    return _u(math, alpha, j, v)
+    value = _u(math, alpha, j, v)
+    if not math.isfinite(value):
+        raise DomainError(f"u_weight: v = {v} and j = {j} are too large for float64 evaluation")
+    return value
 
 
 def h_value(alpha: float, j: int, f: factorcore.Factorization, d: int) -> float:

@@ -258,7 +258,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                     "k3": report.k3,
                     "k": report.k,
                     "k_strong": report.k_strong,
-                    "domain_regular": report.domain_regular,
+                    "domain_regular": not regmaps.map_violations(table),
                 },
                 sort_keys=True,
             )

@@ -15,7 +15,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class RegularityReport:
     k3: int | None
     k: int
     k_strong: int
-    domain_regular: bool
     witness1: tuple | None = None
     witness2: tuple | None = None
     witness3: tuple | None = None
@@ -108,7 +107,8 @@ def _max_with_witness(buckets: dict) -> tuple[int, tuple | None]:
 
 
 def check_regularity(table: MapTable) -> RegularityReport:
-    """Exact minimal k for each condition by counting collisions in the table."""
+    """Exact minimal k for each condition by counting collisions in the
+    table; its domain contract is left to map_violations."""
     b1: dict = defaultdict(list)
     b2: dict = defaultdict(list)
     b3: dict = defaultdict(list)
@@ -124,9 +124,7 @@ def check_regularity(table: MapTable) -> RegularityReport:
     if table.j < 2:
         k3, w3 = None, None
     k = max(k1, k2)
-    return RegularityReport(
-        k1, k2, k3, k, max(k, k3 or 0), not map_violations(table), w1, w2, w3
-    )
+    return RegularityReport(k1, k2, k3, k, max(k, k3 or 0), w1, w2, w3)
 
 
 def f_value(table: MapTable) -> int:
@@ -301,52 +299,39 @@ def build_builtin(kind: str, n: int, ctx: DivisorContext | None = None) -> MapTa
     raise DomainError(f"unknown builtin map kind: {kind!r}")
 
 
-class CheckedTable(NamedTuple):
-    """A map table with what every map bound reads of it, worked out once."""
-
-    table: MapTable
-    reg: RegularityReport
-    size: int  # |U_g|
-    log_size: float | None  # log |U_g|, or None for an empty table
-    kind: str | None = None  # the built-in kind it was built as
-
-
-def _checked(table: MapTable, reg: RegularityReport, kind: str | None = None) -> CheckedTable:
-    size = f_value(table)
-    return CheckedTable(table, reg, size, math.log(size) if size > 0 else None, kind)
-
-
 def builtin_table(ctx: DivisorContext, kind: str) -> MapTable:
     """The built-in map of ctx.n of the given kind, built once per context."""
     return ctx.memo(("builtin", kind), lambda: build_builtin(kind, ctx.n, ctx=ctx))
 
 
-def builtin_maps(ctx: DivisorContext) -> tuple[CheckedTable, ...]:
-    """Every built-in map of ctx.n, built and checked once per context."""
+def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityReport], ...]:
+    """(kind, table, report) for every built-in map of ctx.n, built and
+    counted once per context; the tables are valid by construction."""
 
-    def compute() -> tuple[CheckedTable, ...]:
-        out = []
-        for kind in BUILTIN_KINDS:
-            table = builtin_table(ctx, kind)
-            out.append(_checked(table, check_regularity(table), kind))
-        return tuple(out)
+    def compute() -> tuple:
+        tables = [(kind, builtin_table(ctx, kind)) for kind in BUILTIN_KINDS]
+        return tuple((kind, table, check_regularity(table)) for kind, table in tables)
 
     return ctx.memo("builtin_maps", compute)
 
 
 def _map_row(
-    bound_id: str, spec: BoundSpec, ctx: DivisorContext, t: CheckedTable, *tail: tuple
+    bound_id: str,
+    spec: BoundSpec,
+    ctx: DivisorContext,
+    table: MapTable,
+    reg: RegularityReport,
+    *tail: tuple,
 ) -> BoundCheckRecord:
     """bound_id's row for a table in its domain; the tail params go last."""
-    table, reg = t.table, t.reg
-    if not reg.domain_regular:
-        raise DomainError(f"{bound_id}: {map_violations(table)[0]}")
     try:
         log_rhs, params = spec.evaluate(ctx, table, reg)
     except OverflowError:  # an arity past float range, read from a table file
         raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
+    size = f_value(table)
+    log_size = math.log(size) if size > 0 else None
     return _build_record(
-        bound_id, table.n, t.size, t.log_size, log_rhs, (("j", table.j), *params, *tail)
+        bound_id, table.n, size, log_size, log_rhs, (("j", table.j), *params, *tail)
     )
 
 
@@ -365,19 +350,21 @@ def bound_check(
     """
     ctx = context_of(table.n, ctx)
     spec = applicable_spec(bound_id, "map", ctx, table.j)
-    return _map_row(bound_id, spec, ctx, _checked(table, reg or check_regularity(table)))
+    if problems := map_violations(table):
+        raise DomainError(f"{bound_id}: {problems[0]}")
+    return _map_row(bound_id, spec, ctx, table, reg or check_regularity(table))
 
 
 def builtin_rows(ctx: DivisorContext, bound_id: str) -> list[BoundCheckRecord]:
     """bound_id's rows over the built-in tables of ctx.n of the arity it
     takes, in BUILTIN_KINDS order: each is bound_check's row for the table
     with map=kind added.  The caller has checked that bound_id applies to
-    ctx.n, and each table was checked once for all map bounds."""
+    ctx.n, and each table was counted once for all map bounds."""
     spec = BOUNDS[bound_id]
     return [
-        _map_row(bound_id, spec, ctx, t, ("map", t.kind))
-        for t in builtin_maps(ctx)
-        if spec.arity is None or spec.arity == t.table.j
+        _map_row(bound_id, spec, ctx, table, reg, ("map", kind))
+        for kind, table, reg in builtin_maps(ctx)
+        if spec.arity is None or spec.arity == table.j
     ]
 
 

@@ -223,6 +223,15 @@ def test_xi_float_overflow_is_a_domain_error():
         xi(1e262, 0.2, beta_for(0.2, R_STAR), 2, R_STAR)
 
 
+def test_ell_and_u_weight_refuse_a_result_past_float64():
+    # alpha*x overflows to inf, so ell would be inf - inf = nan and u inf
+    with pytest.raises(DomainError, match=r"^ell_alpha: x = 1.7e\+308 is too large for float64"):
+        ell_alpha(0.6, 1.7e308)
+    with pytest.raises(DomainError, match=r"^u_weight: v = 1.7e\+308 and j = 2 are too large"):
+        u_weight(0.6, 2, 1.7e308)
+    assert math.isfinite(ell_alpha(0.6, 1e308)) and math.isfinite(u_weight(0.6, 2, 1e307))
+
+
 def test_xi_scan_refuses_float_overflow_like_xi():
     # the scan names the first v whose numerator overflows, as xi does, and
     # numpy warns of nothing on the way

@@ -447,12 +447,15 @@ def test_one_n_sweep_computes_each_piece_once(capsys, monkeypatch):
     counted(factorcore, "factor")
     counted(factorcore, "divisors")
     counted(BoundSpec, "violation")
-    # 30 is squarefree, so every bound id applies; each is domain-checked once
+    counted(regmaps, "map_violations")
+    # 30 is squarefree, so every bound id applies; each is domain-checked
+    # once, and no built-in table, valid by construction, is checked again
     code, _, _ = run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-lo", "30", "--n-hi", "30")
     assert code == 0
     assert calls == {
         "build_builtin": 4, "check_regularity": 4, "factor": 1, "divisors": 1, "violation": 13,
     }
+    assert calls["map_violations"] == 0
 
 
 def test_sweep_header_only_when_no_rows(capsys, tmp_path):
@@ -588,6 +591,8 @@ def test_domain_error_exit(capsys):
         ["analytic", "tail", "--v", str(10**142)],
         ["analytic", "tail", "--v", str(10**300)],
         ["analytic", "tail", "--v", str(10**400)],
+        # alpha*x overflows, and ell would be inf - inf
+        ["analytic", "eval", "--fn", "ell", "--alpha", "0.6", "--x", "1.7e308"],
         # r = -1 is the pole of beta_for; delta_j's f_alpha overflows float64
         ["analytic", "eval", "--fn", "xi", "--alpha", "0.2", "--x", "1", "--r", "-1"],
         ["analytic", "verify-xi", "--alpha", "0.2", "--r", "-1", "--delta", "0.04", "--vmax", "10"],

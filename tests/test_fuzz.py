@@ -11,6 +11,7 @@ pool of `sweep --workers` runs its chunks in-process.
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -116,6 +117,9 @@ def assert_clean_exit(argv):
     err = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "error: internal" not in err and "Traceback" not in err, (argv, err)
+    # a NaN is no answer; an infinity can be (an empty table's log_rhs is -inf)
+    if code == 0:
+        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
 
 
 def draw_argv(draw, command):
