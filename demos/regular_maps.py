@@ -39,7 +39,7 @@ for n in (6, 30, 210, 360, 1680):
 
 print("\nExhaustive maxima over ALL 1-regular arity-1 maps (tiny n only):")
 for n in (2, 6, 12, 30):
-    print(f"  exact_E({n}, j=1, k=1) = {dr.exact_E(n, 1, 1, guard=16)}"
+    print(f"  exact_E({n}, j=1, k=1) = {dr.exact_E(n, 1, 1)}"
           f"   (kappa_1 = {dr.kappa(dr.factor(n), 1)})")
 print("Relaxing k enlarges the best domain monotonically:")
 print("  n=12:", [dr.exact_E(12, 1, k) for k in (1, 2, 3)])

@@ -116,12 +116,24 @@ def _xi_terms(xp, v, alpha: float, beta: float, j: int, r: float) -> tuple:
     return num, -xp.log(num / t) + (1 + beta) * v * u / t
 
 
+def _scalar(body, *args) -> float:
+    """body over math, or NaN where an int argument past float range overflows
+    (converting it to float first would round x / (x + 1) differently)."""
+    try:
+        return body(math, *args)
+    except OverflowError:
+        return math.nan
+
+
 def f_alpha(alpha: float, x: float) -> float:
     """-(1-a)*x/(x+1)*log(1/(1-a)) + (a*x+1)/(x+1)*log(a*x+1), for x >= 0."""
     _check_alpha(alpha)
     if not 0 <= x < math.inf:  # also refuses NaN
         raise DomainError(f"f_alpha: x must be finite and >= 0, got {x}")
-    return _f(math, alpha, x)
+    value = _scalar(_f, alpha, x)
+    if not math.isfinite(value):
+        raise DomainError(f"f_alpha: x = {x} is too large for float64 evaluation")
+    return value
 
 
 def ell_alpha(alpha: float, x: float) -> float:
@@ -132,7 +144,7 @@ def ell_alpha(alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if not 1 <= x < math.inf:
         raise DomainError(f"ell_alpha: x must be finite and >= 1, got {x}")
-    value = _ell(math, alpha, x)
+    value = _scalar(_ell, alpha, x)
     if not math.isfinite(value):  # alpha*x overflowed: inf - inf
         raise DomainError(f"ell_alpha: x = {x} is too large for float64 evaluation")
     return value
@@ -149,7 +161,7 @@ def _check_u(alpha: float, j: int, v: float) -> None:
 def u_weight(alpha: float, j: int, v: float) -> float:
     """Per-prime additive weight j*log((alpha*j*v+1)/(1-alpha))."""
     _check_u(alpha, j, v)
-    value = _u(math, alpha, j, v)
+    value = _scalar(_u, alpha, j, v)
     if not math.isfinite(value):
         raise DomainError(f"u_weight: v = {v} and j = {j} are too large for float64 evaluation")
     return value
@@ -257,10 +269,10 @@ def delta_j(j: int) -> float:
     """
     if j < 1:
         raise DomainError(f"delta_j: j must be >= 1, got {j}")
-    try:
-        return f_alpha(1 / (2 * j + 1), j) / math.log(j + 1)
-    except OverflowError:
-        raise DomainError(f"delta_j: j = {j} is too large for float64 evaluation") from None
+    value = _scalar(_f, 1 / (2 * j + 1), j) / math.log(j + 1)
+    if not math.isfinite(value):
+        raise DomainError(f"delta_j: j = {j} is too large for float64 evaluation")
+    return value
 
 
 @dataclass(frozen=True)

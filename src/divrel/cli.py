@@ -271,7 +271,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact_e(args: argparse.Namespace) -> int:
-    print(regmaps.exact_E(args.n, args.j, args.k, guard=args.guard))
+    print(regmaps.exact_E(args.n, args.j, args.k))
     return 0
 
 
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--guard", type=int, default=12, help="max of max(tau(n), 2)^j searched")
 
     p = sub.add_parser("analytic", help="weight functions, certificates, optimization")
     asub = p.add_subparsers(dest="analytic_cmd", required=True)

@@ -7,6 +7,7 @@ pure Python: every count is an exact Python integer.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import operator
@@ -112,8 +113,8 @@ def _is_prime(n: int) -> bool:
 
 def check_budget(work: str, amount: int, budget: int) -> None:
     """Refuse amount units of work past budget; work names the measure."""
-    if amount > budget:
-        raise ResourceLimitError(f"{work} = {amount} exceeds budget {budget}")
+    if amount > budget:  # str() refuses an int past 4300 digits; Decimal writes any
+        raise ResourceLimitError(f"{work} = {decimal.Decimal(amount)} exceeds budget {budget}")
 
 
 def _rho_split(n: int) -> int:

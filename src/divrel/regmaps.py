@@ -413,27 +413,26 @@ def _corollary2(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> 
     return log_rhs, (("k", reg.k),)
 
 
-# exact_E refuses a search that would visit more nodes than this.
+# exact_E is charged j^2 per (tuple, value) candidate, kappa_{j+1}(n) of them,
+# before it lists a divisor or a tuple; the charge also bounds the search's
+# recursion depth, kappa_j(n) + 1.  The search stops past _EXACT_E_MAX_NODES.
+_EXACT_E_MAX_WORK = 1000
 _EXACT_E_MAX_NODES = 10**6
 
 
-def exact_E(n: int, j: int, k: int, guard: int = 12) -> int:
+def exact_E(n: int, j: int, k: int) -> int:
     """Exact maximum domain size over all k-regular arity-j maps on D_n.
 
     Depth-first search over (tuple, value) assignments in a fixed order,
     counting how often each key of conditions 1 and 2 is hit; branches die
     as soon as a count would pass k or the remaining tuples cannot beat the
-    incumbent.  Only feasible for tiny n, hence the guard on max(tau, 2)^j
-    (at n = 1 the one tuple still has j entries) and the _EXACT_E_MAX_NODES
-    budget.
+    incumbent.  Only feasible for tiny n, hence the two budgets above.
     """
     if j < 1 or k < 1:
         raise DomainError(f"exact_E: j and k must be >= 1, got j={j}, k={k}")
     f = factorcore.factor(n)
-    tau = factorcore.arith_stats(f).tau
-    # 2^j > guard once j reaches guard's bit length: refused without the power
-    if j >= guard.bit_length() or tau**j > guard:
-        raise ResourceLimitError(f"exact_E: max(tau({n}), 2)^{j} exceeds guard {guard}")
+    work = j * j * factorcore.kappa(f, j + 1)
+    factorcore.check_budget(f"exact_E: {j}^2 * kappa_{j + 1}({n})", work, _EXACT_E_MAX_WORK)
     divs = factorcore.divisors(f)
     # per candidate tuple, the condition-1 and -2 keys of each allowed value,
     # tagged by condition so that one dict counts both

@@ -232,6 +232,22 @@ def test_ell_and_u_weight_refuse_a_result_past_float64():
     assert math.isfinite(ell_alpha(0.6, 1e308)) and math.isfinite(u_weight(0.6, 2, 1e307))
 
 
+def test_weight_scalars_refuse_an_int_past_float_range():
+    # alpha*x overflows converting the int, which is not made a float up front:
+    # past 2^53 x / (x + 1) would round differently
+    big = 10**400
+    with pytest.raises(DomainError, match=rf"^f_alpha: x = {big} is too large for float64"):
+        f_alpha(0.6, big)
+    with pytest.raises(DomainError, match=rf"^ell_alpha: x = {big} is too large for float64"):
+        ell_alpha(0.6, big)
+    with pytest.raises(DomainError, match=rf"^u_weight: v = {big} and j = 2 are too large"):
+        u_weight(0.6, 2, big)
+    with pytest.raises(DomainError, match=rf"^u_weight: v = 2 and j = {big} are too large"):
+        u_weight(0.6, big, 2)
+    x = 6961582771009265151  # the nearest float gives another value
+    assert f_alpha(0.6, x) == 25.3591514521987 != f_alpha(0.6, float(x))
+
+
 def test_xi_scan_refuses_float_overflow_like_xi():
     # the scan names the first v whose numerator overflows, as xi does, and
     # numpy warns of nothing on the way

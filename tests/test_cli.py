@@ -184,6 +184,8 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 def test_exact_e_command(capsys):
     code, out, _ = run(capsys, "exact-e", "--n", "6", "--j", "1", "--k", "1")
     assert code == 0 and out.strip() == "3"
+    # charged 4 * kappa_3(64) = 76 of the 1000 exact_E admits
+    assert run(capsys, "exact-e", "--n", "64", "--j", "2", "--k", "1") == (0, "3\n", "")
 
 
 def test_analytic_commands(capsys):
@@ -635,11 +637,15 @@ def test_resource_error_exit(capsys, monkeypatch):
           "--delta", "0.045072", "--vmax", too_many], "v_max"),
         (["analytic", "optimize", "--vopt", too_many], "v_max"),
         (["analytic", "optimize", "--vcertify", too_many], "v_max"),
-        (["exact-e", "--n", "30", "--j", "2", "--k", "1", "--guard", "150"], "1000 nodes"),
-        (["exact-e", "--n", "2", "--j", "20000", "--k", "1"], "max(tau(2), 2)^20000 exceeds guard 12"),
-        (["exact-e", "--n", "2", "--j", "300000000", "--k", "1"], "exceeds guard 12"),
+        (["exact-e", "--n", "30", "--j", "2", "--k", "1"], "1000 nodes"),  # charged 256
+        (["exact-e", "--n", "2", "--j", "20000", "--k", "1"],
+         "exact_E: 20000^2 * kappa_20001(2) = 8000800000000 exceeds budget 1000"),
+        (["exact-e", "--n", "2", "--j", "300000000", "--k", "1"], "exceeds budget 1000"),
         # n = 1 has one tuple, but of j entries
-        (["exact-e", "--n", "1", "--j", "20000", "--k", "1"], "max(tau(1), 2)^20000 exceeds guard 12"),
+        (["exact-e", "--n", "1", "--j", "20000", "--k", "1"], "kappa_20001(1) = 400000000 exceeds"),
+        # the charge bounds the search's depth; uncharged, both overflow the stack
+        (["exact-e", "--n", "510510", "--j", "2", "--k", "1"], "kappa_3(510510) = 65536 exceeds"),
+        (["exact-e", "--n", str(2**1000), "--j", "1", "--k", "1"], " = 2001 exceeds budget 1000"),
         (["energy", "--n", hc], f"pair sums: tau({hc})^2 pairs = 462422016 exceeds budget"),
         (["energy", "--n", hc, "--decompose"], "pair sums: tau"),
         (["sweep", "--bounds", "corollary3", "--n-lo", "6469693230", "--n-hi", "6469693230"],
@@ -674,6 +680,9 @@ def test_env_var_overrides_divisor_cap(capsys, monkeypatch):
     # and neither DIVREL_CAP_DIVISORS nor --cap-divisors moves one.
     code, out, err = run(capsys, "energy", "--n", "720720", "--cap-divisors", "100")
     assert (code, out) == (2, "") and "unrecognized arguments: --cap-divisors 100" in err
+    # nor does the retired exact-e --guard
+    code, out, err = run(capsys, "exact-e", "--n", "6", "--j", "1", "--k", "1", "--guard", "16")
+    assert (code, out) == (2, "") and "unrecognized arguments: --guard 16" in err
     monkeypatch.setenv("DIVREL_CAP_DIVISORS", "100")
     assert run(capsys, "energy", "--n", "720720") == (0, f"{additive_energy(720720)}\n", "")
     assert run(capsys, "divisors", "--n", "6") == (0, "1 2 3 6\n", "")

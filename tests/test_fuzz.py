@@ -8,17 +8,21 @@ input past a budget is refused in a few ms and each example stays cheap; the
 pool of `sweep --workers` runs its chunks in-process.
 """
 
+import importlib
 import io
 import json
 import math
+import pkgutil
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divrel
 from divrel import analytic, cli, factorcore, regmaps, relations
 from divrel.records import BOUNDS
 
@@ -30,6 +34,7 @@ BUDGETS = (
     (factorcore, "_MR_MAX_WORK", 200),
     (relations, "_SHIFT_MAX_PAIRS", 20_000),
     (relations, "_RESIDUE_MAX_WORK", 4096),
+    (regmaps, "_EXACT_E_MAX_WORK", 300),
     (regmaps, "_EXACT_E_MAX_NODES", 2000),
     (analytic, "_XI_MAX_POINTS", 256),
 )
@@ -68,8 +73,7 @@ COMMANDS = {
     "map check": [("--kind", choice(regmaps.BUILTIN_KINDS), False), ("--n", INT, False)],
     "map bound": [("--kind", choice(regmaps.BUILTIN_KINDS), False), ("--n", INT, False),
                   ("--bound", choice(MAP_BOUNDS), True)],
-    "exact-e": [("--n", INT, True), ("--j", INT, True), ("--k", INT, True),
-                ("--guard", INT, False)],
+    "exact-e": [("--n", INT, True), ("--j", INT, True), ("--k", INT, True)],
     "analytic eval": [("--fn", choice(("f", "ell", "xi")), True), ("--alpha", REAL, True),
                       ("--x", REAL, True), ("--j", INT, False), ("--r", REAL, False)],
     "analytic delta-j": [("--j", INT, True)],
@@ -103,11 +107,34 @@ class InProcessPool:
 
 @pytest.fixture(scope="module", autouse=True)
 def small_budgets():
+    """Patch every budget down; yields each budget's own value by name."""
+    defaults = {(module.__name__, name): getattr(module, name) for module, name, _ in BUDGETS}
     with pytest.MonkeyPatch.context() as patch:
         for module, name, value in BUDGETS:
             patch.setattr(module, name, value)
         patch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        yield
+        yield defaults
+
+
+def readme_int(text):
+    """An int as the README writes it: a product of powers, like 2·10^6."""
+    return math.prod(int(b) ** int(e or 1) for b, _, e in (f.partition("^") for f in text.split("·")))
+
+
+def test_every_budget_is_patched_and_documented(small_budgets):
+    # a budget is a module-level int of the package whose name holds MAX
+    found = {
+        (module.__name__, name)
+        for info in pkgutil.iter_modules(divrel.__path__)
+        for module in [importlib.import_module(f"divrel.{info.name}")]
+        for name, value in vars(module).items()
+        if "MAX" in name and type(value) is int
+    }
+    assert found == small_budgets.keys()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\|.*`(\w+)\.(_\w+)` = ([\d·^]+)", readme, re.MULTILINE)
+    documented = {(f"divrel.{module}", name, readme_int(value)) for module, name, value in rows}
+    assert documented == {(*key, value) for key, value in small_budgets.items()}
 
 
 def assert_clean_exit(argv):

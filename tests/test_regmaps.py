@@ -5,8 +5,10 @@ import math
 import random
 import tracemalloc
 from collections import defaultdict
+from decimal import Decimal
 
 import pytest
+import sympy
 
 from divrel import (
     BUILTIN_KINDS,
@@ -273,12 +275,24 @@ def test_builtin_tables_are_valid_maps():
 
 
 def test_builtin_tables_match_ordered_pair_oracles():
+    # each kind's regularity is pinned too: k1 = k2 <= 1, but k1 <= 2 for
+    # midpoint-floor, the sum map's k3 <= 2, and a 0 only for an empty table
     for n in [*range(1, 3001), 9699690, 735134400]:
         divs = divisors(factor(n))
-        assert builtin_sum_map(n).entries == oracle_sum_map(n, divs), n
-        for variant in ("exact", "floor"):
-            table = builtin_midpoint_map(n, variant)
-            assert table.entries == oracle_midpoint_map(divs, variant), (n, variant)
+        oracles = {
+            "sum": oracle_sum_map(n, divs),
+            "midpoint-exact": oracle_midpoint_map(divs, "exact"),
+            "midpoint-floor": oracle_midpoint_map(divs, "floor"),
+        }
+        for kind, table, reg in regmaps.builtin_maps(DivisorContext(n)):
+            assert kind not in oracles or table.entries == oracles[kind], (n, kind)
+            if kind == "midpoint-floor":
+                assert reg.k1 <= 2 and reg.k2 <= 1, (n, reg)
+            else:
+                assert reg.k1 == reg.k2 <= 1, (n, kind, reg)
+            if kind == "sum":
+                assert reg.k3 <= 2, (n, reg)
+            assert (0 in (reg.k1, reg.k2, reg.k3)) == (not table.entries), (n, kind, reg)
 
 
 def test_map_violations_messages():
@@ -388,15 +402,15 @@ def test_exact_E_matches_unpruned_oracle():
     for n in (1, 2, 4, 6, 9):
         for k in (1, 2):
             assert exact_E(n, 1, k) == brute_exact_E(n, 1, k)
-    assert exact_E(2, 2, 1, guard=16) == brute_exact_E(2, 2, 1)
-    assert exact_E(3, 2, 1, guard=16) == brute_exact_E(3, 2, 1)
+    assert exact_E(2, 2, 1) == brute_exact_E(2, 2, 1)
+    assert exact_E(3, 2, 1) == brute_exact_E(3, 2, 1)
 
 
 def test_exact_E_arity_two_matches_unpruned_oracle_at_composites():
     # at a prime every candidate value is 1; at 4 and 6 a value must avoid
     # both coordinates of its tuple
     for n in (4, 6):
-        assert exact_E(n, 2, 1, guard=16) == brute_exact_E(n, 2, 1)
+        assert exact_E(n, 2, 1) == brute_exact_E(n, 2, 1)
 
 
 def test_exact_E_search_budget(monkeypatch):
@@ -407,6 +421,17 @@ def test_exact_E_search_budget(monkeypatch):
     with pytest.raises(ResourceLimitError, match="^exact_E: search passed 1000 nodes$"):
         exact_E(60, 1, 1)
     assert exact_E(6, 1, 1) == 3  # small searches stay under it
+    # the deepest search the work budget admits at j = 1, 2^v charged
+    # kappa_2 = 2v + 1, recurses tau + 1 = v + 2 deep; 200 frames further
+    # down the stack it still stops on the node budget, not the recursion limit
+    v = (regmaps._EXACT_E_MAX_WORK - 1) // 2
+    assert kappa(factor(2**v), 2) == 2 * v + 1 == regmaps._EXACT_E_MAX_WORK - 1
+
+    def nested(depth):
+        return nested(depth - 1) if depth else exact_E(2**v, 1, 1)
+
+    with pytest.raises(ResourceLimitError, match="^exact_E: search passed 1000 nodes$"):
+        nested(200)
 
 
 def test_exact_E_monotone_in_k():
@@ -415,23 +440,33 @@ def test_exact_E_monotone_in_k():
         assert values == sorted(values)
 
 
-def test_exact_E_guard():
-    with pytest.raises(ResourceLimitError):
-        exact_E(720, 2, 1)
+def test_exact_E_refuses_before_listing_divisors(monkeypatch):
     with pytest.raises(DomainError):
         exact_E(6, 0, 1)
     with pytest.raises(DomainError):
         exact_E(6, 1, 0)
-    # decided without the power, which at j = 10^9 would take minutes
-    assert exact_E(2, 3, 1) == brute_exact_E(2, 3, 1)  # 2^3 = 8 <= 12
-    assert exact_E(2, 4, 1, guard=16) == brute_exact_E(2, 4, 1)  # 2^4 = 16 <= 16
-    for j, guard in ((4, 12), (5, 16), (20_000, 12), (10**9, 12)):
-        refusal = rf"^exact_E: max\(tau\(2\), 2\)\^{j} exceeds guard {guard}$"
+    # j^2 * kappa_{j+1}(n) is charged before a divisor or tuple is listed,
+    # and is printed whole past str()'s 4300-digit limit
+    assert exact_E(2, 3, 1) == brute_exact_E(2, 3, 1)
+    assert exact_E(2, 4, 1) == brute_exact_E(2, 4, 1)
+    assert exact_E(2, 9, 1) == 9  # 9^2 * 11 = 891 <= 1000
+    assert exact_E(1, 31, 1) == 1  # one tuple of 31 entries: 31^2 <= 1000
+    primorial = math.prod(sympy.primerange(72))  # 20 primes
+    huge = (10**400) ** 2 * (10**400 + 2) ** 20
+    for name in ("divisors", "coprime_tuples"):
+        monkeypatch.setattr(factorcore, name, lambda *args: pytest.fail("listed"))
+    for n, j, work in (
+        (2, 10, 100 * 12),
+        (2, 20_000, 20_000**2 * 20_002),
+        (1, 20_000, 20_000**2),
+        (1, 32, 32**2),
+        (2, 300_000_000, 300_000_000**2 * 300_000_002),
+        (720, 2, 4 * 13 * 7 * 4),
+        (primorial, 10**400, huge),
+    ):
+        refusal = rf"^exact_E: {j}\^2 \* kappa_{j + 1}\({n}\) = {Decimal(work)} exceeds budget 1000$"
         with pytest.raises(ResourceLimitError, match=refusal):
-            exact_E(2, j, 1, guard=guard)
-    assert exact_E(1, 3, 1) == 1  # one tuple of 3 entries: 2^3 <= 12
-    with pytest.raises(ResourceLimitError, match=r"^exact_E: max\(tau\(1\), 2\)\^4 exceeds guard 12$"):
-        exact_E(1, 4, 1)
+            exact_E(n, j, 1)
 
 
 def walk_rows(kind, n):
