@@ -9,6 +9,7 @@ underlying (alpha, r) pair by direct optimization.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -83,9 +84,15 @@ def standard_params() -> AnalyticParams:
     return AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR)
 
 
+def _num(x: float) -> object:
+    """x for a refusal's text: an int through Decimal, since str() refuses
+    one past 4300 digits; anything else as it is."""
+    return decimal.Decimal(x) if type(x) is int else x
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < 1:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+        raise DomainError(f"alpha must lie in [0, 1), got {_num(alpha)}")
 
 
 # One body per weight formula, over a math namespace xp: math for the public
@@ -129,10 +136,10 @@ def f_alpha(alpha: float, x: float) -> float:
     """-(1-a)*x/(x+1)*log(1/(1-a)) + (a*x+1)/(x+1)*log(a*x+1), for x >= 0."""
     _check_alpha(alpha)
     if not 0 <= x < math.inf:  # also refuses NaN
-        raise DomainError(f"f_alpha: x must be finite and >= 0, got {x}")
+        raise DomainError(f"f_alpha: x must be finite and >= 0, got {_num(x)}")
     value = _scalar(_f, alpha, x)
     if not math.isfinite(value):
-        raise DomainError(f"f_alpha: x = {x} is too large for float64 evaluation")
+        raise DomainError(f"f_alpha: x = {_num(x)} is too large for float64 evaluation")
     return value
 
 
@@ -143,19 +150,19 @@ def ell_alpha(alpha: float, x: float) -> float:
     """
     _check_alpha(alpha)
     if not 1 <= x < math.inf:
-        raise DomainError(f"ell_alpha: x must be finite and >= 1, got {x}")
+        raise DomainError(f"ell_alpha: x must be finite and >= 1, got {_num(x)}")
     value = _scalar(_ell, alpha, x)
     if not math.isfinite(value):  # alpha*x overflowed: inf - inf
-        raise DomainError(f"ell_alpha: x = {x} is too large for float64 evaluation")
+        raise DomainError(f"ell_alpha: x = {_num(x)} is too large for float64 evaluation")
     return value
 
 
 def _check_u(alpha: float, j: int, v: float) -> None:
     _check_alpha(alpha)
     if j < 1:
-        raise DomainError(f"u_weight: j must be >= 1, got {j}")
+        raise DomainError(f"u_weight: j must be >= 1, got {_num(j)}")
     if not 1 <= v < math.inf:  # exact for huge integer v
-        raise DomainError(f"u_weight: v must be >= 1 and finite, got {v}")
+        raise DomainError(f"u_weight: v must be >= 1 and finite, got {_num(v)}")
 
 
 def u_weight(alpha: float, j: int, v: float) -> float:
@@ -163,7 +170,9 @@ def u_weight(alpha: float, j: int, v: float) -> float:
     _check_u(alpha, j, v)
     value = _scalar(_u, alpha, j, v)
     if not math.isfinite(value):
-        raise DomainError(f"u_weight: v = {v} and j = {j} are too large for float64 evaluation")
+        raise DomainError(
+            f"u_weight: v = {_num(v)} and j = {_num(j)} are too large for float64 evaluation"
+        )
     return value
 
 
@@ -173,7 +182,7 @@ def h_value(alpha: float, j: int, f: factorcore.Factorization, d: int) -> float:
     The weight of p is set by p's exponent in n, not its exponent in d.
     """
     if d < 1 or f.n % d != 0:
-        raise DomainError(f"h_value: {d} does not divide {f.n}")
+        raise DomainError(f"h_value: {_num(d)} does not divide {_num(f.n)}")
     return sum(u_weight(alpha, j, v) for p, v in f.parts if d % p == 0)
 
 
@@ -181,14 +190,16 @@ def a_mean(alpha: float, j: int, f: factorcore.Factorization) -> float:
     """Average of h over one coordinate of a coprime j-tuple."""
     _check_alpha(alpha)
     if j < 1:
-        raise DomainError(f"a_mean: j must be >= 1, got {j}")
+        raise DomainError(f"a_mean: j must be >= 1, got {_num(j)}")
     return sum(v * u_weight(alpha, j, v) / (j * v + 1) for _, v in f.parts)
 
 
 def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
     _check_u(alpha, j, v)  # first, as a bad alpha also makes beta < 0
     if not (0 <= beta < math.inf and 0 <= r < math.inf):  # also refuses NaN
-        raise DomainError(f"xi: beta and r must be finite and >= 0, got beta={beta}, r={r}")
+        raise DomainError(
+            f"xi: beta and r must be finite and >= 0, got beta={_num(beta)}, r={_num(r)}"
+        )
 
 
 def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
@@ -205,7 +216,7 @@ def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
 
 
 def _overflow_error(v: float, j: int) -> DomainError:
-    return DomainError(f"xi: v = {v} and j = {j} are too large for float64 evaluation")
+    return DomainError(f"xi: v = {_num(v)} and j = {_num(j)} are too large for float64 evaluation")
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
@@ -218,9 +229,9 @@ def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
 
 def _check_scan_size(v_max: int) -> None:
     if v_max < 1:
-        raise DomainError(f"xi scan: v_max must be >= 1, got {v_max}")
+        raise DomainError(f"xi scan: v_max must be >= 1, got {_num(v_max)}")
     if v_max > _XI_MAX_POINTS:
-        raise ResourceLimitError(f"xi scan: v_max = {v_max} exceeds cap {_XI_MAX_POINTS}")
+        raise ResourceLimitError(f"xi scan: v_max = {_num(v_max)} exceeds cap {_XI_MAX_POINTS}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -268,10 +279,10 @@ def delta_j(j: int) -> float:
     map bound thm1a reads it on every row.
     """
     if j < 1:
-        raise DomainError(f"delta_j: j must be >= 1, got {j}")
+        raise DomainError(f"delta_j: j must be >= 1, got {_num(j)}")
     value = _scalar(_f, 1 / (2 * j + 1), j) / math.log(j + 1)
     if not math.isfinite(value):
-        raise DomainError(f"delta_j: j = {j} is too large for float64 evaluation")
+        raise DomainError(f"delta_j: j = {_num(j)} is too large for float64 evaluation")
     return value
 
 
@@ -344,7 +355,7 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
     rows = []
     for v in v_samples:
         if v < TAIL_MIN_V:
-            raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {v}")
+            raise DomainError(f"tail_check: samples must be >= {TAIL_MIN_V}, got {_num(v)}")
         alpha, beta, r = params.alpha, params.beta, params.r
         num, xi_v = _xi_scalar(v, alpha, beta, 2, r)
         t = 2 * v + 1
@@ -598,9 +609,9 @@ def thm4_split(n: int, q: int) -> SplitResult:
     if n < 2 or q < 2:
         raise DomainError("thm4_split: requires n, q >= 2")
     if math.gcd(n, q) != 1:
-        raise DomainError(f"thm4_split: gcd({n}, {q}) != 1")
+        raise DomainError(f"thm4_split: gcd({_num(n)}, {_num(q)}) != 1")
     if q**4 >= n:
-        raise DomainError(f"thm4_split: requires q < n^(1/4), got q = {q}")
+        raise DomainError(f"thm4_split: requires q < n^(1/4), got q = {_num(q)}")
     f = factorcore.factor(n)
     stats = factorcore.arith_stats(f)
     eta = math.log(q) / math.log(n)

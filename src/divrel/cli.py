@@ -225,12 +225,17 @@ def _cmd_residues(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_table(args: argparse.Namespace) -> regmaps.MapTable:
+def _load_table(
+    args: argparse.Namespace,
+) -> tuple[regmaps.MapTable, factorcore.DivisorContext | None]:
+    """The table of --file, with no context, so n is not factored; or the
+    built-in table of --kind and --n with the context it was built on."""
     if args.file:
         with open(args.file) as handle:
-            return regmaps.map_from_json(handle.read())
+            return regmaps.map_from_json(handle.read()), None
     if args.kind and args.n is not None:
-        return regmaps.build_builtin(args.kind, args.n)
+        ctx = factorcore.DivisorContext(args.n)
+        return regmaps.build_builtin(args.kind, args.n, ctx=ctx), ctx
     raise DomainError("map: provide --file or both --kind and --n")
 
 
@@ -245,8 +250,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
             print(text)
         return 0
     if args.map_cmd == "check":
-        table = _load_table(args)
-        report = regmaps.check_regularity(table)
+        table, ctx = _load_table(args)
+        report = regmaps.check_regularity(table, ctx)
         print(
             json.dumps(
                 {
@@ -258,14 +263,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
                     "k3": report.k3,
                     "k": report.k,
                     "k_strong": report.k_strong,
-                    "domain_regular": not regmaps.map_violations(table),
+                    "domain_regular": not regmaps.map_violations(table, ctx),
                 },
                 sort_keys=True,
             )
         )
         return 0
-    table = _load_table(args)
-    rec = regmaps.bound_check(table, args.bound)
+    table, ctx = _load_table(args)
+    rec = regmaps.bound_check(table, args.bound, ctx=ctx)
     sys.stdout.write(format_records_csv([rec]))
     return _exit_code(_violation_line([rec]))
 

@@ -248,6 +248,32 @@ def test_weight_scalars_refuse_an_int_past_float_range():
     assert f_alpha(0.6, x) == 25.3591514521987 != f_alpha(0.6, float(x))
 
 
+def test_weight_scalars_refuse_an_int_past_the_digit_limit():
+    # str() refuses an int past 4300 digits, so a refusal writes it in full
+    # through Decimal; a float is written as before
+    big, digits = 10**5000, "10{5000}"
+    p = standard_params()
+    refusals = [
+        (lambda: f_alpha(0.6, big), rf"^f_alpha: x = {digits} is too large for float64"),
+        (lambda: f_alpha(0.6, -big), rf"^f_alpha: x must be finite and >= 0, got -{digits}$"),
+        (lambda: ell_alpha(0.6, big), rf"^ell_alpha: x = {digits} is too large for float64"),
+        (lambda: u_weight(0.6, 2, big), rf"^u_weight: v = {digits} and j = 2 are too large"),
+        (lambda: u_weight(0.6, big, 2), rf"^u_weight: v = 2 and j = {digits} are too large"),
+        (lambda: u_weight(0.6, -big, 2), rf"^u_weight: j must be >= 1, got -{digits}$"),
+        (lambda: xi(big, p.alpha, p.beta, 2, p.r), rf"^xi: v = {digits} and j = 2 are too large"),
+        (lambda: delta_j(big), rf"^delta_j: j = {digits} is too large for float64"),
+        (lambda: a_mean(0.6, -big, factor(12)), rf"^a_mean: j must be >= 1, got -{digits}$"),
+        (lambda: h_value(0.6, 2, factor(12), big), rf"^h_value: {digits} does not divide 12$"),
+        (lambda: tail_check(p, (-big,)), rf"^tail_check: samples must be >= 1000000, got -{digits}$"),
+        (lambda: thm4_split(big, 10), rf"^thm4_split: gcd\({digits}, 10\) != 1$"),
+        (lambda: ell_alpha(0.6, 1.7e308), r"^ell_alpha: x = 1.7e\+308 is too large for float64"),
+        (lambda: f_alpha(0.6, -0.5), r"^f_alpha: x must be finite and >= 0, got -0.5$"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 def test_xi_scan_refuses_float_overflow_like_xi():
     # the scan names the first v whose numerator overflows, as xi does, and
     # numpy warns of nothing on the way

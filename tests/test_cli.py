@@ -460,6 +460,37 @@ def test_one_n_sweep_computes_each_piece_once(capsys, monkeypatch):
     assert calls["map_violations"] == 0
 
 
+def test_one_map_query_computes_each_piece_once(capsys, monkeypatch, tmp_path):
+    # a built-in table is built, checked and counted on one context of n; a
+    # table from a file is counted without listing n's divisors, and map
+    # check does not factor n
+    path = tmp_path / "table.json"
+    run(capsys, "map", "build", "--kind", "midpoint-floor", "--n", "735134400", "--out", str(path))
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(factorcore, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(factorcore, name, wrapper)
+
+    counted("factor")
+    counted("divisors")
+    for argv, factored, listed in (
+        (("bound", "--kind", "midpoint-floor", "--n", "735134400", "--bound", "thm1a"), 1, 1),
+        (("check", "--kind", "midpoint-floor", "--n", "735134400"), 1, 1),
+        (("bound", "--file", str(path), "--bound", "thm1a"), 1, 0),
+        (("check", "--file", str(path)), 0, 0),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, "map", *argv)
+        assert code == 0
+        assert (calls["factor"], calls["divisors"]) == (factored, listed), argv
+
+
 def test_sweep_header_only_when_no_rows(capsys, tmp_path):
     # thm3a applies to squarefree n only; n = 4 contributes nothing
     path = tmp_path / "empty.csv"

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import defaultdict
 from decimal import Decimal
 
+import numpy as np
 import pytest
 import sympy
 
@@ -594,6 +595,102 @@ def test_a_refused_numpy_walk_lists_no_candidate(monkeypatch):
                 tracemalloc.stop()
         refused, admitted = peaks
         assert refused < column < admitted, (n, kind, refused, column, admitted)
+
+
+def assert_paths_agree(table, ctx, indexed):
+    """With ctx, check_regularity's report (witnesses and their int types
+    included) and map_violations' messages are the dict paths'; indexed
+    says whether the count takes the index path."""
+    slow = check_regularity(table)
+    fast = regmaps._index_regularity(table, ctx)
+    assert (fast is not None) == indexed, (table.n, table.j, len(table.entries))
+    assert repr(check_regularity(table, ctx) if fast is None else fast) == repr(slow), table.n
+    assert map_violations(table, ctx) == map_violations(table), table.n
+
+
+def test_index_path_matches_the_dict_path(monkeypatch):
+    # with the crossover at 0 every nonempty built-in table is counted on
+    # divisor indices: int64 up to tau 16384, object past the limit (tau 744)
+    monkeypatch.setattr(regmaps, "_INDEX_MIN_ENTRIES", 0)
+    for n in [*range(1, 3001), 735134400, 13082761331670030, 2**61 * 315]:
+        ctx = DivisorContext(n)
+        for kind in BUILTIN_KINDS:
+            table = regmaps.builtin_table(ctx, kind)
+            assert_paths_agree(table, ctx, indexed=bool(table.entries))
+
+
+def test_index_path_falls_back_outside_the_contract():
+    # each table is a built-in table above the crossover with one entry
+    # added or changed; the count stays exact either way
+    sum_map, n = builtin_sum_map(9699690), 9699690  # squarefree: 4 does not divide n
+    wide = build_builtin("midpoint-floor", 9699690 * 2**37)  # 2n fits int64
+    twos = build_builtin("midpoint-floor", 735134400)  # 2^6 divides n
+    assert len(sum_map.entries) >= regmaps._INDEX_MIN_ENTRIES <= len(wide.entries)
+    cases = [
+        (sum_map, (3, 5), n + 1, False),  # a value that does not divide n
+        (sum_map, (3, 5), -8, False),
+        (sum_map, (3,), 2, False),  # a tuple of another arity
+        (sum_map, (2, 2), 3, False),  # not coprime, and 2 * 2 does not divide n
+        (twos, (2, 2), 3, True),  # not coprime, but every product divides n
+        (twos, (3, 5), 2**70, False),  # past int64
+        # products past n and past int64, 2^38 * 2^30
+        (wide, (2**38, 1), 2**30, False),
+        (wide, (2**38, 2**30), 1, False),
+    ]
+    for table, tup, val, indexed in cases:
+        bad = MapTable(table.n, table.j, {**table.entries, tup: val})
+        assert map_violations(bad), (tup, val)
+        assert_paths_agree(bad, DivisorContext(table.n), indexed)
+    # (2^32 + 1)^2 wraps to 2^33 + 1 in int64; the guard refuses it before
+    # the lookup could find it
+    d = np.array([2**32 + 1, 2**33 + 1])
+    assert regmaps._product_index(d, 2**61, np.array([0]), np.array([0])) is None
+    # a number of another type is counted in dicts, even where it equals a
+    # divisor; the entry-by-entry check refuses a float in math.gcd
+    for val in (2.0, True):
+        bad = MapTable(n, 2, {**sum_map.entries, (3, 5): val})
+        assert regmaps._index_regularity(bad, DivisorContext(n)) is None
+        assert check_regularity(bad, DivisorContext(n)) == check_regularity(bad)
+    # a clean arity-3 table is proved clean on divisor indices, and a
+    # broken one gets the loop's messages
+    triples = {tup: 1 for tup in coprime_tuples(factor(2310), 3)}
+    ctx = DivisorContext(2310)
+    assert map_violations(MapTable(2310, 3, triples), ctx) == []
+    triples[2, 3, 5] = 5
+    assert map_violations(MapTable(2310, 3, triples), ctx) == [
+        "value 5 shares a factor with (2, 3, 5)"
+    ]
+    assert_paths_agree(MapTable(2310, 3, triples), ctx, indexed=False)
+
+
+def test_sweep_tables_stay_on_the_dict_path(monkeypatch):
+    # the sweep's tables, at most 57 entries for n <= 5000 (midpoint-floor
+    # of 4620), never list the divisor index; a tau-1344 table takes it
+    assert regmaps._INDEX_MIN_ENTRIES > 57
+    indexed = []
+    index_regularity = regmaps._index_regularity
+
+    def recorded(table, ctx):
+        report = index_regularity(table, ctx)
+        indexed.append((table.n, len(table.entries), report is not None))
+        return report
+
+    monkeypatch.setattr(regmaps, "_index_regularity", recorded)
+    largest = 0
+    for n in range(1, 5001):
+        ctx = DivisorContext(n)
+        largest = max(largest, *(len(table.entries) for _, table, _ in regmaps.builtin_maps(ctx)))
+        assert "divisor_index" not in ctx._memo, n
+    assert largest == 57
+    assert not any(taken for *_, taken in indexed)
+    indexed.clear()
+    ctx = DivisorContext(735134400)
+    table = regmaps.builtin_table(ctx, "midpoint-floor")
+    check_regularity(table, ctx)
+    assert indexed == [(735134400, len(table.entries), True)]
+    # without a context, as for a table read from a file, nothing is indexed
+    check_regularity(table)
+    assert indexed[1:] == [(735134400, len(table.entries), False)]
 
 
 def test_exact_E_below_kappa_power_bound():

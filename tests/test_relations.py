@@ -369,6 +369,8 @@ def test_a_context_of_another_n_is_refused():
         "build_builtin": lambda ctx: regmaps.build_builtin("sum", 6, ctx),
         "bound_check": lambda ctx: regmaps.bound_check(
             regmaps.build_builtin("sum", 6), "thm1a", ctx=ctx),
+        "check_regularity": lambda ctx: regmaps.check_regularity(regmaps.build_builtin("sum", 6), ctx),
+        "map_violations": lambda ctx: regmaps.map_violations(regmaps.build_builtin("sum", 6), ctx),
     }
     # every public function that takes an optional context is called
     optional_ctx = {
