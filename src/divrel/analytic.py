@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import factorcore
 from .errors import DomainError, ResourceLimitError
 from .records import BOUNDS, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
@@ -238,6 +236,7 @@ def _check_scan_size(v_max: int) -> None:
 def _xi_columns(j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float64 (v, log(j*v+1)) for v = lo..hi: the scan's
     parameter-free columns, kept for at most four blocks (1 MiB)."""
+    import numpy as np
     v = np.arange(lo, hi + 1, dtype=np.float64)
     log_t = np.log(j * v + 1)
     v.flags.writeable = log_t.flags.writeable = False  # shared by every scan
@@ -248,6 +247,7 @@ def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
     """(min over v = 1..v_max of xi(v)/log(j*v+1) - delta, first v attaining it),
     in float64 blocks of _XI_CHUNK points; parameters, and float overflow
     in the numerator, are refused as by xi."""
+    import numpy as np
     _check_scan_size(v_max)
     alpha, beta, j, r = params.alpha, params.beta, params.j, params.r
     _check_xi(1, alpha, beta, j, r)
@@ -396,6 +396,7 @@ OPT_GRID = (24, 20)
 def _opt_grid() -> tuple[np.ndarray, tuple[float, float]]:
     """The search objective at v = 512 over the OPT_GRID cells, one scan per
     alpha row over columns of r and beta, and the first cell at its maximum."""
+    import numpy as np
     alphas = np.linspace(*OPT_ALPHA_BOUNDS, OPT_GRID[0])
     rs = np.linspace(*OPT_R_BOUNDS, OPT_GRID[1])
     v, log_t = _xi_columns(2, 1, 512)
@@ -469,6 +470,7 @@ def lemma45_scan() -> LemmaScanReport:
     1.0..2.0 in steps of 0.1, s <= 10^4.  (1) must rise by more than 1e-15
     per step and (2) may dip 1e-12 below zero.
     """
+    import numpy as np
     alphas = np.arange(1, 100, dtype=np.float64) / 100
     xs = 0.01 * np.arange(1, 10_001, dtype=np.float64)
     log_x1 = np.log(xs + 1)
@@ -534,6 +536,7 @@ def s_bounds(
     right in float64.  The tuples are read from coprime_tuples in blocks of
     _S_BLOCK coordinates and counted with numpy, so the walk holds one block.
     """
+    import numpy as np
     if beta is None:
         beta = beta_for(alpha, r)
     f = factorcore.factor(n)

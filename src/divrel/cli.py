@@ -15,10 +15,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
-
-import numpy as np
 
 from . import analytic, factorcore, regmaps, relations
 from .errors import DomainError, ResourceLimitError
@@ -177,6 +174,7 @@ def _decimal_lines(*columns: np.ndarray) -> str:
     zeros, and the zeros are dropped at the end.  Object columns, which hold
     Python ints of any size, go through str.
     """
+    import numpy as np
     if any(c.dtype == object for c in columns):
         rows = zip(*(c.tolist() for c in columns))
         return "".join(" ".join(map(str, row)) + "\n" for row in rows)
@@ -338,6 +336,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     size = max(1, (hi - lo + 1) // (4 * args.workers)) if args.workers > 1 else _SERIAL_CHUNK
     tasks = ((start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size))
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # loaded before the pool forks, so no worker imports it again
         tasks = list(tasks)
         # the pool forks every worker at once, so start no more than can run
         workers = min(args.workers, os.cpu_count() or 1, len(tasks))

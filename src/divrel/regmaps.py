@@ -17,8 +17,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from . import factorcore
 from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
@@ -63,6 +61,7 @@ def map_violations(table: MapTable, ctx: DivisorContext | None = None) -> list[s
     disjoint.  Any other table is checked, and described, entry by entry.
     """
     if (cols := _divisor_columns(table, ctx)) is not None:
+        import numpy as np
         z, g = cols
         masks = _divisor_index(ctx)[1]
         seen = np.zeros(len(g), dtype=np.int32)
@@ -163,6 +162,7 @@ _INDEX_MIN_ENTRIES = 64
 
 def _lookup(d: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """The index in d of each x, or None when one is not in d."""
+    import numpy as np
     idx = np.minimum(np.searchsorted(d, x), len(d) - 1)
     return idx if (d[idx] == x).all() else None
 
@@ -188,6 +188,7 @@ def _divisor_columns(
     entries, j = table.entries, table.j
     if len(entries) < _INDEX_MIN_ENTRIES or set(map(len, entries)) != {j}:
         return None
+    import numpy as np
     flat = [*itertools.chain.from_iterable(entries), *entries.values()]
     if set(map(type, flat)) != {int}:  # bools, floats and numpy ints too
         return None
@@ -204,6 +205,7 @@ def _longest_run(keys: np.ndarray, sols: np.ndarray, d: np.ndarray) -> tuple[int
     """The size of the largest group of equal keys, the smallest key of
     that size, and d at that key's solutions, ascending; the last axis of
     sols runs along keys."""
+    import numpy as np
     uniq, counts = np.unique(keys, return_counts=True)
     best = int(counts.argmax())
     key = int(uniq[best])
@@ -222,6 +224,7 @@ def _index_regularity(table: MapTable, ctx: DivisorContext | None) -> Regularity
     """
     if (cols := _divisor_columns(table, ctx)) is None:
         return None
+    import numpy as np
     z, g = cols
     d = _divisor_index(ctx)[0]
     n, j, tau = table.n, table.j, len(d)
@@ -295,6 +298,7 @@ _INT64_SUMS = 2**62
 
 def _as_array(divs: tuple[int, ...]) -> np.ndarray:
     """divs as int64 while 2n < _INT64_SUMS, else as exact Python ints."""
+    import numpy as np
     return np.array(divs, dtype=np.int64 if 2 * divs[-1] < _INT64_SUMS else object)
 
 
@@ -303,6 +307,7 @@ def _divisor_index(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     of n's primes, built once per context.  Two divisors are coprime when
     their masks do not meet; the divisors budget keeps omega(n) <= 20, so
     the masks fit int32."""
+    import numpy as np
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         d = _as_array(ctx.divs)
@@ -355,6 +360,7 @@ def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
     finds each row's end.  Every value is at least a, so the end comes at
     the latest at the first b > n // a^2.
     """
+    import numpy as np
     tau = len(d)
     step = 2 if kind == "midpoint-exact" else 1
     rows = np.arange(tau)
@@ -380,6 +386,7 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
     The walk is charged the row walk's tested pairs, and refused with its
     count and text, before any candidate is listed.
     """
+    import numpy as np
     n, tau = ctx.n, ctx.stats.tau
     d, masks = _divisor_index(ctx)
     tested, candidates = _numpy_rows(n, d, kind)

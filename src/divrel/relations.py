@@ -32,8 +32,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import factorcore
 from .analytic import DELTA2
 from .errors import DomainError
@@ -116,6 +114,7 @@ def _sum_ranges(
     Yields (sums, j) per range, unordered.  A range holds at most _CHUNK
     pairs, or only the pairs of one sum if that sum alone has more.
     """
+    import numpy as np
     if first is None:
         if len(x) * len(y) <= _CHUNK:  # one range holds every pair
             yield np.add.outer(y, x).ravel(), np.arange(len(x) * len(y)) % len(x)
@@ -154,6 +153,7 @@ def _sum_ranges(
 def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram: every distinct d1 + d2 over ordered pairs of
     divs, ascending, and the number of pairs giving each."""
+    import numpy as np
     a = _as_array(divs)
     # past one range, walk each unordered pair once: the pairs d1 <= d2
     triangle = len(a) ** 2 > _CHUNK
@@ -203,6 +203,7 @@ def additive_energy(n: int, ctx: DivisorContext | None = None) -> int:
 
 def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDecomposition:
     """Partition all tau(n)^2 ordered pair sums into (e, m) cells."""
+    import numpy as np
     ctx = context_of(n, ctx)
 
     def compute() -> EnergyDecomposition:
@@ -222,6 +223,7 @@ def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDec
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
     """Index of the first entry of each run of equal values in x."""
+    import numpy as np
     return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
 
 
@@ -233,6 +235,7 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     c(m + d3) over divisors d3.  The (s, d3) pairs come in ascending ranges
     of m = s - d3, and only the running best is kept from one to the next.
     """
+    import numpy as np
     values, counts = _pair_sums(ctx)
     walked = ctx.stats.tau * len(values)
     check_budget(f"corollary3: tau({ctx.n}) * pair sums", walked, _SHIFT_MAX_PAIRS)
@@ -353,6 +356,7 @@ def _corollary1(ctx: DivisorContext) -> list[tuple]:
 
 @bound("eq4.1", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
+    import numpy as np
     dec = energy_decomposition(ctx.n, ctx=ctx)
     starts = _run_starts(dec.e)
     per_e = dict(zip(dec.e[starts].tolist(), np.add.reduceat(dec.u, starts).tolist()))
@@ -369,6 +373,7 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
 
 @bound("eq4.2", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq42(ctx: DivisorContext) -> list[tuple]:
+    import numpy as np
     dec = energy_decomposition(ctx.n, ctx=ctx)
     # per run of e, the largest u first; lexsort is stable and m ascends
     # within each e, so the first of equal u has the smallest m

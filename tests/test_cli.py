@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
+import concurrent.futures
 import decimal
 import hashlib
 import json
@@ -364,7 +365,8 @@ def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
                 assert type(body) is str and type(violation) in (str, type(None))
                 yield body, violation
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # the sweep imports the pool class when it needs one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     args = ["sweep", "--bounds", "corollary1,thm2b", "--n-lo", "1", "--format", "csv"]
     serial = tmp_path / "serial.csv"
     assert run(capsys, *args, "--n-hi", "40", "--out", str(serial))[0] == 0

@@ -8,6 +8,7 @@ input past a budget is refused in a few ms and each example stays cheap; the
 pool of `sweep --workers` runs its chunks in-process.
 """
 
+import concurrent.futures
 import importlib
 import io
 import json
@@ -112,7 +113,7 @@ def small_budgets():
     with pytest.MonkeyPatch.context() as patch:
         for module, name, value in BUDGETS:
             patch.setattr(module, name, value)
-        patch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         yield defaults
 
 
