@@ -165,14 +165,26 @@ def _cmd_triples(args: argparse.Namespace) -> int:
     return 0
 
 
+# _decimal_lines writes a column's digits once per run of equal values when
+# it has at most one run per this many rows, and repeats their bytes.  On
+# 400,000 random rows on a 2-core x86 box (best of 9), with one run per 20
+# rows that took 5.9 ms for 9-digit and 8.4 ms for 13-digit values, against
+# 7.3 and 21.9 ms for writing every row; with one run per 10 rows, 9.8 and
+# 14.7 ms against 7.6 and 22.9 ms.  The energy cells' e has one run per 23
+# to 303 rows at tau 96 to 1344.
+_RUN_ROWS = 16
+
+
 def _decimal_lines(*columns: np.ndarray) -> str:
     """One line per row of the aligned non-negative integer columns, the
     values in decimal, separated by spaces.
 
     int64 columns are written by numpy: each column takes one byte row per
     digit position, filled from the last digit, with 0 in place of leading
-    zeros, and the zeros are dropped at the end.  Object columns, which hold
-    Python ints of any size, go through str.
+    zeros, and the zeros are dropped at the end.  A column in long runs of
+    equal values (the energy cells' e) is written at the first row of each
+    run and the bytes repeated.  Object columns, which hold Python ints of
+    any size, go through str.
     """
     import numpy as np
     if any(c.dtype == object for c in columns):
@@ -182,22 +194,36 @@ def _decimal_lines(*columns: np.ndarray) -> str:
     text = np.zeros((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
     end = 0
     for c, width in zip(columns, widths):
-        q = c.astype(np.uint64)
-        digit, rest = np.empty_like(q), np.empty_like(q)
+        first = regmaps._run_starts(c)
+        if len(first) * _RUN_ROWS <= len(c):
+            block = np.zeros((width, len(first)), dtype=np.uint8)
+            _digit_rows(c[first], block)
+            text[end : end + width] = np.repeat(block, np.diff(first, append=len(c)), axis=1)
+        else:
+            _digit_rows(c, text[end : end + width])
         end += width
-        for k in range(width):  # k-th digit from the right
-            np.floor_divide(q, 10, out=rest)
-            np.subtract(q, np.multiply(rest, 10, out=digit), out=digit)
-            digit += ord("0")
-            if k:
-                digit *= q != 0  # past the first digit, q == 0 is a leading zero
-            text[end - 1 - k] = digit
-            q, rest = rest, q
         text[end] = ord(" ")
         end += 1
     text[-1] = ord("\n")
-    text = text.T  # one row per line
+    text = np.ascontiguousarray(text.T)  # one row per line
     return text[text != 0].tobytes().decode("ascii")
+
+
+def _digit_rows(c: np.ndarray, rows: np.ndarray) -> None:
+    """Write the decimal digits of c into rows, one row per digit position,
+    the last digit in the last row, 0 in place of leading zeros."""
+    import numpy as np
+    # 9 digits stay below 2^32, and uint32 divides about twice as fast
+    q = c.astype(np.uint32 if len(rows) <= 9 else np.uint64)
+    digit, rest = np.empty_like(q), np.empty_like(q)
+    for k in range(len(rows)):  # k-th digit from the right
+        np.floor_divide(q, 10, out=rest)
+        np.subtract(q, np.multiply(rest, 10, out=digit), out=digit)
+        digit += ord("0")
+        if k:
+            digit *= q != 0  # past the first digit, q == 0 is a leading zero
+        rows[-1 - k] = digit
+        q, rest = rest, q
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:

@@ -181,12 +181,22 @@ def _divisor_columns(
     """The divisor indices of the coordinates (one row per entry) and of the
     values of table, or None where the dict paths serve: without a context,
     below _INDEX_MIN_ENTRIES entries, or for a table with a tuple of another
-    arity or a number that is not an int dividing n."""
+    arity or a number that is not an int dividing n.  Worked out once per
+    (context, table), so check_regularity and map_violations share them."""
     if ctx is None:
         return None
     context_of(table.n, ctx)  # refuses a context of another n
+    if len(table.entries) < _INDEX_MIN_ENTRIES:
+        return None
+    # the memo holds the table, so no other table takes its id while kept
+    return ctx.memo(("divisor_columns", id(table)), lambda: (table, _index_columns(table, ctx)))[1]
+
+
+def _index_columns(table: MapTable, ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray] | None:
+    """_divisor_columns' columns, computed; None for a table of another
+    arity or with a number that is not an int dividing n."""
     entries, j = table.entries, table.j
-    if len(entries) < _INDEX_MIN_ENTRIES or set(map(len, entries)) != {j}:
+    if set(map(len, entries)) != {j}:
         return None
     import numpy as np
     flat = [*itertools.chain.from_iterable(entries), *entries.values()]
@@ -201,15 +211,24 @@ def _divisor_columns(
     return None if idx is None else (idx[: j * m].reshape(m, j), idx[j * m :])
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a non-empty
+    x; on a sorted x, one run per distinct value, ascending."""
+    import numpy as np
+    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+
+
 def _longest_run(keys: np.ndarray, sols: np.ndarray, d: np.ndarray) -> tuple[int, int, list]:
     """The size of the largest group of equal keys, the smallest key of
     that size, and d at that key's solutions, ascending; the last axis of
     sols runs along keys."""
     import numpy as np
-    uniq, counts = np.unique(keys, return_counts=True)
-    best = int(counts.argmax())
-    key = int(uniq[best])
-    return int(counts[best]), key, sorted(d[sols[..., keys == key]].T.tolist())
+    ordered = np.sort(keys)
+    first = _run_starts(ordered)
+    lengths = np.diff(first, append=len(ordered))
+    best = int(lengths.argmax())  # the first longest run: the smallest key
+    key = int(ordered[first[best]])
+    return int(lengths[best]), key, sorted(d[sols[..., keys == key]].T.tolist())
 
 
 def _index_regularity(table: MapTable, ctx: DivisorContext | None) -> RegularityReport | None:

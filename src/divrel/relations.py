@@ -11,12 +11,18 @@ with the number of ordered pairs giving each.  The cells stay numpy columns
 (e, m, u), and eq4.1 and eq4.2 read them with reduceat and lexsort over the
 runs of e, so no Python object is made per cell.  The histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
-ranges of the sum, so building it needs little beyond twice that.  Since
-d1 + d2 is symmetric, a histogram that spans more than one range is built
-from the triangle, each unordered pair once, and the ordered counts are
-read off it; one range walks the whole square.  The
-arrays are int64 while 2n < 2^62 and hold exact Python ints (object dtype)
-beyond, so every count is exact at any n.
+ranges of the sum, each counted by one in-place sort and its run starts,
+so building it needs little beyond twice that.  Since d1 + d2 is
+symmetric, a histogram that spans more than one range is built from the
+triangle, each unordered pair once, and the ordered counts are read off
+it; one range walks the whole square.  The cells are put in (e, m) order
+by one unstable sort of int64 keys e * cells + index where those fit, in
+place of a stable argsort of e.  Against np.unique per range and that
+argsort, the histogram went from 28-34 to 26-30 ms at tau 1344 and from
+4.4-5.4 to 2.6-3.2 ms at tau 480, and the cells after it from 63-72 to
+38-42 ms at tau 1344 (on a 2-core x86 box).  The arrays are int64 while
+2n < 2^62 and hold exact Python ints (object dtype) beyond, so every count
+is exact at any n.
 
 Sum triples d1 + d2 = d3 need no pair table: they are counted in Python
 ints from the primitive solutions that the built-in sum map lists (see
@@ -37,7 +43,7 @@ from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext, check_budget, context_of
 from .records import BOUNDS, BoundCheckRecord, applicable_spec, bound, make_record
-from .regmaps import _as_array, builtin_table
+from .regmaps import _as_array, _run_starts, builtin_table
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
 # divisors of a squarefree n share one fixed sum.
@@ -59,6 +65,12 @@ ENERGY_SPLIT_ETA = 0.2702949686
 # No temporary array of the pair counts below holds more than about this
 # many pairs, so their working memory stays a few MB at any tau.
 _CHUNK = 1 << 18
+
+# energy_decomposition orders int64 cells by one sort of the keys
+# e * cells + index while (n + 1) * cells, above every key, is at most this;
+# past it a stable argsort of e does, an int64 timsort about 5x slower (33
+# against 6.6 ms for 407,957 cells at tau 1344 on a 2-core x86 box).
+_INT64_KEYS = 2**63
 
 # corollary3 walks tau(n) pairs (s, d3) per distinct pair sum s.  This admits
 # squarefree tau 512 (4.5 * 10^7 pairs, 1.6 s on 2 cores) and refuses tau 1024
@@ -157,9 +169,17 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     a = _as_array(divs)
     # past one range, walk each unordered pair once: the pairs d1 <= d2
     triangle = len(a) ** 2 > _CHUNK
-    first = np.arange(len(a)) if triangle else None
-    ranges = [np.unique(sums, return_counts=True) for sums, _ in _sum_ranges(a, a, first)]
-    values, counts = map(np.concatenate, zip(*ranges))
+    if triangle:
+        ranges = (sums for sums, _ in _sum_ranges(a, a, np.arange(len(a))))
+    else:
+        ranges = [np.add.outer(a, a).ravel()]
+
+    def count(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums.sort()  # in place: each range's sums serve this count alone
+        first = _run_starts(sums)
+        return sums[first], np.diff(first, append=len(sums))
+
+    values, counts = map(np.concatenate, zip(*map(count, ranges)))
     if triangle:
         # d1 < d2 stands for two ordered pairs, d1 = d2 for one; the sums 2d
         # are distinct, so each diagonal pair fixes one count
@@ -209,22 +229,26 @@ def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDec
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
         e = np.gcd(values, n)
-        # values ascend, so within one e so does m = s / e: a stable sort on
-        # e alone puts the cells in (e, m) order
-        order = np.argsort(e, kind="stable")
-        e, values, u = e[order], values[order], counts[order]
+        # values ascend, so within one e so does m = s / e: the cells in
+        # (e, m) order are sorted on e, ties kept in index order
+        size = len(e)
+        if e.dtype != object and (n + 1) * size <= _INT64_KEYS:
+            # the keys e * size + index are distinct and below (n + 1) * size,
+            # so one unstable sort of them gives that order, and e with it
+            e *= size
+            e += np.arange(size)
+            e.sort()
+            e, order = np.divmod(e, size)
+        else:
+            order = np.argsort(e, kind="stable")
+            e = e[order]
+        values, u = values[order], counts[order]
         m = values // e
         for column in (e, m, u):
             column.flags.writeable = False  # the memo hands them to every reader
         return EnergyDecomposition(n, e, m, u, int(counts @ counts))
 
     return ctx.memo("decomposition", compute)
-
-
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal values in x."""
-    import numpy as np
-    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
 
 
 def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:

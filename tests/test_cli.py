@@ -82,6 +82,8 @@ CELL_OUTPUT_SHA256 = {
     ("energy", 12): "b665281d6333e5c501f7653e89ab5c652c14aef6abca7e19b84803cbb3e2a294",
     ("energy", 9699690): "606db7dc2264888065ef788c704d2927df7b59cfeaeda730c171336ee7f369e4",
     ("energy", 735134400): "7a7c0e8dad3840f9d1ae1ca2f7d0c517da064fa84b35d45ee7abf8d341658a3b",
+    # 2^4 3^2 5 7 11 13 10000019, tau 480: 2n > 2^32, so m takes 13 digits
+    ("energy", 7207213693680): "3deb5f18042504989c24aa9601484b26f30944ffe62df3974017e3e4f80dca7f",
     ("energy", 15 * (2**61 - 1)): "774b62775963f2bbf590068b590dbbd88f243cb14f15efd853d5862c461641f5",
     ("sweep", 6469693230): "fd744e3345edf828cf71d67c375c77b49f797b931c0bb02116f3bcca430bb46e",
     ("sweep", 15 * (2**61 - 1)): "caf2b1558919b02aa1c32f4748b03531a062c9f41bc0046d7f3912913ebf5a5e",
@@ -111,6 +113,15 @@ def test_decimal_lines_match_the_fstring_join():
     many = [rng.randrange(10 ** rng.randrange(1, 19)) for _ in range(3000)] + edges
     cases = [[edges], [edges, edges[::-1], edges[1:] + edges[:1]], [[7], [10**18], [1]]]
     cases += [[many, sorted(many), many[::-1]], [[1]] * 3, [[10**18 - 1]]]
+    # first columns in runs, as the energy cells' e comes: one run, runs of
+    # length 1, and sorted columns with repeats, with runs on both sides of
+    # the one-run-per-_RUN_ROWS-rows crossover
+    for rows in (cli._RUN_ROWS, 40 * cli._RUN_ROWS):
+        rest = [rng.randrange(10**12) for _ in range(rows)]
+        for runs in (1, rows // cli._RUN_ROWS, rows // cli._RUN_ROWS + 1, rows):
+            values = rng.sample(sorted(set(many)), runs)
+            first = sorted(values + rng.choices(values, k=rows - runs))
+            cases.append([first, rest, first[::-1]])
     for columns in cases:
         arrays = [np.array(c, dtype=np.int64) for c in columns]
         assert cli._decimal_lines(*arrays) == join_lines(*columns)
@@ -139,6 +150,34 @@ def test_map_commands(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[1].startswith("6,thm1b,3,")
     assert out.splitlines()[1].endswith(",true,j=2;k=1")  # no map= param
+
+
+def test_map_commands_convert_a_table_to_indices_once(capsys, monkeypatch):
+    # map check counts the table and checks its contract, map bound checks
+    # the contract and counts; each turns the table into divisor indices once
+    calls = []
+    index_columns = regmaps._index_columns
+
+    def counted(table, ctx):
+        calls.append(table.n)
+        return index_columns(table, ctx)
+
+    monkeypatch.setattr(regmaps, "_index_columns", counted)
+    for cmd in (["check"], ["bound", "--bound", "thm1a"]):
+        calls.clear()
+        code, out, err = run(capsys, "map", *cmd, "--kind", "midpoint-floor", "--n", "735134400")
+        assert (code, err) == (0, "") and out
+        assert calls == [735134400], cmd
+    # the columns are kept per table: an equal table of its own is converted
+    # again, and a table read without a context never is
+    ctx = factorcore.DivisorContext(735134400)
+    table = build_builtin("sum", 735134400, ctx=ctx)
+    copy = regmaps.MapTable(table.n, table.j, dict(table.entries))
+    calls.clear()
+    for t in (table, table, copy, copy):
+        assert regmaps.check_regularity(t, ctx) == regmaps.check_regularity(t)
+        assert regmaps.map_violations(t, ctx) == []
+    assert calls == [735134400] * 2
 
 
 def test_map_commands_refuse_bad_tables(capsys, tmp_path):

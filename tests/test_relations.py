@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 
@@ -443,6 +444,36 @@ def test_energy_decomposition_examples():
     with pytest.raises(ValueError):  # the memoised columns are read-only
         dec.u[0] = 2
     assert sum(u for _, _, u in energy_decomposition(2).rows) == 4
+
+
+def test_energy_cells_are_the_stable_gcd_order(monkeypatch):
+    # the columns are np.gcd of the histogram's sums with n, then sums / e
+    # and the counts, put in order by a stable argsort of e
+    def check(n, dtype):
+        values, counts = relations._pair_sum_counts(divisor_list(n))
+        e = np.gcd(values, n)
+        order = np.argsort(e, kind="stable")
+        dec = energy_decomposition(n)
+        assert dec.e.dtype == dec.m.dtype == dtype, n
+        assert dec.e.tolist() == e[order].tolist(), n
+        assert dec.m.tolist() == (values[order] // e[order]).tolist(), n
+        assert dec.u.tolist() == counts[order].tolist(), n
+        return (n + 1) * len(values) <= relations._INT64_KEYS
+
+    ns = (1, 2, 1000003, 2025, 735134400)
+    # int64 cells are ordered by one sort of the keys e * cells + index
+    # while those fit: at the prime 2^61 - 1 the keys reach 3 * 2^61
+    for n in (*ns, 2**61 - 1):
+        assert check(n, "int64"), n
+    assert not check(2**60, "int64")  # tau 61: (2^60 + 1) * 1891 > 2^63
+    # with the guard at 0 every int64 n takes the stable argsort, and past
+    # _INT64_SUMS every n takes object dtype
+    monkeypatch.setattr(relations, "_INT64_KEYS", 0)
+    for n in ns:
+        check(n, "int64")
+    monkeypatch.setattr(regmaps, "_INT64_SUMS", 0)
+    for n in (*ns, 15 * (2**61 - 1)):
+        check(n, "object")
 
 
 def test_energy_decomposition_rows_are_valid():
