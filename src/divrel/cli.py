@@ -116,8 +116,9 @@ def _records_for_n(
     return out
 
 
-# The serial sweep runs its n range in chunks of this many n, so it holds
-# the records of one chunk at a time.
+# A sweep runs its n range in chunks of at most this many n, and of at most
+# a quarter of one worker's share of the range (of all of it, serially), so
+# it holds the records of one chunk at a time.
 _SERIAL_CHUNK = 200
 
 
@@ -359,7 +360,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise DomainError(f"sweep: --workers must be at least 1, got {args.workers}")
     task = (bounds, args.squarefree_only, args.format)
-    size = max(1, (hi - lo + 1) // (4 * args.workers)) if args.workers > 1 else _SERIAL_CHUNK
+    size = min(_SERIAL_CHUNK, max(1, (hi - lo + 1) // (4 * args.workers)))
     tasks = ((start, min(hi, start + size - 1), *task) for start in range(lo, hi + 1, size))
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor

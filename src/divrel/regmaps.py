@@ -56,21 +56,12 @@ def map_violations(table: MapTable, ctx: DivisorContext | None = None) -> list[s
     """Reasons the table breaks the domain contract; empty when clean.
 
     With a context of table.n, a table of _INDEX_MIN_ENTRIES entries or more
-    is first checked on divisor indices: it is clean when every number is a
-    divisor and the prime masks of each entry's coordinates and value are
-    disjoint.  Any other table is checked, and described, entry by entry.
+    is first checked on divisor indices, and one that _divisor_columns finds
+    clean has no problems.  Any other table is checked, and described, entry
+    by entry.
     """
-    if (cols := _divisor_columns(table, ctx)) is not None:
-        import numpy as np
-        z, g = cols
-        masks = _divisor_index(ctx)[1]
-        seen = np.zeros(len(g), dtype=np.int32)
-        for col in (*z.T, g):
-            if (seen & masks[col]).any():
-                break
-            seen |= masks[col]
-        else:
-            return []
+    if _divisor_columns(table, ctx) is not None:
+        return []
     problems = []
     n = table.n
     for tup, val in table.entries.items():
@@ -125,13 +116,12 @@ def check_regularity(table: MapTable, ctx: DivisorContext | None = None) -> Regu
     """Exact minimal k for each condition by counting collisions in the
     table; its domain contract is left to map_violations.
 
-    With a context of table.n, a table of arity 1 or 2 with at least
-    _INDEX_MIN_ENTRIES entries is counted on divisor indices when every
-    coordinate, value and key product is a divisor of n; any other table is
-    counted in dicts of keys.  Both give the same report.
+    With a context of table.n, a pair table of _INDEX_MIN_ENTRIES entries or
+    more that meets the domain contract is counted on divisor indices; any
+    other table is counted in dicts of keys.  Both give the same report.
     """
-    if table.j <= 2 and (report := _index_regularity(table, ctx)) is not None:
-        return report
+    if table.j == 2 and (cols := _divisor_columns(table, ctx)) is not None:
+        return _index_regularity(ctx, *cols)
     b1: dict = defaultdict(list)
     b2: dict = defaultdict(list)
     b3: dict = defaultdict(list)
@@ -160,29 +150,15 @@ def check_regularity(table: MapTable, ctx: DivisorContext | None = None) -> Regu
 _INDEX_MIN_ENTRIES = 64
 
 
-def _lookup(d: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """The index in d of each x, or None when one is not in d."""
-    import numpy as np
-    idx = np.minimum(np.searchsorted(d, x), len(d) - 1)
-    return idx if (d[idx] == x).all() else None
-
-
-def _product_index(d: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The index in d of d[a] * d[b], or None when one is not a divisor of
-    n; a product is formed only once every d[a] <= n // d[b], so int64
-    never wraps."""
-    x, y = d[a], d[b]
-    return None if (x > n // y).any() else _lookup(d, x * y)
-
-
 def _divisor_columns(
     table: MapTable, ctx: DivisorContext | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The divisor indices of the coordinates (one row per entry) and of the
-    values of table, or None where the dict paths serve: without a context,
-    below _INDEX_MIN_ENTRIES entries, or for a table with a tuple of another
-    arity or a number that is not an int dividing n.  Worked out once per
-    (context, table), so check_regularity and map_violations share them."""
+    values of a table that meets the domain contract, or None where the dict
+    paths serve: without a context, below _INDEX_MIN_ENTRIES entries, or for
+    a table that breaks the contract or has a number that is not an int.
+    Worked out once per (context, table), so check_regularity and
+    map_violations share them."""
     if ctx is None:
         return None
     context_of(table.n, ctx)  # refuses a context of another n
@@ -193,8 +169,9 @@ def _divisor_columns(
 
 
 def _index_columns(table: MapTable, ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray] | None:
-    """_divisor_columns' columns, computed; None for a table of another
-    arity or with a number that is not an int dividing n."""
+    """_divisor_columns' columns, computed; None unless every tuple has the
+    table's arity, every number is an int dividing n and the prime masks of
+    each entry's coordinates and value are disjoint."""
     entries, j = table.entries, table.j
     if set(map(len, entries)) != {j}:
         return None
@@ -202,13 +179,22 @@ def _index_columns(table: MapTable, ctx: DivisorContext) -> tuple[np.ndarray, np
     flat = [*itertools.chain.from_iterable(entries), *entries.values()]
     if set(map(type, flat)) != {int}:  # bools, floats and numpy ints too
         return None
-    d = _divisor_index(ctx)[0]
+    d, masks = _divisor_index(ctx)
     try:
-        idx = _lookup(d, np.array(flat, dtype=d.dtype))
+        x = np.array(flat, dtype=d.dtype)
     except OverflowError:  # an int past int64, so not a divisor
         return None
+    idx = np.minimum(np.searchsorted(d, x), len(d) - 1)
+    if (d[idx] != x).any():
+        return None
     m = len(entries)
-    return None if idx is None else (idx[: j * m].reshape(m, j), idx[j * m :])
+    z, g = idx[: j * m].reshape(m, j), idx[j * m :]
+    seen = np.zeros(m, dtype=np.int32)
+    for col in (*z.T, g):
+        if (seen & masks[col]).any():
+            return None
+        seen |= masks[col]
+    return z, g
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
@@ -231,43 +217,37 @@ def _longest_run(keys: np.ndarray, sols: np.ndarray, d: np.ndarray) -> tuple[int
     return int(lengths[best]), key, sorted(d[sols[..., keys == key]].T.tolist())
 
 
-def _index_regularity(table: MapTable, ctx: DivisorContext | None) -> RegularityReport | None:
-    """check_regularity's report for a table of arity j <= 2, counted on the
-    divisor indices of its numbers, or None where the dict path serves.
+def _index_regularity(ctx: DivisorContext, z: np.ndarray, g: np.ndarray) -> RegularityReport:
+    """check_regularity's report for a pair table, counted on the divisor
+    indices z and g that _divisor_columns gives for it.
 
     A key of condition 1 or 2, (i, rest, target), becomes the int
     (i*tau + rest)*tau + target of divisor indices, rest the other
-    coordinate's (0 at j = 1); one of condition 3, (0, 1, (), g, z1*z2),
-    becomes g*tau + (z1*z2).  Divisors ascend, so these ints sort as the
-    keys do, and the first longest run of each is _max_with_witness's.
+    coordinate's; one of condition 3, (0, 1, (), g, z1*z2), becomes
+    g*tau + (z1*z2).  In a clean entry z*g and z1*z2 are products of
+    coprime divisors, so divisors of n, at most n: each is found among the
+    divisors, and int64 never wraps.  Divisors ascend, so these ints sort
+    as the keys do, and the first longest run of each is _max_with_witness's.
     """
-    if (cols := _divisor_columns(table, ctx)) is None:
-        return None
     import numpy as np
-    z, g = cols
     d = _divisor_index(ctx)[0]
-    n, j, tau = table.n, table.j, len(d)
+    tau = len(d)
     sol = z.T.ravel()  # coordinate 0 of every entry, then coordinate 1
-    lead = np.repeat(np.arange(j), len(g)) * tau + (z[:, ::-1].T.ravel() if j == 2 else 0)
-    target = np.tile(g, j)
-    if (prod := _product_index(d, n, sol, target)) is None:
-        return None
+    lead = np.repeat(np.arange(2), len(g)) * tau + z[:, ::-1].T.ravel()
+    target = np.tile(g, 2)
+    prod = np.searchsorted(d, d[sol] * d[target])
+    pair = np.searchsorted(d, d[z[:, 0]] * d[z[:, 1]])
 
     def witness(key: int, sols: list) -> tuple:
-        rest = (int(d[key // tau % tau]),) if j == 2 else ()
-        return (key // tau**2, rest, int(d[key % tau]), tuple(sols))
+        return (key // tau**2, (int(d[key // tau % tau]),), int(d[key % tau]), tuple(sols))
 
     k1, key1, sols1 = _longest_run(lead * tau + target, sol, d)
     k2, key2, sols2 = _longest_run(lead * tau + prod, sol, d)
+    k3, key3, pairs = _longest_run(g * tau + pair, z.T, d)
     w1, w2 = witness(key1, sols1), witness(key2, sols2)
-    k3 = w3 = None
-    if j == 2:
-        if (pair := _product_index(d, n, z[:, 0], z[:, 1])) is None:
-            return None
-        k3, key3, pairs = _longest_run(g * tau + pair, z.T, d)
-        w3 = (0, 1, (), int(d[key3 // tau]), int(d[key3 % tau]), tuple(map(tuple, pairs)))
+    w3 = (0, 1, (), int(d[key3 // tau]), int(d[key3 % tau]), tuple(map(tuple, pairs)))
     k = max(k1, k2)
-    return RegularityReport(k1, k2, k3, k, max(k, k3 or 0), w1, w2, w3)
+    return RegularityReport(k1, k2, k3, k, max(k, k3), w1, w2, w3)
 
 
 def f_value(table: MapTable) -> int:

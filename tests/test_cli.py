@@ -322,8 +322,8 @@ ALL_BOUNDS_200_SHA256 = {
 def test_sweep_deterministic_and_parallel_identical(capsys, monkeypatch, tmp_path):
     # all 13 bound ids exit 1: the literal eq4.2 bound fails at every prime.
     # Each pool worker formats its own chunk; the parent joins the texts.
-    # The serial sweep runs chunks of cli._SERIAL_CHUNK n; at 7 and at 1 n
-    # its output is unchanged.
+    # A sweep runs chunks of at most cli._SERIAL_CHUNK n; at 7 and at 1 n
+    # the serial output is unchanged.
     def sweep(*args):
         path = tmp_path / "report"
         code, _, err = run(capsys, "sweep", *args, "--out", str(path))
@@ -386,7 +386,7 @@ def test_report_does_not_depend_on_bounds_order(capsys, tmp_path):
 def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
     # the pool starts all its workers at once, so --workers N must not fork
     # N processes; a stand-in pool records its size and maps in-process
-    sizes = []
+    sizes, mapped = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -399,6 +399,7 @@ def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
             return False
 
         def map(self, fn, tasks):
+            mapped.append(tasks)
             # what a worker sends back: report text, never records
             for body, violation in map(fn, tasks):
                 assert type(body) is str and type(violation) in (str, type(None))
@@ -421,6 +422,13 @@ def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
         assert sizes.pop() == size
         if n_hi == "40":
             assert path.read_bytes() == serial.read_bytes()
+    # a chunk holds at most cli._SERIAL_CHUNK n, however wide the range:
+    # not the quarter of a worker's share, 5 n
+    monkeypatch.setattr(cli, "_SERIAL_CHUNK", 3)
+    path = tmp_path / "capped.csv"
+    assert run(capsys, *args, "--n-hi", "40", "--workers", "2", "--out", str(path))[0] == 0
+    assert [hi - lo + 1 for lo, hi, *_ in mapped[-1]] == [3] * 13 + [1]
+    assert path.read_bytes() == serial.read_bytes()
 
 
 def test_bound_registry_declares_every_bound():

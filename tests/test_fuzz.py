@@ -117,6 +117,9 @@ def small_budgets():
         yield defaults
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_int(text):
     """An int as the README writes it: a product of powers, like 2·10^6."""
     return math.prod(int(b) ** int(e or 1) for b, _, e in (f.partition("^") for f in text.split("·")))
@@ -132,10 +135,37 @@ def test_every_budget_is_patched_and_documented(small_budgets):
         if "MAX" in name and type(value) is int
     }
     assert found == small_budgets.keys()
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     rows = re.findall(r"^\|.*`(\w+)\.(_\w+)` = ([\d·^]+)", readme, re.MULTILINE)
     documented = {(f"divrel.{module}", name, readme_int(value)) for module, name, value in rows}
     assert documented == {(*key, value) for key, value in small_budgets.items()}
+
+
+def test_readme_names_only_what_the_code_has(small_budgets):
+    # every `<module>.<name>` the README cites exists in that divrel module,
+    # and every `<module>._NAME` = <value> outside the budget table (checked
+    # above) is the code's value, so a README left describing a deleted or
+    # changed name fails here
+    readme = README.read_text()
+    modules = {info.name for info in pkgutil.iter_modules(divrel.__path__)}
+    cited = {
+        (module, name)
+        for module, name in re.findall(r"`(?:divrel\.)?(\w+)\.(\w+)", readme)
+        if module in modules
+    }
+    missing = {
+        (module, name) for module, name in cited
+        if not hasattr(importlib.import_module(f"divrel.{module}"), name)
+    }
+    assert len(cited) >= 20 and not missing, missing
+    prose = "\n".join(line for line in readme.splitlines() if not line.startswith("|"))
+    values = re.findall(r"`(\w+)\.(_\w+)` = ([\d·^]+)", prose)
+    assert len(values) >= 2
+    for module, name, value in values:
+        # the budgets are patched down in this module; their own values are kept
+        own = small_budgets.get((f"divrel.{module}", name))
+        own = getattr(importlib.import_module(f"divrel.{module}"), name) if own is None else own
+        assert own == readme_int(value), (module, name, value)
 
 
 def assert_clean_exit(argv):

@@ -1,5 +1,6 @@
 """Explicit divisor maps, regularity constants, bounds, exhaustive maxima."""
 
+import functools
 import itertools
 import math
 import random
@@ -7,7 +8,6 @@ import tracemalloc
 from collections import defaultdict
 from decimal import Decimal
 
-import numpy as np
 import pytest
 import sympy
 
@@ -224,27 +224,53 @@ def sorted_entry_regularity(table: MapTable) -> tuple:
     return (k1, k2, k3, w1, w2, w3) if table.j >= 2 else (k1, k2, None, w1, w2, None)
 
 
-def test_witnesses_match_the_sorted_entry_oracle():
+def record_index_counts(patch):
+    """Patch regmaps._index_regularity to note each count on divisor
+    indices in the returned list."""
+    counted = []
+    index_regularity = regmaps._index_regularity
+
+    def recorded(*args):
+        counted.append(args)
+        return index_regularity(*args)
+
+    patch.setattr(regmaps, "_index_regularity", recorded)
+    return counted
+
+
+def test_witnesses_match_the_sorted_entry_oracle(monkeypatch):
     # entries are grouped in table order, and only a witness's solutions are
-    # sorted; constants and witnesses equal the sorted-entry grouping's
+    # sorted; constants and witnesses equal the sorted-entry grouping's.
+    # The random pair tables, whose few values make k large, are counted on
+    # divisor indices too (int64, and object past the limit at 2^61 * 315)
     rng = random.Random(11)
     tables = [build_builtin(kind, n) for n in [*range(1, 401), 720720] for kind in BUILTIN_KINDS]
-    for _ in range(200):
-        n = rng.choice([30, 210, 360, 2310])
+    builtin = len(tables)
+    for n in [0] * 200 + [735134400, 2**61 * 315] * 3:
+        n, j = (n, 2) if n else (rng.choice([30, 210, 360, 2310]), rng.randrange(1, 4))
         f = factor(n)
         divs = divisors(f)
-        j = rng.randrange(1, 4)
         tuples = list(coprime_tuples(f, j))
         rng.shuffle(tuples)
+        radical = math.prod(p for p, _ in f.parts)
+        first_coprime = functools.cache(lambda r: [d for d in divs if math.gcd(d, r) == 1][:3])
         entries = {}
-        for tup in tuples[: rng.randrange(len(tuples) + 1)]:
-            options = [d for d in divs if math.gcd(d, math.prod(tup)) == 1]
-            entries[tup] = rng.choice(options[:3])  # few values, many collisions
+        # at most 4096 entries: 735134400 has 36,855 coprime pairs
+        for tup in tuples[: rng.randrange(min(len(tuples), 4096) + 1)]:
+            # few values, many collisions
+            entries[tup] = rng.choice(first_coprime(math.gcd(math.prod(tup), radical)))
         tables.append(MapTable(n, j, entries))
-    for table in tables:
-        report = check_regularity(table)
-        got = (report.k1, report.k2, report.k3, report.witness1, report.witness2, report.witness3)
-        assert got == sorted_entry_regularity(table), table
+    monkeypatch.setattr(regmaps, "_INDEX_MIN_ENTRIES", 0)
+    counted = record_index_counts(monkeypatch)
+    for i, table in enumerate(tables):
+        expected = sorted_entry_regularity(table)
+        random_pair = i >= builtin and table.j == 2
+        for ctx in (None, DivisorContext(table.n)) if random_pair else (None,):
+            counted.clear()
+            r = check_regularity(table, ctx)
+            assert (r.k1, r.k2, r.k3, r.witness1, r.witness2, r.witness3) == expected, table
+            assert len(counted) == (ctx is not None and bool(table.entries))
+    assert max(check_regularity(table).k for table in tables[-6:]) > 3
 
 
 def test_witnesses_realize_the_maxima():
@@ -602,54 +628,55 @@ def assert_paths_agree(table, ctx, indexed):
     included) and map_violations' messages are the dict paths'; indexed
     says whether the count takes the index path."""
     slow = check_regularity(table)
-    fast = regmaps._index_regularity(table, ctx)
-    assert (fast is not None) == indexed, (table.n, table.j, len(table.entries))
-    assert repr(check_regularity(table, ctx) if fast is None else fast) == repr(slow), table.n
+    with pytest.MonkeyPatch.context() as patch:
+        counted = record_index_counts(patch)
+        fast = check_regularity(table, ctx)
+    assert bool(counted) == indexed, (table.n, table.j, len(table.entries))
+    assert repr(fast) == repr(slow), table.n
     assert map_violations(table, ctx) == map_violations(table), table.n
 
 
 def test_index_path_matches_the_dict_path(monkeypatch):
-    # with the crossover at 0 every nonempty built-in table is counted on
-    # divisor indices: int64 up to tau 16384, object past the limit (tau 744)
+    # with the crossover at 0 every nonempty built-in table is proved clean
+    # on divisor indices, and every nonempty pair table is counted there:
+    # int64 up to tau 16384, object past the limit (tau 744)
     monkeypatch.setattr(regmaps, "_INDEX_MIN_ENTRIES", 0)
     for n in [*range(1, 3001), 735134400, 13082761331670030, 2**61 * 315]:
         ctx = DivisorContext(n)
         for kind in BUILTIN_KINDS:
             table = regmaps.builtin_table(ctx, kind)
-            assert_paths_agree(table, ctx, indexed=bool(table.entries))
+            assert (regmaps._divisor_columns(table, ctx) is not None) == bool(table.entries)
+            assert_paths_agree(table, ctx, indexed=bool(table.entries) and table.j == 2)
 
 
 def test_index_path_falls_back_outside_the_contract():
     # each table is a built-in table above the crossover with one entry
-    # added or changed; the count stays exact either way
+    # added or changed; it breaks the contract, so the dict paths check and
+    # count it
     sum_map, n = builtin_sum_map(9699690), 9699690  # squarefree: 4 does not divide n
     wide = build_builtin("midpoint-floor", 9699690 * 2**37)  # 2n fits int64
     twos = build_builtin("midpoint-floor", 735134400)  # 2^6 divides n
     assert len(sum_map.entries) >= regmaps._INDEX_MIN_ENTRIES <= len(wide.entries)
     cases = [
-        (sum_map, (3, 5), n + 1, False),  # a value that does not divide n
-        (sum_map, (3, 5), -8, False),
-        (sum_map, (3,), 2, False),  # a tuple of another arity
-        (sum_map, (2, 2), 3, False),  # not coprime, and 2 * 2 does not divide n
-        (twos, (2, 2), 3, True),  # not coprime, but every product divides n
-        (twos, (3, 5), 2**70, False),  # past int64
-        # products past n and past int64, 2^38 * 2^30
-        (wide, (2**38, 1), 2**30, False),
-        (wide, (2**38, 2**30), 1, False),
+        (sum_map, (3, 5), n + 1),  # a value that does not divide n
+        (sum_map, (3, 5), -8),
+        (sum_map, (3,), 2),  # a tuple of another arity
+        (sum_map, (2, 2), 3),  # not coprime, and 2 * 2 does not divide n
+        (twos, (2, 2), 3),  # not coprime, though every product divides n
+        (twos, (3, 5), 2**70),  # past int64
+        # not coprime, with products past n and past int64, 2^38 * 2^30
+        (wide, (2**38, 1), 2**30),
+        (wide, (2**38, 2**30), 1),
     ]
-    for table, tup, val, indexed in cases:
+    for table, tup, val in cases:
         bad = MapTable(table.n, table.j, {**table.entries, tup: val})
         assert map_violations(bad), (tup, val)
-        assert_paths_agree(bad, DivisorContext(table.n), indexed)
-    # (2^32 + 1)^2 wraps to 2^33 + 1 in int64; the guard refuses it before
-    # the lookup could find it
-    d = np.array([2**32 + 1, 2**33 + 1])
-    assert regmaps._product_index(d, 2**61, np.array([0]), np.array([0])) is None
+        assert_paths_agree(bad, DivisorContext(table.n), indexed=False)
     # a number of another type is counted in dicts, even where it equals a
     # divisor; the entry-by-entry check refuses a float in math.gcd
     for val in (2.0, True):
         bad = MapTable(n, 2, {**sum_map.entries, (3, 5): val})
-        assert regmaps._index_regularity(bad, DivisorContext(n)) is None
+        assert regmaps._divisor_columns(bad, DivisorContext(n)) is None
         assert check_regularity(bad, DivisorContext(n)) == check_regularity(bad)
     # a clean arity-3 table is proved clean on divisor indices, and a
     # broken one gets the loop's messages
@@ -668,14 +695,14 @@ def test_sweep_tables_stay_on_the_dict_path(monkeypatch):
     # of 4620), never list the divisor index; a tau-1344 table takes it
     assert regmaps._INDEX_MIN_ENTRIES > 57
     indexed = []
-    index_regularity = regmaps._index_regularity
+    divisor_columns = regmaps._divisor_columns
 
     def recorded(table, ctx):
-        report = index_regularity(table, ctx)
-        indexed.append((table.n, len(table.entries), report is not None))
-        return report
+        cols = divisor_columns(table, ctx)
+        indexed.append((table.n, len(table.entries), cols is not None))
+        return cols
 
-    monkeypatch.setattr(regmaps, "_index_regularity", recorded)
+    monkeypatch.setattr(regmaps, "_divisor_columns", recorded)
     largest = 0
     for n in range(1, 5001):
         ctx = DivisorContext(n)
