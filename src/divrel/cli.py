@@ -275,8 +275,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
             print(text)
         return 0
     if args.map_cmd == "check":
-        table, ctx = _load_table(args)
-        report = regmaps.check_regularity(table, ctx)
+        table = _load_table(args)[0]
+        report = regmaps.check_regularity(table)
         print(
             json.dumps(
                 {
@@ -288,7 +288,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                     "k3": report.k3,
                     "k": report.k,
                     "k_strong": report.k_strong,
-                    "domain_regular": not regmaps.map_violations(table, ctx),
+                    "domain_regular": not regmaps.map_violations(table),
                 },
                 sort_keys=True,
             )

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import factorcore
@@ -26,11 +26,19 @@ from .records import BOUNDS, BoundCheckRecord, BoundSpec, _build_record, applica
 
 @dataclass(frozen=True)
 class MapTable:
-    """Explicit j-ary divisor map: entries maps each domain tuple to g(tuple)."""
+    """Explicit j-ary divisor map: entries maps each domain tuple to g(tuple).
+
+    A nonempty pair table built by the numpy walk keeps (d, z, g) in
+    _columns: the divisors of n as _as_array gives them, and the divisor
+    indices of the coordinates (one row per entry) and of the values, in
+    entry order.  Such a table meets the domain contract by construction.
+    The columns take no part in equality.
+    """
 
     n: int
     j: int
     entries: Mapping[tuple[int, ...], int]
+    _columns: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -52,15 +60,13 @@ class RegularityReport:
     witness3: tuple | None = None
 
 
-def map_violations(table: MapTable, ctx: DivisorContext | None = None) -> list[str]:
+def map_violations(table: MapTable) -> list[str]:
     """Reasons the table breaks the domain contract; empty when clean.
 
-    With a context of table.n, a table of _INDEX_MIN_ENTRIES entries or more
-    is first checked on divisor indices, and one that _divisor_columns finds
-    clean has no problems.  Any other table is checked, and described, entry
-    by entry.
+    A table with columns is clean by construction; any other table is
+    checked, and described, entry by entry.
     """
-    if _divisor_columns(table, ctx) is not None:
+    if table._columns is not None:
         return []
     problems = []
     n = table.n
@@ -112,16 +118,15 @@ def _max_with_witness(buckets: dict) -> tuple[int, tuple | None]:
     return best, (*best_key, tuple(sorted(buckets[best_key])))
 
 
-def check_regularity(table: MapTable, ctx: DivisorContext | None = None) -> RegularityReport:
+def check_regularity(table: MapTable) -> RegularityReport:
     """Exact minimal k for each condition by counting collisions in the
     table; its domain contract is left to map_violations.
 
-    With a context of table.n, a pair table of _INDEX_MIN_ENTRIES entries or
-    more that meets the domain contract is counted on divisor indices; any
-    other table is counted in dicts of keys.  Both give the same report.
+    A table with columns is counted on its divisor indices; any other table
+    is counted in dicts of keys.  Both give the same report.
     """
-    if table.j == 2 and (cols := _divisor_columns(table, ctx)) is not None:
-        return _index_regularity(ctx, *cols)
+    if table._columns is not None:
+        return _index_regularity(*table._columns)
     b1: dict = defaultdict(list)
     b2: dict = defaultdict(list)
     b3: dict = defaultdict(list)
@@ -138,63 +143,6 @@ def check_regularity(table: MapTable, ctx: DivisorContext | None = None) -> Regu
         k3, w3 = None, None
     k = max(k1, k2)
     return RegularityReport(k1, k2, k3, k, max(k, k3 or 0), w1, w2, w3)
-
-
-# check_regularity and map_violations work on divisor indices from this many
-# entries on, given a context; below it the dict paths, which skip listing
-# the divisor index, are as fast.  On a 2-core x86 box (best of 7 x 200) a
-# count took 0.12 ms on either path at 29 entries (midpoint-exact of 4620),
-# 0.21 ms in dicts against 0.17 ms on indices at 57 (midpoint-floor of 4620)
-# and 0.34 against 0.19 ms at 89 (sum of 27720); the index took 0.01 to
-# 0.04 ms to build at tau 48 to 240.
-_INDEX_MIN_ENTRIES = 64
-
-
-def _divisor_columns(
-    table: MapTable, ctx: DivisorContext | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The divisor indices of the coordinates (one row per entry) and of the
-    values of a table that meets the domain contract, or None where the dict
-    paths serve: without a context, below _INDEX_MIN_ENTRIES entries, or for
-    a table that breaks the contract or has a number that is not an int.
-    Worked out once per (context, table), so check_regularity and
-    map_violations share them."""
-    if ctx is None:
-        return None
-    context_of(table.n, ctx)  # refuses a context of another n
-    if len(table.entries) < _INDEX_MIN_ENTRIES:
-        return None
-    # the memo holds the table, so no other table takes its id while kept
-    return ctx.memo(("divisor_columns", id(table)), lambda: (table, _index_columns(table, ctx)))[1]
-
-
-def _index_columns(table: MapTable, ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray] | None:
-    """_divisor_columns' columns, computed; None unless every tuple has the
-    table's arity, every number is an int dividing n and the prime masks of
-    each entry's coordinates and value are disjoint."""
-    entries, j = table.entries, table.j
-    if set(map(len, entries)) != {j}:
-        return None
-    import numpy as np
-    flat = [*itertools.chain.from_iterable(entries), *entries.values()]
-    if set(map(type, flat)) != {int}:  # bools, floats and numpy ints too
-        return None
-    d, masks = _divisor_index(ctx)
-    try:
-        x = np.array(flat, dtype=d.dtype)
-    except OverflowError:  # an int past int64, so not a divisor
-        return None
-    idx = np.minimum(np.searchsorted(d, x), len(d) - 1)
-    if (d[idx] != x).any():
-        return None
-    m = len(entries)
-    z, g = idx[: j * m].reshape(m, j), idx[j * m :]
-    seen = np.zeros(m, dtype=np.int32)
-    for col in (*z.T, g):
-        if (seen & masks[col]).any():
-            return None
-        seen |= masks[col]
-    return z, g
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
@@ -217,9 +165,8 @@ def _longest_run(keys: np.ndarray, sols: np.ndarray, d: np.ndarray) -> tuple[int
     return int(lengths[best]), key, sorted(d[sols[..., keys == key]].T.tolist())
 
 
-def _index_regularity(ctx: DivisorContext, z: np.ndarray, g: np.ndarray) -> RegularityReport:
-    """check_regularity's report for a pair table, counted on the divisor
-    indices z and g that _divisor_columns gives for it.
+def _index_regularity(d: np.ndarray, z: np.ndarray, g: np.ndarray) -> RegularityReport:
+    """check_regularity's report for a pair table, counted on its columns.
 
     A key of condition 1 or 2, (i, rest, target), becomes the int
     (i*tau + rest)*tau + target of divisor indices, rest the other
@@ -230,7 +177,6 @@ def _index_regularity(ctx: DivisorContext, z: np.ndarray, g: np.ndarray) -> Regu
     as the keys do, and the first longest run of each is _max_with_witness's.
     """
     import numpy as np
-    d = _divisor_index(ctx)[0]
     tau = len(d)
     sol = z.T.ravel()  # coordinate 0 of every entry, then coordinate 1
     lead = np.repeat(np.arange(2), len(g)) * tau + z[:, ::-1].T.ravel()
@@ -257,7 +203,7 @@ def f_value(table: MapTable) -> int:
 
 def builtin_sum_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
     """g(d1, d2) = d1 + d2 on coprime pairs whose sum divides n coprimely."""
-    return MapTable(n, 2, _pair_entries(context_of(n, ctx), "sum"))
+    return _pair_table(context_of(n, ctx), "sum")
 
 
 def builtin_successor_map(n: int, ctx: DivisorContext | None = None) -> MapTable:
@@ -276,7 +222,7 @@ def builtin_midpoint_map(
     """
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
-    return MapTable(n, 2, _pair_entries(context_of(n, ctx), f"midpoint-{variant}"))
+    return _pair_table(context_of(n, ctx), f"midpoint-{variant}")
 
 
 # The pair maps are built by the numpy walk from this tau(n) on; below it
@@ -318,11 +264,11 @@ def _divisor_index(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     return ctx.memo("divisor_index", compute)
 
 
-def _pair_entries(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
-    """The entries of the pair map kind of ctx.n, from the walk that suits tau."""
+def _pair_table(ctx: DivisorContext, kind: str) -> MapTable:
+    """The pair map kind of ctx.n, from the walk that suits tau."""
     if ctx.stats.tau >= _NUMPY_MIN_TAU:
         return _numpy_walk(ctx, kind)
-    return _row_walk(ctx.n, ctx.divs, kind)
+    return MapTable(ctx.n, 2, _row_walk(ctx.n, ctx.divs, kind))
 
 
 def _row_walk(n: int, divs: tuple[int, ...], kind: str) -> dict[tuple[int, int], int]:
@@ -379,8 +325,9 @@ def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
     return np.minimum(lo + 1, width), lo
 
 
-def _numpy_walk(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
-    """The row walk's entries, in its order, from numpy blocks of rows.
+def _numpy_walk(ctx: DivisorContext, kind: str) -> MapTable:
+    """The row walk's table, its entries in its order, from numpy blocks of
+    rows; a nonempty table keeps its columns.
 
     The walk is charged the row walk's tested pairs, and refused with its
     count and text, before any candidate is listed.
@@ -395,7 +342,7 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
         factorcore.check_budget(f"{kind} map of {n}: pairs tested", int(charged[over]), factorcore._MAX_PAIRS)
     step = 2 if kind == "midpoint-exact" else 1
     listed = np.cumsum(candidates)  # the candidates of rows 0..r
-    entries: dict[tuple[int, int], int] = {}
+    blocks = []
     r0 = 0
     while r0 < tau:
         before = int(listed[r0 - 1]) if r0 else 0
@@ -408,20 +355,25 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> dict[tuple[int, int], int]:
         mi, mj = masks[i], masks[j]
         coprime = np.flatnonzero((mi & mj) == 0)
         i, j, mi, mj = i[coprime], j[coprime], mi[coprime], mj[coprime]
-        a, b = d[i], d[j]
         if kind == "sum":
-            val = a + b
+            val = d[i] + d[j]
             hit = n % val == 0
+            val = np.searchsorted(d, val[hit])  # the value's index, on the hits only
         else:
-            mid = (i + j) // 2
-            val = d[mid]
-            hit = (masks[mid] & (mi | mj)) == 0
-        a, b, val = a[hit], b[hit], val[hit]
-        # (a, b) then (b, a), as the row walk stores them
-        keys = np.column_stack((a, b, b, a)).reshape(-1, 2)
-        entries.update(zip(zip(keys[:, 0].tolist(), keys[:, 1].tolist()), np.repeat(val, 2).tolist()))
+            val = (i + j) // 2
+            hit = (masks[val] & (mi | mj)) == 0
+            val = val[hit]
+        blocks.append((i[hit], j[hit], val))
         r0 = r1
-    return entries
+    i, j, g = (np.concatenate(col) for col in zip(*blocks))
+    # (i, j) then (j, i), as the row walk stores them; the only coprime pair
+    # on the diagonal, (1, 1), is the walk's first candidate and is kept once
+    z = np.column_stack((i, j, j, i)).reshape(-1, 2)
+    g = np.repeat(g, 2)
+    if len(i) and i[0] == j[0]:
+        z, g = z[1:], g[1:]
+    entries = dict(zip(zip(*d[z].T.tolist()), d[g].tolist()))
+    return MapTable(n, 2, entries, (d, z, g) if len(g) else None)
 
 
 BUILTIN_KINDS = ("sum", "successor", "midpoint-exact", "midpoint-floor")
@@ -448,7 +400,7 @@ def builtin_maps(ctx: DivisorContext) -> tuple[tuple[str, MapTable, RegularityRe
 
     def compute() -> tuple:
         tables = [(kind, builtin_table(ctx, kind)) for kind in BUILTIN_KINDS]
-        return tuple((kind, table, check_regularity(table, ctx)) for kind, table in tables)
+        return tuple((kind, table, check_regularity(table)) for kind, table in tables)
 
     return ctx.memo("builtin_maps", compute)
 
@@ -484,15 +436,13 @@ def bound_check(
 
     A table that breaks the domain contract (see map_violations) is refused.
     ctx, a DivisorContext of table.n, supplies the factorization, its
-    statistics and kappa without recomputing them, and lists the divisors
-    when the table is checked and counted on divisor indices; without it
-    n's divisors are not listed.
+    statistics and kappa without recomputing them.
     """
     own = context_of(table.n, ctx)
     spec = applicable_spec(bound_id, "map", own, table.j)
-    if problems := map_violations(table, ctx):
+    if problems := map_violations(table):
         raise DomainError(f"{bound_id}: {problems[0]}")
-    return _map_row(bound_id, spec, own, table, reg or check_regularity(table, ctx))
+    return _map_row(bound_id, spec, own, table, reg or check_regularity(table))
 
 
 def builtin_rows(ctx: DivisorContext, bound_id: str) -> list[BoundCheckRecord]:

@@ -152,32 +152,24 @@ def test_map_commands(capsys, tmp_path):
     assert out.splitlines()[1].endswith(",true,j=2;k=1")  # no map= param
 
 
-def test_map_commands_convert_a_table_to_indices_once(capsys, monkeypatch):
-    # map check counts the table and checks its contract, map bound checks
-    # the contract and counts; each turns the table into divisor indices once
-    calls = []
-    index_columns = regmaps._index_columns
-
-    def counted(table, ctx):
-        calls.append(table.n)
-        return index_columns(table, ctx)
-
-    monkeypatch.setattr(regmaps, "_index_columns", counted)
+def test_map_commands_walk_and_count_on_indices_once(capsys, monkeypatch, tmp_path):
+    # map check and map bound walk their built-in table once and count it on
+    # its columns once; the same table read with --file is counted in dicts
+    # and gives the same bytes
+    walks, counts = [], []
+    numpy_walk, index_regularity = regmaps._numpy_walk, regmaps._index_regularity
+    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: walks.append(ctx.n) or numpy_walk(ctx, kind))
+    monkeypatch.setattr(regmaps, "_index_regularity", lambda *cols: counts.append(1) or index_regularity(*cols))
+    path = tmp_path / "table.json"
+    run(capsys, "map", "build", "--kind", "midpoint-floor", "--n", "735134400", "--out", str(path))
     for cmd in (["check"], ["bound", "--bound", "thm1a"]):
-        calls.clear()
+        del walks[:], counts[:]
         code, out, err = run(capsys, "map", *cmd, "--kind", "midpoint-floor", "--n", "735134400")
         assert (code, err) == (0, "") and out
-        assert calls == [735134400], cmd
-    # the columns are kept per table: an equal table of its own is converted
-    # again, and a table read without a context never is
-    ctx = factorcore.DivisorContext(735134400)
-    table = build_builtin("sum", 735134400, ctx=ctx)
-    copy = regmaps.MapTable(table.n, table.j, dict(table.entries))
-    calls.clear()
-    for t in (table, table, copy, copy):
-        assert regmaps.check_regularity(t, ctx) == regmaps.check_regularity(t)
-        assert regmaps.map_violations(t, ctx) == []
-    assert calls == [735134400] * 2
+        assert (walks, counts) == ([735134400], [1]), cmd
+        del walks[:], counts[:]
+        assert run(capsys, "map", *cmd, "--file", str(path)) == (code, out, err), cmd
+        assert (walks, counts) == ([], []), cmd
 
 
 def test_map_commands_refuse_bad_tables(capsys, tmp_path):

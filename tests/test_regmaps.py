@@ -8,6 +8,7 @@ import tracemalloc
 from collections import defaultdict
 from decimal import Decimal
 
+import numpy as np
 import pytest
 import sympy
 
@@ -238,11 +239,22 @@ def record_index_counts(patch):
     return counted
 
 
+def with_columns(table):
+    """The clean nonempty pair table with the columns the numpy walk keeps,
+    each coordinate and value found among the divisors of n."""
+    d = regmaps._as_array(divisors(factor(table.n)))
+    z = np.searchsorted(d, np.array(list(table.entries), dtype=d.dtype))
+    g = np.searchsorted(d, np.array(list(table.entries.values()), dtype=d.dtype))
+    assert list(zip(map(tuple, d[z].tolist()), d[g].tolist())) == list(table.entries.items())
+    return MapTable(table.n, 2, table.entries, (d, z, g))
+
+
 def test_witnesses_match_the_sorted_entry_oracle(monkeypatch):
     # entries are grouped in table order, and only a witness's solutions are
     # sorted; constants and witnesses equal the sorted-entry grouping's.
     # The random pair tables, whose few values make k large, are counted on
-    # divisor indices too (int64, and object past the limit at 2^61 * 315)
+    # divisor indices too, given columns (int64, and object past the limit
+    # at 2^61 * 315)
     rng = random.Random(11)
     tables = [build_builtin(kind, n) for n in [*range(1, 401), 720720] for kind in BUILTIN_KINDS]
     builtin = len(tables)
@@ -260,16 +272,15 @@ def test_witnesses_match_the_sorted_entry_oracle(monkeypatch):
             # few values, many collisions
             entries[tup] = rng.choice(first_coprime(math.gcd(math.prod(tup), radical)))
         tables.append(MapTable(n, j, entries))
-    monkeypatch.setattr(regmaps, "_INDEX_MIN_ENTRIES", 0)
     counted = record_index_counts(monkeypatch)
     for i, table in enumerate(tables):
         expected = sorted_entry_regularity(table)
-        random_pair = i >= builtin and table.j == 2
-        for ctx in (None, DivisorContext(table.n)) if random_pair else (None,):
+        indexed = i >= builtin and table.j == 2 and bool(table.entries)
+        for t in (table, with_columns(table)) if indexed else (table,):
             counted.clear()
-            r = check_regularity(table, ctx)
+            r = check_regularity(t)
             assert (r.k1, r.k2, r.k3, r.witness1, r.witness2, r.witness3) == expected, table
-            assert len(counted) == (ctx is not None and bool(table.entries))
+            assert len(counted) == (t._columns is not None)
     assert max(check_regularity(table).k for table in tables[-6:]) > 3
 
 
@@ -558,17 +569,30 @@ def row_walk(kind, n):
 
 def assert_walks_agree(n):
     """The numpy walk gives the row walk's entries in its order and is
-    charged walk_rows' count on every row, whatever the crossover is."""
+    charged walk_rows' count on every row, whatever the crossover is.  Its
+    columns give back its entries, one row each, and the report counted on
+    them (witnesses and their int types included) is that of a copy without
+    columns, which the entry-by-entry check finds clean."""
     ctx = DivisorContext(n)
     d = regmaps._as_array(ctx.divs)
     for kind in PAIR_KINDS:
-        assert list(regmaps._numpy_walk(ctx, kind).items()) == list(row_walk(kind, n).items()), (n, kind)
+        table = regmaps._numpy_walk(ctx, kind)
+        assert list(table.entries.items()) == list(row_walk(kind, n).items()), (n, kind)
         assert regmaps._numpy_rows(n, d, kind)[0].tolist() == walk_rows(kind, n), (n, kind)
+        copy = MapTable(n, 2, dict(table.entries))
+        assert map_violations(copy) == [], (n, kind)
+        if not table.entries:
+            assert table._columns is None, (n, kind)
+            continue
+        divs, z, g = table._columns
+        assert len(g) == len(table.entries), (n, kind)
+        assert list(zip(map(tuple, divs[z].tolist()), divs[g].tolist())) == list(table.entries.items())
+        assert repr(check_regularity(table)) == repr(check_regularity(copy)), (n, kind)
 
 
 def test_numpy_walk_matches_the_row_walk():
-    # past the int64 limit: tau 236, and tau 5120 at omega 8
-    for n in [*range(1, 3001), *HC_MEMBERS, INT64_BELOW, INT64_ABOVE, 9699690 * 2**38]:
+    # past the int64 limit: tau 236 and 744, and tau 5120 at omega 8
+    for n in [*range(1, 3001), *HC_MEMBERS, INT64_BELOW, INT64_ABOVE, 2**61 * 315, 9699690 * 2**38]:
         assert_walks_agree(n)
 
 
@@ -581,7 +605,7 @@ def test_pair_maps_take_the_numpy_walk_from_the_crossover_at_any_n(monkeypatch):
     # int64 limit, then tau 124 and 236 on each side of the crossover past it
     assert 168 < regmaps._NUMPY_MIN_TAU <= 192
     taken = []
-    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append(ctx.n) or {})
+    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append(ctx.n) or MapTable(ctx.n, 2, {}))
     cases = ((221760, False), (332640, True), (INT64_BELOW, True), (3 * 2**61, False), (INT64_ABOVE, True))
     for n, numpy in cases:
         for kind in PAIR_KINDS:
@@ -623,101 +647,72 @@ def test_a_refused_numpy_walk_lists_no_candidate(monkeypatch):
         assert refused < column < admitted, (n, kind, refused, column, admitted)
 
 
-def assert_paths_agree(table, ctx, indexed):
-    """With ctx, check_regularity's report (witnesses and their int types
-    included) and map_violations' messages are the dict paths'; indexed
-    says whether the count takes the index path."""
-    slow = check_regularity(table)
-    with pytest.MonkeyPatch.context() as patch:
-        counted = record_index_counts(patch)
-        fast = check_regularity(table, ctx)
-    assert bool(counted) == indexed, (table.n, table.j, len(table.entries))
-    assert repr(fast) == repr(slow), table.n
-    assert map_violations(table, ctx) == map_violations(table), table.n
-
-
-def test_index_path_matches_the_dict_path(monkeypatch):
-    # with the crossover at 0 every nonempty built-in table is proved clean
-    # on divisor indices, and every nonempty pair table is counted there:
-    # int64 up to tau 16384, object past the limit (tau 744)
-    monkeypatch.setattr(regmaps, "_INDEX_MIN_ENTRIES", 0)
-    for n in [*range(1, 3001), 735134400, 13082761331670030, 2**61 * 315]:
-        ctx = DivisorContext(n)
-        for kind in BUILTIN_KINDS:
-            table = regmaps.builtin_table(ctx, kind)
-            assert (regmaps._divisor_columns(table, ctx) is not None) == bool(table.entries)
-            assert_paths_agree(table, ctx, indexed=bool(table.entries) and table.j == 2)
-
-
-def test_index_path_falls_back_outside_the_contract():
+def test_index_path_falls_back_outside_the_contract(monkeypatch):
     # each table is a built-in table above the crossover with one entry
-    # added or changed; it breaks the contract, so the dict paths check and
-    # count it
+    # added or changed; the copy has no columns, so the dict paths check,
+    # describe and count it
     sum_map, n = builtin_sum_map(9699690), 9699690  # squarefree: 4 does not divide n
     wide = build_builtin("midpoint-floor", 9699690 * 2**37)  # 2n fits int64
     twos = build_builtin("midpoint-floor", 735134400)  # 2^6 divides n
-    assert len(sum_map.entries) >= regmaps._INDEX_MIN_ENTRIES <= len(wide.entries)
     cases = [
-        (sum_map, (3, 5), n + 1),  # a value that does not divide n
-        (sum_map, (3, 5), -8),
-        (sum_map, (3,), 2),  # a tuple of another arity
-        (sum_map, (2, 2), 3),  # not coprime, and 2 * 2 does not divide n
-        (twos, (2, 2), 3),  # not coprime, though every product divides n
-        (twos, (3, 5), 2**70),  # past int64
+        # a value that does not divide n
+        (sum_map, (3, 5), n + 1, [f"value {n + 1} at (3, 5) does not divide {n}"]),
+        (sum_map, (3, 5), -8, [f"value -8 at (3, 5) does not divide {n}"]),
+        # a tuple of another arity
+        (sum_map, (3,), 2, ["tuple (3,) has arity 1, expected 2"]),
+        # not coprime, and 2 * 2 does not divide n
+        (sum_map, (2, 2), 3, ["coordinates of (2, 2) are not pairwise coprime"]),
+        # not coprime, though every product divides n
+        (twos, (2, 2), 3, ["coordinates of (2, 2) are not pairwise coprime"]),
+        # past int64
+        (twos, (3, 5), 2**70, [f"value {2**70} at (3, 5) does not divide 735134400"]),
         # not coprime, with products past n and past int64, 2^38 * 2^30
-        (wide, (2**38, 1), 2**30),
-        (wide, (2**38, 2**30), 1),
+        (wide, (2**38, 1), 2**30, [f"value {2**30} shares a factor with ({2**38}, 1)"]),
+        (wide, (2**38, 2**30), 1, [f"coordinates of ({2**38}, {2**30}) are not pairwise coprime"]),
     ]
-    for table, tup, val in cases:
+    counted = record_index_counts(monkeypatch)
+    for table, tup, val, problems in cases:
+        assert table._columns is not None
         bad = MapTable(table.n, table.j, {**table.entries, tup: val})
-        assert map_violations(bad), (tup, val)
-        assert_paths_agree(bad, DivisorContext(table.n), indexed=False)
+        assert bad._columns is None
+        assert map_violations(bad) == problems, (tup, val)
+        check_regularity(bad)
     # a number of another type is counted in dicts, even where it equals a
     # divisor; the entry-by-entry check refuses a float in math.gcd
     for val in (2.0, True):
         bad = MapTable(n, 2, {**sum_map.entries, (3, 5): val})
-        assert regmaps._divisor_columns(bad, DivisorContext(n)) is None
-        assert check_regularity(bad, DivisorContext(n)) == check_regularity(bad)
-    # a clean arity-3 table is proved clean on divisor indices, and a
-    # broken one gets the loop's messages
+        assert bad._columns is None
+        check_regularity(bad)
+    assert counted == []
+    # an arity-3 table is checked entry by entry: clean, then broken
     triples = {tup: 1 for tup in coprime_tuples(factor(2310), 3)}
-    ctx = DivisorContext(2310)
-    assert map_violations(MapTable(2310, 3, triples), ctx) == []
+    assert map_violations(MapTable(2310, 3, triples)) == []
     triples[2, 3, 5] = 5
-    assert map_violations(MapTable(2310, 3, triples), ctx) == [
+    assert map_violations(MapTable(2310, 3, triples)) == [
         "value 5 shares a factor with (2, 3, 5)"
     ]
-    assert_paths_agree(MapTable(2310, 3, triples), ctx, indexed=False)
 
 
 def test_sweep_tables_stay_on_the_dict_path(monkeypatch):
     # the sweep's tables, at most 57 entries for n <= 5000 (midpoint-floor
-    # of 4620), never list the divisor index; a tau-1344 table takes it
-    assert regmaps._INDEX_MIN_ENTRIES > 57
-    indexed = []
-    divisor_columns = regmaps._divisor_columns
-
-    def recorded(table, ctx):
-        cols = divisor_columns(table, ctx)
-        indexed.append((table.n, len(table.entries), cols is not None))
-        return cols
-
-    monkeypatch.setattr(regmaps, "_divisor_columns", recorded)
+    # of 4620), come from the row walk, so they have no columns and never
+    # list the divisor index; a tau-1344 table is counted on its columns
+    counted = record_index_counts(monkeypatch)
     largest = 0
     for n in range(1, 5001):
         ctx = DivisorContext(n)
-        largest = max(largest, *(len(table.entries) for _, table, _ in regmaps.builtin_maps(ctx)))
+        tables = [table for _, table, _ in regmaps.builtin_maps(ctx)]
+        largest = max(largest, *map(len, (table.entries for table in tables)))
+        assert all(table._columns is None for table in tables), n
         assert "divisor_index" not in ctx._memo, n
     assert largest == 57
-    assert not any(taken for *_, taken in indexed)
-    indexed.clear()
-    ctx = DivisorContext(735134400)
-    table = regmaps.builtin_table(ctx, "midpoint-floor")
-    check_regularity(table, ctx)
-    assert indexed == [(735134400, len(table.entries), True)]
-    # without a context, as for a table read from a file, nothing is indexed
+    assert counted == []
+    table = regmaps.builtin_table(DivisorContext(735134400), "midpoint-floor")
     check_regularity(table)
-    assert indexed[1:] == [(735134400, len(table.entries), False)]
+    assert len(counted) == 1
+    # a copy without columns, as read from a file, is counted in dicts
+    check_regularity(MapTable(table.n, 2, dict(table.entries)))
+    assert len(counted) == 1
 
 
 def test_exact_E_below_kappa_power_bound():

@@ -370,8 +370,6 @@ def test_a_context_of_another_n_is_refused():
         "build_builtin": lambda ctx: regmaps.build_builtin("sum", 6, ctx),
         "bound_check": lambda ctx: regmaps.bound_check(
             regmaps.build_builtin("sum", 6), "thm1a", ctx=ctx),
-        "check_regularity": lambda ctx: regmaps.check_regularity(regmaps.build_builtin("sum", 6), ctx),
-        "map_violations": lambda ctx: regmaps.map_violations(regmaps.build_builtin("sum", 6), ctx),
     }
     # every public function that takes an optional context is called
     optional_ctx = {
@@ -466,6 +464,21 @@ def test_energy_cells_are_the_stable_gcd_order(monkeypatch):
     for n in (*ns, 2**61 - 1):
         assert check(n, "int64"), n
     assert not check(2**60, "int64")  # tau 61: (2^60 + 1) * 1891 > 2^63
+    # the key sort runs exactly while (n + 1) * cells is at most the guard:
+    # with the guard one below that, the stable argsort of e runs instead
+    n = 2025
+    cells = len(relations._pair_sums(DivisorContext(n))[0])
+    for guard, stable in (((n + 1) * cells - 1, True), ((n + 1) * cells, False)):
+        monkeypatch.setattr(relations, "_INT64_KEYS", guard)
+        sorts = []
+        argsort = np.argsort
+        ctx = DivisorContext(n)
+        relations._pair_sums(ctx)  # the histogram is counted before the spy
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", lambda *a, **k: sorts.append(k) or argsort(*a, **k))
+            energy_decomposition(n, ctx=ctx)
+        assert sorts == ([{"kind": "stable"}] if stable else []), guard
+        assert check(n, "int64") == (not stable), guard
     # with the guard at 0 every int64 n takes the stable argsort, and past
     # _INT64_SUMS every n takes object dtype
     monkeypatch.setattr(relations, "_INT64_KEYS", 0)
