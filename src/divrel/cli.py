@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from operator import attrgetter
 
 from . import analytic, factorcore, regmaps, relations
 from .errors import DomainError, ResourceLimitError
@@ -37,8 +36,9 @@ CSV_HEADER = "n,bound_id,lhs,log_rhs,margin,pass,params\n"
 
 
 def format_records_csv(records: list[BoundCheckRecord]) -> str:
+    """The CSV report of the records, one row each, in the order given."""
     lines = [CSV_HEADER]
-    for rec in sorted(records, key=attrgetter("n", "bound_id", "params")):
+    for rec in records:
         lines.append(
             f"{rec.n},{rec.bound_id},{rec.lhs},{_fmt(rec.log_rhs)},"
             f"{_fmt(rec.margin)},{'true' if rec.passed else 'false'},"
@@ -48,6 +48,7 @@ def format_records_csv(records: list[BoundCheckRecord]) -> str:
 
 
 def format_records_json(records: list[BoundCheckRecord]) -> str:
+    """The JSON report of the records, one object each, in the order given."""
     rows = [
         {
             "n": rec.n,
@@ -58,7 +59,7 @@ def format_records_json(records: list[BoundCheckRecord]) -> str:
             "pass": rec.passed,
             "params": dict(rec.params),
         }
-        for rec in sorted(records, key=attrgetter("n", "bound_id", "params"))
+        for rec in records
     ]
     return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -80,7 +81,7 @@ def parse_records_json(text: str) -> list[BoundCheckRecord]:
 
 
 def _violation_line(records: Iterable[BoundCheckRecord]) -> str | None:
-    """The error line naming the first asserted bound that fails, if any."""
+    """The error line naming the first failing asserted row, if any."""
     for rec in records:
         if rec.asserted and not rec.passed:
             witness = f" ({_params_str(rec.params)})" if rec.params else ""
@@ -98,11 +99,10 @@ def _exit_code(violation: str | None) -> int:
 def _records_for_n(
     ctx: factorcore.DivisorContext, bounds: tuple[str, ...]
 ) -> list[BoundCheckRecord]:
-    """All requested bound rows for one n; bounds whose domain excludes n
-    (or a built-in table's arity) are skipped.
-
-    Every bound id reads the one context, so each piece of work on n is
-    done once.
+    """All requested bound rows for one n, sorted stably into report order;
+    bounds whose domain excludes n (or a built-in table's arity) are
+    skipped.  Every bound id reads the one context, so each piece of work
+    on n is done once.
     """
     out: list[BoundCheckRecord] = []
     for bound_id in bounds:
@@ -113,6 +113,7 @@ def _records_for_n(
             out.extend(relations.relation_rows(ctx, bound_id))
         else:
             out.extend(regmaps.builtin_rows(ctx, bound_id))
+    out.sort(key=lambda rec: (rec.bound_id, rec.params))
     return out
 
 
@@ -351,9 +352,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = tuple(args.bounds.split(","))
-    for b in bounds:
+    for i, b in enumerate(bounds):
         if b not in BOUNDS or not BOUNDS[b].sweepable:
             raise DomainError(f"sweep: unknown bound id {b!r}")
+        if b in bounds[:i]:
+            raise DomainError(f"sweep: repeated bound id {b!r}")
     lo, hi = args.n_lo, args.n_hi
     if lo < 1 or hi < lo:
         raise DomainError(f"sweep: bad range [{lo}, {hi}]")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import types
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -372,7 +373,8 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> MapTable:
     g = np.repeat(g, 2)
     if len(i) and i[0] == j[0]:
         z, g = z[1:], g[1:]
-    entries = dict(zip(zip(*d[z].T.tolist()), d[g].tolist()))
+    # read-only, so the table cannot drift from the columns it is counted on
+    entries = types.MappingProxyType(dict(zip(zip(*d[z].T.tolist()), d[g].tolist())))
     return MapTable(n, 2, entries, (d, z, g) if len(g) else None)
 
 

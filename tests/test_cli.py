@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, report formats."""
 
 import concurrent.futures
+import dataclasses
 import decimal
 import hashlib
 import json
@@ -23,6 +24,7 @@ from divrel import (
     inequality_report,
     make_record,
     regmaps,
+    relations,
 )
 from divrel.cli import format_records_csv, format_records_json, main, parse_records_json
 from divrel.records import BOUNDS, BoundSpec
@@ -309,6 +311,16 @@ ALL_BOUNDS_200_SHA256 = {
     "csv": "783c210adf0c48933785fbeb8611f90d5dea23edd7dd88b56e316879d302e498",
     "json": "da5575ab1ee373893c96f0678cab7ce173251cc9d63e8ce60992688ff016ae94",
 }
+# The same for the serial CSV report for n <= 3000.
+ALL_BOUNDS_3000_CSV_SHA256 = "1e1f332bc7ec077226bf2a2cc58667140264a2202926db6d900d0172f40b7114"
+
+
+def test_all_bounds_report_to_3000_is_pinned(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    code, out, err = run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-hi", "3000",
+                         "--out", str(path))
+    assert (code, out, err) == (1, "", "error: bound-violation: eq4.2 fails at n=2 (e=1;m=3)\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_BOUNDS_3000_CSV_SHA256
 
 
 def test_sweep_deterministic_and_parallel_identical(capsys, monkeypatch, tmp_path):
@@ -470,6 +482,7 @@ def test_sweep_matches_uncached_public_calls(capsys, tmp_path, lo, hi):
     run(capsys, "sweep", "--bounds", ALL_BOUNDS, "--n-lo", str(lo), "--n-hi", str(hi),
         "--out", str(path))
     fresh = [rec for n in range(lo, hi + 1) for rec in _fresh_records(n)]
+    fresh.sort(key=lambda r: (r.n, r.bound_id, r.params))
     assert path.read_text() == format_records_csv(fresh)
 
 
@@ -548,6 +561,14 @@ def test_sweep_rejects_unknown_bound(capsys):
     assert code == 2 and "error: domain:" in err
 
 
+def test_sweep_rejects_a_repeated_bound(capsys):
+    # a repeated id would print each of its rows twice
+    for bounds in ("corollary1,corollary1", "corollary1,thm1a,corollary1"):
+        code, out, err = run(capsys, "sweep", "--bounds", bounds, "--n-hi", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: domain: sweep: repeated bound id 'corollary1'\n"
+
+
 def test_sweep_rejects_empty_range(capsys):
     code, out, err = run(capsys, "sweep", "--bounds", "thm3a", "--n-lo", "5", "--n-hi", "4")
     assert (code, out) == (2, "")
@@ -606,14 +627,14 @@ def test_map_check_refuses_missing_table(capsys, tmp_path):
 
 def test_json_round_trip():
     records = [
+        make_record("corollary1", 1, 0, 0.0),
         make_record("corollary1", 6, 4, 2.7101056628667824),
         make_record("lemma6", 12, 3, 0.9877832533, extra="y"),
-        make_record("corollary1", 1, 0, 0.0),
     ]
     text = format_records_json(records)
     parsed = parse_records_json(text)
-    originals = sorted(records, key=lambda r: (r.n, r.bound_id, r.params))
-    for rec, back in zip(originals, parsed):
+    assert len(parsed) == len(records)
+    for rec, back in zip(records, parsed):
         assert back.n == rec.n and back.bound_id == rec.bound_id
         assert back.lhs == rec.lhs
         assert back.log_rhs == rec.log_rhs  # exact float round trip
@@ -622,24 +643,67 @@ def test_json_round_trip():
     assert format_records_json(parsed) == text
 
 
-def test_report_order_does_not_depend_on_input_order():
-    # rows are sorted by (n, bound_id, params), stably, whether the input
-    # comes grouped by ascending n, as a sweep yields it, or shuffled
-    records = [rec for n in (1, 6, 30, 31) for rec in _fresh_records(n)]
-    records += [make_record("corollary1", 6, 5, 1.0), make_record("corollary1", 6, 3, 1.0)]
-    records.sort(key=lambda r: r.n)
-    rng = random.Random(5)
-    for trial in range(4):
-        perm = records if trial == 0 else rng.sample(records, len(records))
-        reference = sorted(perm, key=lambda r: (r.n, r.bound_id, r.params))
-        assert format_records_csv(perm) == format_records_csv(reference)
-        assert format_records_json(perm) == format_records_json(reference)
-        # equal keys keep their input order
-        lhs = [r.lhs for r in reference if r.n == 6 and r.bound_id == "corollary1"]
-        assert format_records_csv(perm).count("\n6,corollary1,") == len(lhs) == 3
-        rows = [line.split(",")[2] for line in format_records_csv(perm).splitlines()
-                if line.startswith("6,corollary1,")]
-        assert rows == [str(x) for x in lhs]
+def test_report_order_does_not_depend_on_input_order(capsys, monkeypatch):
+    # each n's rows are sorted into report order, (n, bound_id, params),
+    # where the sweep makes them, so neither the --bounds order, the chunking
+    # nor the pool changes the report.  Three corollary1 rows of each n share
+    # one key; they keep the order they were made in.
+    made = relations.relation_rows
+
+    def with_ties(ctx, bound_id):
+        rows = made(ctx, bound_id)
+        if bound_id != "corollary1":
+            return rows
+        return [*rows, rows[0]._replace(lhs=-1), rows[0]._replace(lhs=-2)]
+
+    monkeypatch.setattr(relations, "relation_rows", with_ties)
+    ids = ALL_BOUNDS.split(",")
+    reports = set()
+    for order in (ids, ids[::-1], random.Random(5).sample(ids, len(ids))):
+        for size, workers in ((200, "1"), (7, "1"), (1, "1"), (200, "2")):
+            monkeypatch.setattr(cli, "_SERIAL_CHUNK", size)
+            code, out, _ = run(capsys, "sweep", "--bounds", ",".join(order), "--n-hi", "40",
+                               "--format", "json", "--workers", workers)
+            assert code == 1
+            reports.add(out)
+    assert len(reports) == 1
+    records = parse_records_json(reports.pop())
+    keys = [(r.n, r.bound_id, r.params) for r in records]
+    assert keys == sorted(keys) and len(records) > 500
+    assert [r.lhs for r in records if r.n == 6 and r.bound_id == "corollary1"] == [4, -1, -2]
+    # the writers keep the order they are given
+    shuffled = random.Random(7).sample(records, len(records))
+    assert parse_records_json(format_records_json(shuffled)) == shuffled
+    rows = format_records_csv(shuffled).splitlines()[1:]
+    assert rows == [format_records_csv([r]).splitlines()[1] for r in shuffled]
+
+
+def test_failure_line_names_the_reports_first_failing_row(capsys, monkeypatch):
+    # thm1a, moved down by 100 in log space, fails on every table at n = 2,
+    # where eq4.2 fails too; the line names the report's first false asserted
+    # row whatever the --bounds order, serially and with --workers 2
+    spec = BOUNDS["thm1a"]
+
+    def shifted(*args):
+        log_rhs, params = spec.evaluate(*args)
+        return log_rhs - 100, params
+
+    monkeypatch.setitem(BOUNDS, "thm1a", dataclasses.replace(spec, evaluate=shifted))
+    lines = {}
+    for bounds in ("thm1a,eq4.2", "eq4.2,thm1a", "thm1a"):
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "sweep", "--bounds", bounds, "--n-lo", "2",
+                                 "--n-hi", "3", "--workers", workers)
+            assert code == 1
+            first_false = next(row for row in out.splitlines() if ",false," in row)
+            n, bound_id, *_, params = first_false.split(",")
+            assert err == f"error: bound-violation: {bound_id} fails at n={n} ({params})\n"
+            lines[bounds, workers] = err
+    assert len({lines[key] for key in lines if key[0] != "thm1a"}) == 1
+    assert lines["eq4.2,thm1a", "1"] == "error: bound-violation: eq4.2 fails at n=2 (e=1;m=3)\n"
+    assert lines["thm1a", "1"] == lines["thm1a", "2"] == (
+        "error: bound-violation: thm1a fails at n=2 (j=1;k=1;map=successor)\n"
+    )
 
 
 def test_csv_formatting_is_idempotent():

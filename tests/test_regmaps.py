@@ -693,6 +693,30 @@ def test_index_path_falls_back_outside_the_contract(monkeypatch):
     ]
 
 
+def test_column_backed_entries_are_read_only():
+    # a table with columns is checked and counted on its columns, and the
+    # builtin_table memo shares it across every bound of one n, so its
+    # entries refuse an edit; an edited dict copy is checked entry by entry
+    table = build_builtin("sum", 735134400)
+    before = check_regularity(table)
+    assert table._columns is not None and table.entries == dict(table.entries)
+    with pytest.raises(TypeError):
+        table.entries[(2, 2)] = 4
+    with pytest.raises(TypeError):
+        del table.entries[(1, 1)]
+    assert map_violations(table) == [] and check_regularity(table) == before
+    edited = dict(table.entries)
+    edited[(2, 2)] = 4
+    copy = MapTable(table.n, 2, edited)
+    assert copy._columns is None
+    assert map_violations(copy) == [
+        "coordinates of (2, 2) are not pairwise coprime",
+        "value 4 shares a factor with (2, 2)",
+    ]
+    with pytest.raises(DomainError, match="thm1a: coordinates of"):
+        bound_check(copy, "thm1a")
+
+
 def test_sweep_tables_stay_on_the_dict_path(monkeypatch):
     # the sweep's tables, at most 57 entries for n <= 5000 (midpoint-floor
     # of 4620), come from the row walk, so they have no columns and never
