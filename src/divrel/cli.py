@@ -12,6 +12,7 @@ import argparse
 import decimal
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -246,8 +247,9 @@ def _cmd_delta_hooley(args: argparse.Namespace) -> int:
 def _cmd_residues(args: argparse.Namespace) -> int:
     profile = relations.residue_profile(args.n, args.q)
     nonzero = {t + 1: c for t, c in enumerate(profile.counts) if c}
+    eta = profile.eta if math.isfinite(profile.eta) else None  # JSON has no Infinity
     print(json.dumps({"n": profile.n, "q": profile.q, "h": profile.h_value,
-                      "eta": profile.eta, "counts": nonzero}, sort_keys=True))
+                      "eta": eta, "counts": nonzero}, sort_keys=True, allow_nan=False))
     return 0
 
 

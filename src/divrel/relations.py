@@ -4,12 +4,14 @@ The divisor set D_n is the sorted tuple of all divisors of n.  Counted
 objects are always ordered tuples; the identities below (energy
 decomposition, residue-class second moment) only hold for ordered counts.
 
-The pair-sum counts are numpy array code.  The additive
-energy, its (e, m) cells and corollary3's most frequent shift read one
-pair-sum histogram per DivisorContext: the distinct sums d1 + d2, ascending,
-with the number of ordered pairs giving each.  The cells stay numpy columns
-(e, m, u), and eq4.1 and eq4.2 read them with reduceat and lexsort over the
-runs of e, so no Python object is made per cell.  The histogram holds up to
+The additive energy, its (e, m) cells and corollary3's most frequent shift
+read one pair-sum histogram per DivisorContext: the distinct sums d1 + d2
+with the number of ordered pairs giving each.  A kernel whose work is at
+most _NUMPY_MIN_WORK counts it in exact Python ints, as a Counter, so small
+n never load numpy.  Above that, and always in energy_decomposition, it is
+two numpy columns, the sums ascending, and the cells three columns (e, m,
+u), which eq4.1 and eq4.2 read with reduceat and lexsort over the runs of
+e, so no Python object is made per cell.  That histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
 ranges of the sum, each counted by one in-place sort and its run starts,
 so building it needs little beyond twice that.  Since d1 + d2 is
@@ -35,8 +37,11 @@ the pair-sum histogram (tau^2 pairs), corollary3 and residues.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product, starmap
+from operator import add, mul
 
 from . import factorcore
 from .analytic import DELTA2
@@ -76,6 +81,17 @@ _INT64_KEYS = 2**63
 # squarefree tau 512 (4.5 * 10^7 pairs, 1.6 s on 2 cores) and refuses tau 1024
 # (3.7 * 10^8 pairs, which took 24 s).
 _SHIFT_MAX_PAIRS = 10**8
+
+# A kernel counts in Python ints while its work, in the units its budget is
+# charged in (tau^2 pairs; tau * sums for corollary3), is at most this, and
+# in numpy above.  Warm (medians of 300 interleaved calls, 2-core x86 box),
+# Python took 0.29, 0.55, 0.93, 1.06, 1.35 and 1.78x numpy's time for the
+# energy at tau 6, 12, 18, 20, 24 and 28 (43 against 32 us at tau 24), and
+# for every histogram bound 0.73x at squarefree tau 8 and 1.38x at 16.  Tau
+# 20 to 24 stay in Python as a fresh process pays about 130 ms to import
+# numpy; warm, the histogram bounds over n = 201..5700 take 0.70x their
+# time all on numpy.
+_NUMPY_MIN_WORK = 600
 
 # residue_profile does tau(n) + q units of work: a count per divisor and a
 # slot per class, 8 bytes each.
@@ -189,9 +205,19 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
-    """The pair-sum histogram of ctx.n, counted once per context."""
+    """The pair-sum histogram of ctx.n as numpy columns, counted once per
+    context."""
     check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
     return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
+
+
+def _small_pair_sums(ctx: DivisorContext) -> Counter[int] | None:
+    """The pair-sum histogram of ctx.n, sum -> ordered pairs in Python ints,
+    counted once per context while tau^2 <= _NUMPY_MIN_WORK; None above."""
+    check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
+    if ctx.stats.tau**2 > _NUMPY_MIN_WORK:
+        return None
+    return ctx.memo("pair_sum_counter", lambda: Counter(starmap(add, product(ctx.divs, repeat=2))))
 
 
 def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
@@ -217,7 +243,12 @@ def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
 
 def additive_energy(n: int, ctx: DivisorContext | None = None) -> int:
     """Ordered quadruples of divisors with d1 + d2 = d3 + d4."""
-    counts = _pair_sums(context_of(n, ctx))[1]
+    ctx = context_of(n, ctx)
+    hist = _small_pair_sums(ctx)
+    if hist is not None:
+        counts = hist.values()
+        return sum(map(mul, counts, counts))
+    counts = _pair_sums(ctx)[1]
     return int(counts @ counts)
 
 
@@ -257,12 +288,21 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
 
     With the pair-sum histogram (s, c(s)), the count of m is the sum of
     c(m + d3) over divisors d3.  The (s, d3) pairs come in ascending ranges
-    of m = s - d3, and only the running best is kept from one to the next.
+    of m = s - d3, and only the running best is kept from one to the next;
+    a walk within _NUMPY_MIN_WORK counts every m in one dict instead.
     """
+    hist = _small_pair_sums(ctx)
+    walked = ctx.stats.tau * len(hist if hist is not None else _pair_sums(ctx)[0])
+    check_budget(f"corollary3: tau({ctx.n}) * pair sums", walked, _SHIFT_MAX_PAIRS)
+    # the tau sums 2d are distinct, so walked >= tau^2: a small walk has a hist
+    if walked <= _NUMPY_MIN_WORK:
+        shifts: dict[int, int] = {}
+        for s, c in hist.items():
+            for d in ctx.divs:
+                shifts[s - d] = shifts.get(s - d, 0) + c
+        return min(shifts.items(), key=lambda item: (-item[1], item[0]))
     import numpy as np
     values, counts = _pair_sums(ctx)
-    walked = ctx.stats.tau * len(values)
-    check_budget(f"corollary3: tau({ctx.n}) * pair sums", walked, _SHIFT_MAX_PAIRS)
     best_m, best = 0, 0
     for shift, j in _sum_ranges(values, -_as_array(ctx.divs)):
         order = np.argsort(shift)
@@ -380,10 +420,17 @@ def _corollary1(ctx: DivisorContext) -> list[tuple]:
 
 @bound("eq4.1", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
-    import numpy as np
-    dec = energy_decomposition(ctx.n, ctx=ctx)
-    starts = _run_starts(dec.e)
-    per_e = dict(zip(dec.e[starts].tolist(), np.add.reduceat(dec.u, starts).tolist()))
+    hist = _small_pair_sums(ctx)
+    if hist is not None:
+        per_e: dict[int, int] = {}
+        for s, c in hist.items():
+            g = math.gcd(s, ctx.n)
+            per_e[g] = per_e.get(g, 0) + c
+    else:
+        import numpy as np
+        dec = energy_decomposition(ctx.n, ctx=ctx)
+        starts = _run_starts(dec.e)
+        per_e = dict(zip(dec.e[starts].tolist(), np.add.reduceat(dec.u, starts).tolist()))
     out = []
     for d in ctx.divs:
         if e is not None and d != e:
@@ -397,13 +444,24 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
 
 @bound("eq4.2", "relation", asserted=True, squarefree_only=True, sweepable=True)
 def _eq42(ctx: DivisorContext) -> list[tuple]:
-    import numpy as np
-    dec = energy_decomposition(ctx.n, ctx=ctx)
-    # per run of e, the largest u first; lexsort is stable and m ascends
-    # within each e, so the first of equal u has the smallest m
-    pick = np.lexsort((-dec.u, dec.e))[_run_starts(dec.e)]
+    hist = _small_pair_sums(ctx)
+    if hist is not None:
+        # per e, the first largest count in ascending s: the smallest m
+        best: dict[int, tuple[int, int]] = {}
+        for s, c in sorted(hist.items()):
+            e = math.gcd(s, ctx.n)
+            if c > best.get(e, (0,))[0]:
+                best[e] = (c, s // e)
+        picks = [(e, m, u) for e, (u, m) in sorted(best.items())]
+    else:
+        import numpy as np
+        dec = energy_decomposition(ctx.n, ctx=ctx)
+        # per run of e, the largest u first; lexsort is stable and m ascends
+        # within each e, so the first of equal u has the smallest m
+        pick = np.lexsort((-dec.u, dec.e))[_run_starts(dec.e)]
+        picks = zip(dec.e[pick].tolist(), dec.m[pick].tolist(), dec.u[pick].tolist())
     out = []
-    for e, m, u in zip(dec.e[pick].tolist(), dec.m[pick].tolist(), dec.u[pick].tolist()):
+    for e, m, u in picks:
         we = _omega_of(ctx.factorization, e)
         log_rhs = (C_EXP * ctx.stats.omega + (1 - C_EXP) * we) * math.log(2)
         out.append((u, log_rhs, {"e": e, "m": m}))

@@ -140,6 +140,17 @@ def test_residues_command(capsys):
     assert code == 0 and payload["h"] == 10
 
 
+def test_residues_writes_strict_json(capsys):
+    # eta = log q / log n is infinite at n = 1; RFC 8259 JSON has no
+    # Infinity, so it is written as null
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    code, out, _ = run(capsys, "residues", "--n", "1", "--q", "2")
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 0 and payload == {"n": 1, "q": 2, "h": 1, "eta": None, "counts": {"1": 1}}
+
+
 def test_map_commands(capsys, tmp_path):
     path = tmp_path / "table.json"
     code, out, _ = run(capsys, "map", "build", "--kind", "sum", "--n", "6", "--out", str(path))

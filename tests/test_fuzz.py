@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divrel
@@ -242,3 +242,31 @@ def table_path(tmp_path_factory):
 def test_fuzzed_map_tables_exit_cleanly(table_path, text, cmd):
     table_path.write_text(text)
     assert_clean_exit(["map", *cmd, "--file", str(table_path)])
+
+
+# n of a few small primes and at most one large one, which factoring proves
+# prime within the patched budgets; 2^61 - 1 and 2^89 - 1 put the pair sums
+# past int64, where the numpy kernels hold Python ints
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_PRIMES = (1, 10**9 + 7, 2**61 - 1, 2**89 - 1)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    powers=st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(1, 3), max_size=3),
+    large=st.sampled_from(LARGE_PRIMES),
+)
+def test_relation_kernels_agree_on_both_paths(powers, large):
+    # relations._NUMPY_MIN_WORK at 0 sends every kernel to numpy, and at
+    # 10^9 to Python ints; tau <= 32 keeps corollary3 within its budget
+    n = large * math.prod(p**v for p, v in powers.items())
+    assume(n > 1 and factorcore.DivisorContext(n).stats.tau <= 32)
+    results = []
+    for work in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relations, "_NUMPY_MIN_WORK", work)
+            ctx = factorcore.DivisorContext(n)
+            rows = [relations.relation_rows(ctx, b)
+                    for b in ("thm3a", "thm3b", "eq4.1", "eq4.2", "corollary3")]
+            results.append((relations.additive_energy(n, ctx), rows))
+    assert results[0] == results[1], n

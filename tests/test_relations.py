@@ -192,6 +192,51 @@ def test_eq42_takes_the_largest_cell_then_the_smallest_m():
     }
 
 
+# The relation bounds that read the pair-sum histogram, and the
+# _NUMPY_MIN_WORK settings that send every kernel to numpy and to Python ints.
+HISTOGRAM_BOUNDS = ("thm3a", "thm3b", "eq4.1", "eq4.2", "corollary3")
+ALL_NUMPY, ALL_PYTHON = 0, 10**9
+
+
+def relation_results(n: int) -> list:
+    """n's additive energy, the rows of each histogram bound (thm3b needs
+    n >= 2), eq4.1's row for each e that divides n and its refusal of n + 1."""
+    ctx = DivisorContext(n)
+    out = [additive_energy(n, ctx=ctx)]
+    out += [relations.relation_rows(ctx, b) for b in HISTOGRAM_BOUNDS if n > 1 or b != "thm3b"]
+    out += [relations.relation_rows(ctx, "eq4.1", e=d) for d in ctx.divs]
+    with pytest.raises(DomainError) as exc:
+        relations.relation_rows(ctx, "eq4.1", e=n + 1)
+    return [*out, str(exc.value)]
+
+
+def test_python_and_numpy_paths_agree(monkeypatch):
+    # every n <= 3000, an odd tau, and n past int64, where numpy holds
+    # Python ints; ALL_PYTHON is above every kernel's work at these n
+    for n in [*range(1, 3001), 2025, 15 * (2**61 - 1)]:
+        results = []
+        for work in (ALL_NUMPY, ALL_PYTHON):
+            monkeypatch.setattr(relations, "_NUMPY_MIN_WORK", work)
+            results.append(relation_results(n))
+        assert results[0] == results[1], n
+
+
+def test_numpy_counts_only_past_the_rule(monkeypatch):
+    # the histogram and its readers count in Python ints up to tau 24
+    # (tau^2 <= _NUMPY_MIN_WORK), corollary3 up to tau * sums <= it
+    real, taus = relations._pair_sum_counts, []
+    monkeypatch.setattr(relations, "_pair_sum_counts", lambda divs: taus.append(len(divs)) or real(divs))
+    assert additive_energy(360) == brute_energy(360)  # tau 24
+    for b in HISTOGRAM_BOUNDS:
+        inequality_report(30, b)  # squarefree, tau 8; corollary3 walks 8 * 28 sums
+    for b in HISTOGRAM_BOUNDS[:-1]:
+        inequality_report(210, b)  # squarefree, tau 16
+    assert taus == []
+    additive_energy(960)  # tau 28
+    inequality_report(210, "corollary3")  # 16 * 97 sums
+    assert taus == [28, 16]
+
+
 def test_pair_sum_readers_match_loops_up_to_5000():
     for n in range(1, 5001):
         check_against_loops(n)
@@ -219,7 +264,9 @@ def test_corollary3_ties_take_the_smallest_m(monkeypatch):
     # n = 2: m = 1 and m = 2 both have 3 triples
     (rec,) = inequality_report(2, "corollary3")
     assert (dict(rec.params)["m"], rec.lhs) == (1, 3)
-    # ranges of m holding a few (s, d3) pairs put ties in different ranges
+    # ranges of m holding a few (s, d3) pairs put ties in different ranges;
+    # these n take the Python-int path unless every kernel is sent to numpy
+    monkeypatch.setattr(relations, "_NUMPY_MIN_WORK", 0)
     squarefree = [n for n in range(1, 120) if arith_stats(factor(n)).v_max == 1]
     for chunk in (1, 7):
         monkeypatch.setattr(relations, "_CHUNK", chunk)
@@ -230,7 +277,8 @@ def test_corollary3_ties_take_the_smallest_m(monkeypatch):
 
 
 def test_pair_counts_in_small_ranges(monkeypatch):
-    # ranges of a few pairs each, on both dtypes
+    # ranges of a few pairs each, on both dtypes, with every kernel on numpy
+    monkeypatch.setattr(relations, "_NUMPY_MIN_WORK", 0)
     for chunk in (1, 7, 100):
         monkeypatch.setattr(relations, "_CHUNK", chunk)
         for n in (1, 2, 12, 30, 360, 15 * (2**61 - 1)):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from divrel.cli import main
+from divrel.records import BOUNDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,6 +43,12 @@ NUMPY_FREE = [
     ["analytic", "tail"],
     ["triples", "--n", "360"],  # tau 24: the row walk builds the sum map
     ["map", "build", "--kind", "sum", "--n", "360"],
+    ["map", "check", "--kind", "midpoint-floor", "--n", "510510"],  # tau 128: the row walk
+    ["energy", "--n", "360"],  # tau 24: the pair sums are counted in Python ints
+    # every sweepable bound id; each n <= 200 has tau <= 18, and the
+    # squarefree ones tau <= 8
+    ["sweep", "--bounds", ",".join(b for b, spec in BOUNDS.items() if spec.sweepable),
+     "--n-lo", "1", "--n-hi", "200"],
 ]
 
 
@@ -71,9 +78,10 @@ def test_import_divrel_loads_neither_numpy_nor_the_pool():
 
 def test_pair_sum_command_loads_numpy(capsys):
     # the check above would pass vacuously if the probe could not see numpy
-    code, out, numpy_loaded, _ = fresh_python(RUN_MAIN, "energy", "--n", "360")
+    # (tau 240: the histogram is counted by numpy)
+    code, out, numpy_loaded, _ = fresh_python(RUN_MAIN, "energy", "--n", "720720")
     assert numpy_loaded
-    assert (code, out) == (main(["energy", "--n", "360"]), capsys.readouterr().out)
+    assert (code, out) == (main(["energy", "--n", "720720"]), capsys.readouterr().out)
 
 
 SWEEP = ["sweep", "--bounds", "thm1a", "--n-lo", "1", "--n-hi", "20"]
