@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import factorcore
 from .errors import DomainError, ResourceLimitError
@@ -411,6 +411,61 @@ def _opt_grid() -> tuple[np.ndarray, tuple[float, float]]:
     return cells, (float(alphas[a]), float(rs[r]))
 
 
+def _search_objective(alpha: float, r: float, v_max: int) -> float:
+    """The pair's saving scanned to v_max, capped by its large-v limit;
+    -inf outside the search box."""
+    # The truncated scan alone overfits to small v; capping the value by
+    # the closed-form large-v limit keeps the search honest.
+    (a_lo, a_hi), (r_lo, r_hi) = OPT_ALPHA_BOUNDS, OPT_R_BOUNDS
+    if not (a_lo <= alpha <= a_hi and r_lo <= r <= r_hi):
+        return -math.inf
+    limit = _xi_ratio_limit(alpha, beta_for(alpha, r), r)
+    return min(pair_exponent_gain(alpha, r, v_max), limit)
+
+
+def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float]) -> list[float]:
+    """Minimize f over the plane from x0; return the best vertex.
+
+    A port of SciPy's Nelder-Mead minimize with options xatol=1e-9,
+    fatol=1e-12, maxiter=600: the same first simplex, steps and stopping
+    rule, each step's float operations in SciPy's order, and a stable sort
+    by value after every step.  So for an f that never returns NaN, every
+    iterate is bit-identical to SciPy's.
+    """
+    vertices = [list(x0) for _ in range(3)]
+    for k in range(2):
+        vertices[k + 1][k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    simplex = sorted(([f(x), x] for x in vertices), key=lambda v: v[0])
+    for _ in range(599):
+        (f0, best), (f1, mid), (f2, worst) = simplex
+        near = all(abs(a - b) <= 1e-9 for x in (mid, worst) for a, b in zip(x, best))
+        if near and abs(f0 - f1) <= 1e-12 and abs(f0 - f2) <= 1e-12:
+            break
+        xbar = [(a + b) / 2 for a, b in zip(best, mid)]
+
+        def along(c):  # xbar + c*(xbar - worst), rounded as SciPy rounds it
+            x = [(1 + c) * a - c * b for a, b in zip(xbar, worst)]
+            return [f(x), x]
+
+        xr = along(1)
+        if xr[0] < f0:
+            xe = along(2)
+            simplex[2] = xe if xe[0] < xr[0] else xr
+        elif xr[0] < f1:
+            simplex[2] = xr
+        else:
+            outside = xr[0] < f2
+            xc = along(0.5 if outside else -0.5)
+            if xc[0] <= xr[0] if outside else xc[0] < f2:
+                simplex[2] = xc
+            else:  # shrink towards the best vertex
+                for j in (1, 2):
+                    x = [a + 0.5 * (b - a) for a, b in zip(best, simplex[j][1])]
+                    simplex[j] = [f(x), x]
+        simplex.sort(key=lambda v: v[0])
+    return simplex[0][1]
+
+
 def optimize_constants(
     v_search: int = 10_000, v_certify: int = 10**6
 ) -> tuple[float, float, float]:
@@ -422,27 +477,8 @@ def optimize_constants(
     """
     _check_scan_size(v_search)
     _check_scan_size(v_certify)
-    from scipy.optimize import minimize
-
-    (a_lo, a_hi), (r_lo, r_hi) = OPT_ALPHA_BOUNDS, OPT_R_BOUNDS
-
-    def search_objective(alpha: float, r: float, v_max: int) -> float:
-        # The truncated scan alone overfits to small v; capping the value by
-        # the closed-form large-v limit keeps the search honest.
-        if not (a_lo <= alpha <= a_hi and r_lo <= r <= r_hi):
-            return -math.inf
-        limit = _xi_ratio_limit(alpha, beta_for(alpha, r), r)
-        return min(pair_exponent_gain(alpha, r, v_max), limit)
-
-    result = minimize(
-        lambda x: -search_objective(x[0], x[1], v_search),
-        x0=list(_opt_grid()[1]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 600},
-    )
-    alpha, r = float(result.x[0]), float(result.x[1])
-    achieved = pair_exponent_gain(alpha, r, v_certify)
-    return alpha, r, achieved
+    alpha, r = _nelder_mead(lambda x: -_search_objective(*x, v_search), _opt_grid()[1])
+    return alpha, r, pair_exponent_gain(alpha, r, v_certify)
 
 
 @dataclass(frozen=True)

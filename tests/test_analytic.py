@@ -460,6 +460,55 @@ def test_optimizer_quick_budget_recovers_constants():
     assert abs(r - R_STAR) <= 1e-2
 
 
+def _rosenbrock(x, scale=100):
+    return (1 - x[0]) ** 2 + scale * (x[1] - x[0] ** 2) ** 2
+
+
+def _search(x):
+    return -analytic._search_objective(x[0], x[1], 512)
+
+
+_GRID_CELLS = random.Random(0).sample(
+    [[a, r] for a in np.linspace(*analytic.OPT_ALPHA_BOUNDS, analytic.OPT_GRID[0]).tolist()
+     for r in np.linspace(*analytic.OPT_R_BOUNDS, analytic.OPT_GRID[1]).tolist()],
+    6,
+)
+
+
+# (f, x0, scipy's status: 0 at the tolerances, 2 at maxiter, None either)
+@pytest.mark.parametrize("f, x0, status", [
+    *((_search, cell, None) for cell in _GRID_CELLS),  # starts the polish could take
+    (_search, [0.6, 1.0], 2),  # outside the box: every vertex is +inf
+    (_search, [0.2, 0.0], 2),  # a zero coordinate is stepped to 0.00025
+    (_rosenbrock, [0.0, 0.0], 0),  # both are
+    (_rosenbrock, [-1.2, 1.0], 0),
+    (lambda x: _rosenbrock(x, 1e8), [-1.2, 1.0], 2),
+    # plateaus: contractions fail, so the simplex shrinks, and steps tie
+    (lambda x: math.floor(10 * x[0]) ** 2 + math.floor(10 * x[1]) ** 2 + 1e-3 * (x[0] + x[1]),
+     [1.0, 2.0], 0),
+    (lambda x: math.floor(abs(x[0]) + abs(x[1])), [3.0, 4.0], 0),
+])
+def test_nelder_mead_matches_scipy(f, x0, status):
+    # scipy is the oracle: the same point, bit for bit, after the same
+    # number of evaluations
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's inf - inf
+        want = minimize(counted, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 600})
+    assert status in (None, want.status)
+    assert len(calls) == want.nfev
+    got = analytic._nelder_mead(counted, x0)
+    assert [x.hex() for x in got] == [float(x).hex() for x in want.x]
+    assert len(calls) == 2 * want.nfev
+
+
 def test_opt_grid_matches_per_cell_oracle():
     # the search objective evaluated cell by cell is the reference for the
     # grid scanned one alpha row at a time, cell values and start alike

@@ -1,4 +1,5 @@
-"""Start-up cost: numpy and the process pool load on first use.
+"""Start-up cost: numpy and the process pool load on first use, and no
+command loads scipy.
 
 Each command runs in a fresh interpreter, so the modules it leaves in
 sys.modules are the ones that it, and importing divrel, needed.
@@ -18,7 +19,8 @@ from divrel.records import BOUNDS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs main(argv) and prints one JSON line: the exit code, what main wrote on
-# stdout, and whether numpy and concurrent.futures were loaded afterwards.
+# stdout, and whether numpy, concurrent.futures and scipy were loaded
+# afterwards.
 RUN_MAIN = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -27,7 +29,7 @@ out = io.StringIO()
 with redirect_stdout(out):
     code = main(sys.argv[1:])
 print(json.dumps([code, out.getvalue(), "numpy" in sys.modules,
-                  "concurrent.futures" in sys.modules]))
+                  "concurrent.futures" in sys.modules, "scipy" in sys.modules]))
 """
 
 NUMPY_FREE = [
@@ -62,8 +64,8 @@ def fresh_python(code, *argv):
 
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
 def test_command_starts_without_numpy_or_the_pool(capsys, argv):
-    code, out, numpy_loaded, futures_loaded = fresh_python(RUN_MAIN, *argv)
-    assert (numpy_loaded, futures_loaded) == (False, False)
+    code, out, numpy_loaded, futures_loaded, scipy_loaded = fresh_python(RUN_MAIN, *argv)
+    assert (numpy_loaded, futures_loaded, scipy_loaded) == (False, False, False)
     assert code == main(argv)
     assert out == capsys.readouterr().out
 
@@ -79,9 +81,17 @@ def test_import_divrel_loads_neither_numpy_nor_the_pool():
 def test_pair_sum_command_loads_numpy(capsys):
     # the check above would pass vacuously if the probe could not see numpy
     # (tau 240: the histogram is counted by numpy)
-    code, out, numpy_loaded, _ = fresh_python(RUN_MAIN, "energy", "--n", "720720")
+    code, out, numpy_loaded, _, _ = fresh_python(RUN_MAIN, "energy", "--n", "720720")
     assert numpy_loaded
     assert (code, out) == (main(["energy", "--n", "720720"]), capsys.readouterr().out)
+
+
+def test_optimize_loads_numpy_but_not_scipy(capsys):
+    # the Nelder-Mead polish is divrel's own; only its grid scan needs numpy
+    argv = ["analytic", "optimize", "--vopt", "64", "--vcertify", "64"]
+    code, out, numpy_loaded, _, scipy_loaded = fresh_python(RUN_MAIN, *argv)
+    assert (numpy_loaded, scipy_loaded) == (True, False)
+    assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
 SWEEP = ["sweep", "--bounds", "thm1a", "--n-lo", "1", "--n-hi", "20"]
@@ -112,6 +122,6 @@ print(json.dumps([code, seen]))
 def test_sweep_loads_numpy_before_the_pool_forks():
     # forked workers inherit the parent's modules, so numpy is imported
     # once in the parent rather than once in every worker
-    code, _, numpy_loaded, _ = fresh_python(RUN_MAIN, *SWEEP)
+    code, _, numpy_loaded, _, _ = fresh_python(RUN_MAIN, *SWEEP)
     assert (code, numpy_loaded) == (0, False)  # the range itself needs no numpy
     assert fresh_python(RUN_POOLED_SWEEP, *SWEEP) == [0, [True]]
