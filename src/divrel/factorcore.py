@@ -87,11 +87,7 @@ class ArithStats:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    """Miller-Rabin on an n > 1 with no prime factor below 1000, so odd and coprime to each witness."""
     rounds, limbs = len(_MR_WITNESSES), -(-n.bit_length() // 64)
     work = f"factor: Miller-Rabin: {rounds} rounds x {limbs}^3 limbs"
     check_budget(work, rounds * limbs**3, _MR_MAX_WORK)

@@ -218,8 +218,8 @@ def builtin_midpoint_map(
 ) -> MapTable:
     """g(t_i, t_j) = t at the (floor) midpoint index, where coprimality allows.
 
-    variant "exact" keeps only even i+j (value index (i+j)/2); variant
-    "floor" uses index floor((i+j)/2) for every coprime pair.
+    variant "floor" uses index floor((i+j)/2) for every coprime pair;
+    variant "exact" keeps its entries with even i+j (value index (i+j)/2).
     """
     if variant not in ("exact", "floor"):
         raise DomainError(f"midpoint variant must be 'exact' or 'floor', got {variant!r}")
@@ -228,10 +228,10 @@ def builtin_midpoint_map(
 
 # The pair maps are built by the numpy walk from this tau(n) on; below it
 # the numpy walk's fixed cost, about 0.2 ms, loses.  On a 2-core x86 box
-# (best of 300) the row walks of the sum, midpoint-exact and midpoint-floor
-# maps took 0.11, 0.15 and 0.25 ms at tau 128 (510510) against 0.19, 0.19
-# and 0.22 ms for the numpy walks, and 0.22, 0.24 and 0.40 ms at tau 192
-# (332640) against 0.21, 0.20 and 0.22 ms.
+# (best of 300) the row walks of the sum and midpoint-floor maps took 0.11
+# and 0.25 ms at tau 128 (510510) against 0.19 and 0.22 ms for the numpy
+# walks, and 0.22 and 0.40 ms at tau 192 (332640) against 0.21 and 0.22 ms.
+# midpoint-exact walks nothing: it filters the midpoint-floor table.
 _NUMPY_MIN_TAU = 192
 # A candidate block of the numpy walk holds at most about this many pairs.
 _BLOCK = 1 << 14
@@ -266,7 +266,19 @@ def _divisor_index(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_table(ctx: DivisorContext, kind: str) -> MapTable:
-    """The pair map kind of ctx.n, from the walk that suits tau."""
+    """The pair map kind of ctx.n, from the walk that suits tau.  Along a
+    row a*b*val never shrinks, so midpoint-exact is the midpoint-floor
+    table's entries (and columns) with an even divisor-index sum, in order."""
+    if kind == "midpoint-exact":
+        floor = builtin_table(ctx, "midpoint-floor")
+        if floor._columns is None:  # the row walk's table: no numpy
+            index = {d: i for i, d in enumerate(ctx.divs)}
+            even = {(a, b): v for (a, b), v in floor.entries.items() if (index[a] + index[b]) % 2 == 0}
+            return MapTable(ctx.n, 2, even)
+        d, z, g = floor._columns
+        even = z.sum(axis=1) % 2 == 0
+        entries = dict(itertools.compress(floor.entries.items(), even.tolist()))
+        return MapTable(ctx.n, 2, types.MappingProxyType(entries), (d, z[even], g[even]))
     if ctx.stats.tau >= _NUMPY_MIN_TAU:
         return _numpy_walk(ctx, kind)
     return MapTable(ctx.n, 2, _row_walk(ctx.n, ctx.divs, kind))
@@ -279,17 +291,17 @@ def _row_walk(n: int, divs: tuple[int, ...], kind: str) -> dict[tuple[int, int],
     at its first pair with a*b*val > n.  gcd(a + b, a) = gcd(b, a), so a
     coprime pair's sum is coprime to both: the sum map needs only val | n.
     """
-    step, is_sum = (2 if kind == "midpoint-exact" else 1), kind == "sum"
+    is_sum = kind == "sum"
     entries, tested = {}, 0
     for i, a in enumerate(divs):
-        for j in range(i, len(divs), step):
+        for j in range(i, len(divs)):
             b = divs[j]
             val = a + b if is_sum else divs[(i + j) // 2]
             if a * b * val > n:
                 break
             if math.gcd(a, b) == 1 and (n % val == 0 if is_sum else math.gcd(val, a * b) == 1):
                 entries[a, b] = entries[b, a] = val
-        tested += (j - i) // step + 1  # the pairs of row i, the one that broke it too
+        tested += j - i + 1  # the pairs of row i, the one that broke it too
         if tested > factorcore._MAX_PAIRS:  # the message is made only on refusal
             factorcore.check_budget(f"{kind} map of {n}: pairs tested", tested, factorcore._MAX_PAIRS)
     return entries
@@ -300,7 +312,7 @@ def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
     (as _as_array gives them), the pairs it tests and the pairs before the
     one that ends it, the candidates.
 
-    Pair k of row i is (i, i + step*k); it ends the row when
+    Pair k of row i is (i, i + k); it ends the row when
     val > (n // a) // b, the same as a*b*val > n without overflow.  That
     test is monotone along a row, so one bisection over all rows at once
     finds each row's end.  Every value is at least a, so the end comes at
@@ -308,17 +320,16 @@ def _numpy_rows(n: int, d: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarra
     """
     import numpy as np
     tau = len(d)
-    step = 2 if kind == "midpoint-exact" else 1
     rows = np.arange(tau)
-    width = (tau - 1 - rows) // step + 1
+    width = tau - rows
     quota = n // d
     # per row, the first k whose pair ends it lies in [lo, hi], hi = width
     # standing for none; hi starts at the first k with b > n // a^2
     lo = np.zeros(tau, dtype=np.int64)
-    hi = np.clip(-((rows - np.searchsorted(d, quota // d, side="right")) // step), 0, width)
+    hi = np.clip(np.searchsorted(d, quota // d, side="right") - rows, 0, width)
     while (open_ := np.flatnonzero(lo < hi)).size:
         mid = (lo[open_] + hi[open_]) // 2
-        j = open_ + step * mid
+        j = open_ + mid
         val = d[open_] + d[j] if kind == "sum" else d[(open_ + j) // 2]
         ends = val > quota[open_] // d[j]
         hi[open_[ends]] = mid[ends]
@@ -341,7 +352,6 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> MapTable:
     over = int(np.searchsorted(charged, factorcore._MAX_PAIRS, side="right"))
     if over < tau:
         factorcore.check_budget(f"{kind} map of {n}: pairs tested", int(charged[over]), factorcore._MAX_PAIRS)
-    step = 2 if kind == "midpoint-exact" else 1
     listed = np.cumsum(candidates)  # the candidates of rows 0..r
     blocks = []
     r0 = 0
@@ -350,9 +360,9 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> MapTable:
         r1 = max(int(np.searchsorted(listed, before + _BLOCK, side="right")), r0 + 1)
         rows, counts = np.arange(r0, r1), candidates[r0:r1]
         i = np.repeat(rows, counts)
-        # row r's candidates j = r + step*k, k < counts[r], for each row in turn
+        # row r's candidates j = r + k, k < counts[r], for each row in turn
         offsets = listed[r0:r1] - counts - before  # of each row's first candidate
-        j = step * np.arange(len(i)) + np.repeat(rows - step * offsets, counts)
+        j = np.arange(len(i)) + np.repeat(rows - offsets, counts)
         mi, mj = masks[i], masks[j]
         coprime = np.flatnonzero((mi & mj) == 0)
         i, j, mi, mj = i[coprime], j[coprime], mi[coprime], mj[coprime]
@@ -382,12 +392,10 @@ BUILTIN_KINDS = ("sum", "successor", "midpoint-exact", "midpoint-floor")
 
 
 def build_builtin(kind: str, n: int, ctx: DivisorContext | None = None) -> MapTable:
-    if kind == "sum":
-        return builtin_sum_map(n, ctx)
     if kind == "successor":
         return builtin_successor_map(n, ctx)
-    if kind in ("midpoint-exact", "midpoint-floor"):
-        return builtin_midpoint_map(n, kind.removeprefix("midpoint-"), ctx)
+    if kind in ("sum", "midpoint-exact", "midpoint-floor"):
+        return _pair_table(context_of(n, ctx), kind)
     raise DomainError(f"unknown builtin map kind: {kind!r}")
 
 

@@ -206,9 +206,17 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n as numpy columns, counted once per
-    context."""
+    context: read off its Counter while tau^2 <= _NUMPY_MIN_WORK."""
+    import numpy as np
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        if (hist := _small_pair_sums(ctx)) is None:
+            return _pair_sum_counts(ctx.divs)
+        values = sorted(hist)
+        return np.array(values, dtype=_as_array(ctx.divs).dtype), np.array([hist[s] for s in values])
+
     check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
-    return ctx.memo("pair_sums", lambda: _pair_sum_counts(ctx.divs))
+    return ctx.memo("pair_sums", compute)
 
 
 def _small_pair_sums(ctx: DivisorContext) -> Counter[int] | None:

@@ -164,6 +164,23 @@ def test_rho_budget_charges_limbs_squared(monkeypatch):
         factor(n)
 
 
+def test_miller_rabin_is_only_asked_about_trial_division_cofactors(monkeypatch):
+    # _is_prime assumes n > 1 with no prime factor below 1000; rho's factors
+    # (1009 and 1013 from 1009 * 1013) are asked about too, and may be < 10^6
+    asked, real = [], factorcore._is_prime
+    monkeypatch.setattr(factorcore, "_is_prime", lambda n: asked.append(n) or real(n))
+    rng = random.Random(13)
+    rho = [1009 * 1013, 1009**3 * 1013, 999983 * 1000003 * 6, 2**61 - 1]
+    for _ in range(40):  # two primes past 1000, times a cofactor trial division strips
+        p, q = (sympy.nextprime(rng.randrange(1000, top)) for top in (10**6, 10**9))
+        rho.append(p * q * rng.randrange(1, 1000))
+    for n in [*FACTOR_EDGE_CASES, *rho, *(rng.randrange(1, 10**18) for _ in range(200))]:
+        assert dict(factor(n).parts) == sympy.factorint(n)
+    assert {1009 * 1013, 1009, 1013} <= set(asked)
+    assert sum(not sympy.isprime(n) for n in asked) >= 40  # the rho composites
+    assert all(n > 1 and all(n % p for p in factorcore._SMALL_PRIMES) for n in asked)
+
+
 def test_miller_rabin_budget(monkeypatch):
     # the 12 rounds are charged limbs^3 each, before the first one
     p = sympy.nextprime(10**60)  # 4 limbs: 768

@@ -511,11 +511,10 @@ def walk_rows(kind, n):
     """Per row of a pair map's walk, the pairs it tests, the one whose
     product passes n included, counted one pair at a time."""
     divs = divisors(factor(n))
-    step = 2 if kind == "midpoint-exact" else 1
     rows = []
     for i, a in enumerate(divs):
         rows.append(0)
-        for j in range(i, len(divs), step):
+        for j in range(i, len(divs)):
             rows[-1] += 1
             val = a + divs[j] if kind == "sum" else divs[(i + j) // 2]
             if a * divs[j] * val > n:
@@ -523,7 +522,10 @@ def walk_rows(kind, n):
     return rows
 
 
-PAIR_KINDS = ("sum", "midpoint-exact", "midpoint-floor")
+# The pair walks, and the walk each pair map is built by: midpoint-exact
+# filters the midpoint-floor table
+PAIR_KINDS = ("sum", "midpoint-floor")
+WALKED = {"sum": "sum", "midpoint-exact": "midpoint-floor", "midpoint-floor": "midpoint-floor"}
 
 
 def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
@@ -533,20 +535,21 @@ def test_builtin_pair_maps_refuse_past_the_pair_budget(monkeypatch):
     # (tau 236) the numpy walk on object arrays
     assert arith_stats(factor(720720)).tau >= regmaps._NUMPY_MIN_TAU > arith_stats(factor(60)).tau
     assert arith_stats(factor(INT64_ABOVE)).tau >= regmaps._NUMPY_MIN_TAU
-    for kind in PAIR_KINDS:
+    for kind, walked in WALKED.items():
         for n in (60, 720720, INT64_ABOVE):
-            rows = walk_rows(kind, n)
+            rows = walk_rows(walked, n)
             tested = sum(rows)
             monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested)
-            build_builtin(kind, n)  # admitted at exactly the pairs it tests
-            # one pair fewer is refused after the last row, with the count so far
+            build_builtin(kind, n)  # admitted at exactly the pairs its walk tests
+            # one pair fewer is refused after the last row, with the count so
+            # far, in the words of the walk that ran
             monkeypatch.setattr(factorcore, "_MAX_PAIRS", tested - 1)
-            refusal = rf"^{kind} map of {n}: pairs tested = {tested} exceeds budget {tested - 1}$"
+            refusal = rf"^{walked} map of {n}: pairs tested = {tested} exceeds budget {tested - 1}$"
             with pytest.raises(ResourceLimitError, match=refusal):
                 build_builtin(kind, n)
             # a budget the first rows pass is refused after the row that passes it
             monkeypatch.setattr(factorcore, "_MAX_PAIRS", rows[0])
-            refusal = rf"^{kind} map of {n}: pairs tested = {rows[0] + rows[1]} exceeds"
+            refusal = rf"^{walked} map of {n}: pairs tested = {rows[0] + rows[1]} exceeds"
             with pytest.raises(ResourceLimitError, match=refusal):
                 build_builtin(kind, n)
 
@@ -567,27 +570,59 @@ def row_walk(kind, n):
     return regmaps._row_walk(n, divisors(factor(n)), kind)
 
 
-def assert_walks_agree(n):
+def exact_row_walk(n):
+    """The midpoint-exact entries walked on their own, j in steps of 2 along
+    each row, stored as the row walk stores them."""
+    divs = divisors(factor(n))
+    entries = {}
+    for i, a in enumerate(divs):
+        for j in range(i, len(divs), 2):
+            b, val = divs[j], divs[(i + j) // 2]
+            if a * b * val > n:
+                break
+            if math.gcd(a, b) == 1 and math.gcd(val, a * b) == 1:
+                entries[a, b] = entries[b, a] = val
+    return entries
+
+
+def assert_table_columns(table, label):
+    """A copy without columns passes the entry-by-entry check.  Columns, if
+    any, give back the entries, one row each, and the report counted on them
+    (witnesses and their int types included) is that of the copy."""
+    copy = MapTable(table.n, 2, dict(table.entries))
+    assert map_violations(copy) == [], label
+    if table._columns is None:
+        return
+    divs, z, g = table._columns
+    assert len(g) == len(table.entries), label
+    assert list(zip(map(tuple, divs[z].tolist()), divs[g].tolist())) == list(table.entries.items())
+    assert repr(check_regularity(table)) == repr(check_regularity(copy)), label
+
+
+def assert_walks_agree(n, oracle=True):
     """The numpy walk gives the row walk's entries in its order and is
-    charged walk_rows' count on every row, whatever the crossover is.  Its
-    columns give back its entries, one row each, and the report counted on
-    them (witnesses and their int types included) is that of a copy without
-    columns, which the entry-by-entry check finds clean."""
+    charged walk_rows' count on every row, whatever the crossover is, and
+    its columns pass assert_table_columns.  The midpoint-exact table is the
+    midpoint-floor table's entries with an even divisor-index sum, in its
+    order, columns included; so are a walk in steps of 2 and, unless oracle
+    is off, the ordered-pair oracle."""
     ctx = DivisorContext(n)
     d = regmaps._as_array(ctx.divs)
     for kind in PAIR_KINDS:
         table = regmaps._numpy_walk(ctx, kind)
         assert list(table.entries.items()) == list(row_walk(kind, n).items()), (n, kind)
         assert regmaps._numpy_rows(n, d, kind)[0].tolist() == walk_rows(kind, n), (n, kind)
-        copy = MapTable(n, 2, dict(table.entries))
-        assert map_violations(copy) == [], (n, kind)
-        if not table.entries:
-            assert table._columns is None, (n, kind)
-            continue
-        divs, z, g = table._columns
-        assert len(g) == len(table.entries), (n, kind)
-        assert list(zip(map(tuple, divs[z].tolist()), divs[g].tolist())) == list(table.entries.items())
-        assert repr(check_regularity(table)) == repr(check_regularity(copy)), (n, kind)
+        assert (table._columns is None) == (not table.entries), (n, kind)
+        assert_table_columns(table, (n, kind))
+    floor, exact = (build_builtin(kind, n, ctx) for kind in ("midpoint-floor", "midpoint-exact"))
+    index = {x: i for i, x in enumerate(ctx.divs)}
+    even = [(a, b) for a, b in floor.entries if (index[a] + index[b]) % 2 == 0]
+    assert list(exact.entries.items()) == [((a, b), floor.entries[a, b]) for a, b in even], n
+    assert list(exact.entries.items()) == list(exact_row_walk(n).items()), n
+    assert (exact._columns is None) == (floor._columns is None) == (len(ctx.divs) < regmaps._NUMPY_MIN_TAU)
+    assert_table_columns(exact, (n, "midpoint-exact"))
+    if oracle:
+        assert exact.entries == oracle_midpoint_map(list(ctx.divs), "exact"), n
 
 
 def test_numpy_walk_matches_the_row_walk():
@@ -597,7 +632,8 @@ def test_numpy_walk_matches_the_row_walk():
 
 
 def test_numpy_walk_matches_the_row_walk_at_tau_16384():
-    assert_walks_agree(13082761331670030)
+    # the ordered-pair oracle would take about 35 s here
+    assert_walks_agree(13082761331670030, oracle=False)
 
 
 def test_pair_maps_take_the_numpy_walk_from_the_crossover_at_any_n(monkeypatch):
@@ -605,15 +641,16 @@ def test_pair_maps_take_the_numpy_walk_from_the_crossover_at_any_n(monkeypatch):
     # int64 limit, then tau 124 and 236 on each side of the crossover past it
     assert 168 < regmaps._NUMPY_MIN_TAU <= 192
     taken = []
-    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append(ctx.n) or MapTable(ctx.n, 2, {}))
+    monkeypatch.setattr(regmaps, "_numpy_walk", lambda ctx, kind: taken.append((ctx.n, kind)) or MapTable(ctx.n, 2, {}))
     cases = ((221760, False), (332640, True), (INT64_BELOW, True), (3 * 2**61, False), (INT64_ABOVE, True))
     for n, numpy in cases:
-        for kind in PAIR_KINDS:
+        for kind, walked in WALKED.items():
             taken.clear()
             table = build_builtin(kind, n)
-            assert taken == ([n] if numpy else []), (n, kind)
+            assert taken == ([(n, walked)] if numpy else []), (n, kind)
             if not numpy:
-                assert list(table.entries.items()) == list(row_walk(kind, n).items())
+                reference = exact_row_walk(n) if kind == "midpoint-exact" else row_walk(kind, n)
+                assert list(table.entries.items()) == list(reference.items())
     monkeypatch.undo()
     # past the limit the numpy walk's table is the ordered-pair oracle's
     divs = divisors(factor(INT64_ABOVE))

@@ -233,8 +233,26 @@ def test_numpy_counts_only_past_the_rule(monkeypatch):
         inequality_report(210, b)  # squarefree, tau 16
     assert taus == []
     additive_energy(960)  # tau 28
-    inequality_report(210, "corollary3")  # 16 * 97 sums
-    assert taus == [28, 16]
+    # 16 * 97 sums: numpy walks columns read off the Counter, not recounted
+    inequality_report(210, "corollary3")
+    assert taus == [28]
+
+
+def test_one_context_counts_its_pairs_once(monkeypatch):
+    # squarefree tau 16: four bounds read the Counter and corollary3's walk
+    # reads numpy columns, which come from that same Counter
+    counted = []
+    real_product, real_counts = relations.product, relations._pair_sum_counts
+    monkeypatch.setattr(relations, "product", lambda *a, **k: counted.append("Counter") or real_product(*a, **k))
+    monkeypatch.setattr(relations, "_pair_sum_counts", lambda divs: counted.append("numpy") or real_counts(divs))
+    ctx = DivisorContext(210)
+    rows = [inequality_report(210, b, ctx) for b in HISTOGRAM_BOUNDS]
+    assert counted == ["Counter"]
+    # all on numpy, a fresh context counts once too, and gives the same rows
+    monkeypatch.setattr(relations, "_NUMPY_MIN_WORK", ALL_NUMPY)
+    ctx = DivisorContext(210)
+    assert rows == [inequality_report(210, b, ctx) for b in HISTOGRAM_BOUNDS]
+    assert counted == ["Counter", "numpy"]
 
 
 def test_pair_sum_readers_match_loops_up_to_5000():

@@ -46,6 +46,7 @@ NUMPY_FREE = [
     ["triples", "--n", "360"],  # tau 24: the row walk builds the sum map
     ["map", "build", "--kind", "sum", "--n", "360"],
     ["map", "check", "--kind", "midpoint-floor", "--n", "510510"],  # tau 128: the row walk
+    ["map", "check", "--kind", "midpoint-exact", "--n", "510510"],  # filters that row walk's table
     ["energy", "--n", "360"],  # tau 24: the pair sums are counted in Python ints
     # every sweepable bound id; each n <= 200 has tau <= 18, and the
     # squarefree ones tau <= 8
