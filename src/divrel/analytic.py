@@ -18,11 +18,10 @@ from typing import Callable, Iterable, Sequence
 
 from . import factorcore
 from .errors import DomainError, ResourceLimitError
-from .records import BOUNDS, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
+from .records import BOUNDS, DELTA2, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
 
-# Best known exponent saving for arity-2 maps, and the weight parameters
-# achieving it.  beta is always derived from (alpha, r), never free.
-DELTA2 = 0.045072
+# The weight parameters achieving the arity-2 saving DELTA2 (defined in
+# records).  beta is always derived from (alpha, r), never free.
 ALPHA_STAR = 0.2288541994
 R_STAR = 0.692466598
 

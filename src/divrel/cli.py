@@ -17,9 +17,11 @@ import os
 import sys
 from collections.abc import Iterable
 
-from . import analytic, factorcore, regmaps, relations
+from . import factorcore
 from .errors import DomainError, ResourceLimitError
-from .records import BOUNDS, BoundCheckRecord
+from .records import BOUNDS, BoundCheckRecord, registry
+
+# analytic, regmaps and relations are imported by the commands that run them.
 
 
 def _fmt(x: float) -> str:
@@ -105,6 +107,7 @@ def _records_for_n(
     skipped.  Every bound id reads the one context, so each piece of work
     on n is done once.
     """
+    from . import regmaps, relations
     out: list[BoundCheckRecord] = []
     for bound_id in bounds:
         spec = BOUNDS[bound_id]
@@ -164,6 +167,7 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples(args: argparse.Namespace) -> int:
+    from . import relations
     print(relations.count_sum_triples(args.n))
     return 0
 
@@ -190,6 +194,7 @@ def _decimal_lines(*columns: np.ndarray) -> str:
     any size, go through str.
     """
     import numpy as np
+    from .regmaps import _run_starts
     if any(c.dtype == object for c in columns):
         rows = zip(*(c.tolist() for c in columns))
         return "".join(" ".join(map(str, row)) + "\n" for row in rows)
@@ -197,7 +202,7 @@ def _decimal_lines(*columns: np.ndarray) -> str:
     text = np.zeros((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
     end = 0
     for c, width in zip(columns, widths):
-        first = regmaps._run_starts(c)
+        first = _run_starts(c)
         if len(first) * _RUN_ROWS <= len(c):
             block = np.zeros((width, len(first)), dtype=np.uint8)
             _digit_rows(c[first], block)
@@ -230,6 +235,7 @@ def _digit_rows(c: np.ndarray, rows: np.ndarray) -> None:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
+    from . import relations
     if args.decompose:
         dec = relations.energy_decomposition(args.n)
         sys.stdout.write(_decimal_lines(dec.e, dec.m, dec.u))
@@ -240,11 +246,13 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_hooley(args: argparse.Namespace) -> int:
+    from . import relations
     print(relations.hooley_delta(args.n))
     return 0
 
 
 def _cmd_residues(args: argparse.Namespace) -> int:
+    from . import relations
     profile = relations.residue_profile(args.n, args.q)
     nonzero = {t + 1: c for t, c in enumerate(profile.counts) if c}
     eta = profile.eta if math.isfinite(profile.eta) else None  # JSON has no Infinity
@@ -258,6 +266,7 @@ def _load_table(
 ) -> tuple[regmaps.MapTable, factorcore.DivisorContext | None]:
     """The table of --file, with no context, so n is not factored; or the
     built-in table of --kind and --n with the context it was built on."""
+    from . import regmaps
     if args.file:
         with open(args.file) as handle:
             return regmaps.map_from_json(handle.read()), None
@@ -268,6 +277,13 @@ def _load_table(
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from . import regmaps
+    # The parser names no kind or bound id, so that it loads no regmaps; they
+    # are checked here, with the library's words, before a table is read or built.
+    if args.kind is not None and args.kind not in regmaps.BUILTIN_KINDS:
+        raise DomainError(f"unknown builtin map kind: {args.kind!r}")
+    if args.map_cmd == "bound" and getattr(registry().get(args.bound), "family", None) != "map":
+        raise DomainError(f"unknown bound id: {args.bound}")
     if args.map_cmd == "build":
         table = regmaps.build_builtin(args.kind, args.n)
         text = regmaps.map_to_json(table)
@@ -304,17 +320,23 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact_e(args: argparse.Namespace) -> int:
+    from . import regmaps
     print(regmaps.exact_E(args.n, args.j, args.k))
     return 0
 
 
 def _analytic_params(args: argparse.Namespace) -> analytic.AnalyticParams:
+    from . import analytic
     return analytic.AnalyticParams.from_alpha_r(
         args.alpha, args.r, delta=getattr(args, "delta", analytic.DELTA2)
     )
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
+    from . import analytic
+    # an --alpha or --r left out is analytic's constant, which the parser does not load
+    args.alpha = analytic.ALPHA_STAR if getattr(args, "alpha", None) is None else args.alpha
+    args.r = analytic.R_STAR if getattr(args, "r", None) is None else args.r
     if args.analytic_cmd == "eval":
         if args.fn == "f":
             print(_fmt(analytic.f_alpha(args.alpha, args.x)))
@@ -354,8 +376,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = tuple(args.bounds.split(","))
+    # every bound registered, and with that every evaluator module loaded
+    # here, so no pool worker imports one again
+    specs = registry()
     for i, b in enumerate(bounds):
-        if b not in BOUNDS or not BOUNDS[b].sweepable:
+        if b not in specs or not specs[b].sweepable:
             raise DomainError(f"sweep: unknown bound id {b!r}")
         if b in bounds[:i]:
             raise DomainError(f"sweep: repeated bound id {b!r}")
@@ -392,6 +417,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_split_thm4(args: argparse.Namespace) -> int:
+    from . import analytic
     res = analytic.thm4_split(args.n, args.q)
     print(
         json.dumps(
@@ -445,19 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="build/check/bound explicit divisor maps")
     msub = p.add_subparsers(dest="map_cmd", required=True)
     mb = msub.add_parser("build", help="emit a built-in map table as JSON")
-    mb.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, required=True)
+    mb.add_argument("--kind", required=True)
     mb.add_argument("--n", type=int, required=True)
     mb.add_argument("--out", default=None)
     mc = msub.add_parser("check", help="regularity constants of a table")
     mc.add_argument("--file", default=None, help="map table JSON file")
-    mc.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, default=None)
+    mc.add_argument("--kind", default=None)
     mc.add_argument("--n", type=int, default=None)
     mo = msub.add_parser("bound", help="check one bound for a table")
     mo.add_argument("--file", default=None)
-    mo.add_argument("--kind", choices=regmaps.BUILTIN_KINDS, default=None)
+    mo.add_argument("--kind", default=None)
     mo.add_argument("--n", type=int, default=None)
-    map_bounds = [b for b, spec in BOUNDS.items() if spec.family == "map"]
-    mo.add_argument("--bound", choices=map_bounds, required=True)
+    mo.add_argument("--bound", required=True)
 
     p = sub.add_parser("exact-e", help="exhaustive max domain size of k-regular maps")
     p.add_argument("--n", type=int, required=True)
@@ -471,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     ae.add_argument("--alpha", type=float, required=True)
     ae.add_argument("--x", type=float, required=True)
     ae.add_argument("--j", type=int, default=2)
-    ae.add_argument("--r", type=float, default=analytic.R_STAR)
+    ae.add_argument("--r", type=float, default=None)
     ad = asub.add_parser("delta-j", help="exponent saving at arity j")
     ad.add_argument("--j", type=int, required=True)
     av = asub.add_parser("verify-xi", help="scan xi(v)/log(j*v+1) >= delta")
@@ -480,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     av.add_argument("--delta", type=float, required=True)
     av.add_argument("--vmax", type=int, required=True)
     at = asub.add_parser("tail", help="large-v envelope checks")
-    at.add_argument("--alpha", type=float, default=analytic.ALPHA_STAR)
-    at.add_argument("--r", type=float, default=analytic.R_STAR)
+    at.add_argument("--alpha", type=float, default=None)
+    at.add_argument("--r", type=float, default=None)
     at.add_argument("--v", type=int, nargs="+", default=(10**6, 10**7, 10**9))
     ao = asub.add_parser("optimize", help="re-derive (alpha, r) by direct search")
     ao.add_argument("--vopt", type=int, default=10_000)

@@ -23,7 +23,9 @@ from .errors import DomainError, ResourceLimitError
 _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # A pair kernel is charged the pairs of divisors it visits: the pair-sum
 # histogram all tau(n)^2 before the divisors are listed (at most 5 * 10^7
-# sums, 800 MB, at tau = 10^4); the map walks the pairs they test, row by row
+# sums, 800 MB as two int64 columns, at tau = 10^4, and its build peaks
+# higher: 880 MB for the 2.5 * 10^7 sums of tau 8192); the map walks the
+# pairs they test, row by row
 # (on 2 x86 cores the numpy walk takes 0.75 s for 6.6 * 10^7 pairs at tau
 # 60000, and 1 to 2 s for the 3.3 to 6.6 * 10^7 of the 16-prime primorial,
 # tau 65536, in exact Python ints).

@@ -16,6 +16,10 @@ from .errors import DomainError
 
 LOG_SLACK = 1e-9
 
+# Best known exponent saving for arity-2 maps (see analytic, which certifies
+# it).  It is defined here so that the bounds that read it load no analytic.
+DELTA2 = 0.045072
+
 
 @dataclass(frozen=True)
 class BoundSpec:
@@ -49,8 +53,16 @@ class BoundSpec:
         return None
 
 
-# bound id -> spec; filled by relations, regmaps and analytic at import.
+# bound id -> spec; filled by relations, regmaps and analytic at import, so
+# it is complete only once they are: read it in full through registry().
 BOUNDS: dict[str, BoundSpec] = {}
+
+
+def registry() -> dict[str, BoundSpec]:
+    """BOUNDS with every bound registered: the evaluator modules, which
+    register their bounds as they are imported, are imported on first use."""
+    from . import analytic, regmaps, relations  # noqa: F401
+    return BOUNDS
 
 
 def bound(bound_id: str, family: str, **rules: Any) -> Callable:
@@ -88,7 +100,7 @@ class BoundCheckRecord(NamedTuple):
 
     @property
     def asserted(self) -> bool:
-        return BOUNDS[self.bound_id].asserted
+        return (BOUNDS.get(self.bound_id) or registry()[self.bound_id]).asserted
 
 
 def make_record(
@@ -112,7 +124,8 @@ def _build_record(
     log_lhs is log(lhs), or None when lhs <= 0; params are sorted by name.
     """
     margin = math.inf if log_lhs is None else log_rhs - log_lhs
-    if BOUNDS[bound_id].asserted:
+    # make_record's caller may name a bound whose module is not loaded yet
+    if (BOUNDS.get(bound_id) or registry()[bound_id]).asserted:
         passed = margin >= -LOG_SLACK
     else:
         # ratio-only record: anything with a usable rhs counts as recorded

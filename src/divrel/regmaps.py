@@ -10,6 +10,7 @@ bounds two-coordinate collisions of (g, z1*z2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -19,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import factorcore
-from .analytic import DELTA2, delta_j
 from .errors import DomainError, ResourceLimitError
 from .factorcore import DivisorContext, context_of
-from .records import BOUNDS, BoundCheckRecord, BoundSpec, _build_record, applicable_spec, bound
+from .records import BOUNDS, DELTA2, BoundCheckRecord, BoundSpec, _build_record, applicable_spec, bound
 
 
 @dataclass(frozen=True)
@@ -468,13 +468,21 @@ def builtin_rows(ctx: DivisorContext, bound_id: str) -> list[BoundCheckRecord]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def _delta_j(j: int) -> float:
+    """analytic.delta_j, imported on the first thm1a row, so that building a
+    map loads no analytic; kept per j, as an import costs a thm1a row 1 us."""
+    from .analytic import delta_j
+    return delta_j(j)
+
+
 def _log_or_ninf(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
 @bound("thm1a", "map", asserted=True, sweepable=True)
 def _thm1a(ctx: DivisorContext, table: MapTable, reg: RegularityReport) -> tuple:
-    log_rhs = _log_or_ninf(reg.k) + (1 - delta_j(table.j)) * math.log(ctx.kappa(table.j))
+    log_rhs = _log_or_ninf(reg.k) + (1 - _delta_j(table.j)) * math.log(ctx.kappa(table.j))
     return log_rhs, (("k", reg.k),)
 
 

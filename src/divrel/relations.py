@@ -44,10 +44,9 @@ from itertools import product, starmap
 from operator import add, mul
 
 from . import factorcore
-from .analytic import DELTA2
 from .errors import DomainError
 from .factorcore import DivisorContext, check_budget, context_of
-from .records import BOUNDS, BoundCheckRecord, applicable_spec, bound, make_record
+from .records import BOUNDS, DELTA2, BoundCheckRecord, applicable_spec, bound, make_record
 from .regmaps import _as_array, _run_starts, builtin_table
 
 # Per-sum pair-count exponent: at most 2^(C_EXP * omega(n)) coprime pairs of
@@ -277,12 +276,12 @@ def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDec
             e *= size
             e += np.arange(size)
             e.sort()
-            e, order = np.divmod(e, size)
+            e, order = np.divmod(e, size, out=(e, None))
         else:
             order = np.argsort(e, kind="stable")
             e = e[order]
-        values, u = values[order], counts[order]
-        m = values // e
+        m, u = values[order], counts[order]
+        m //= e
         for column in (e, m, u):
             column.flags.writeable = False  # the memo hands them to every reader
         return EnergyDecomposition(n, e, m, u, int(counts @ counts))

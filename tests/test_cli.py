@@ -27,7 +27,7 @@ from divrel import (
     relations,
 )
 from divrel.cli import format_records_csv, format_records_json, main, parse_records_json
-from divrel.records import BOUNDS, BoundSpec
+from divrel.records import BOUNDS, BoundSpec, registry
 
 # The tests' own copy of the sweepable bound ids, so the oracles below do not
 # share the registry they check.
@@ -447,20 +447,21 @@ def test_sweep_pool_is_capped_by_cpus_and_tasks(capsys, monkeypatch, tmp_path):
 
 
 def test_bound_registry_declares_every_bound():
-    assert len(BOUNDS) == 18
-    assert {b for b, spec in BOUNDS.items() if spec.sweepable} == set(RELATION_BOUNDS + MAP_BOUNDS)
-    assert {b for b, spec in BOUNDS.items() if spec.family == "map"} == set(MAP_BOUNDS)
-    assert {b for b, spec in BOUNDS.items() if spec.asserted} == {
+    bounds = registry()
+    assert bounds is BOUNDS and len(bounds) == 18
+    assert {b for b, spec in bounds.items() if spec.sweepable} == set(RELATION_BOUNDS + MAP_BOUNDS)
+    assert {b for b, spec in bounds.items() if spec.family == "map"} == set(MAP_BOUNDS)
+    assert {b for b, spec in bounds.items() if spec.asserted} == {
         "corollary1", "eq4.1", "eq4.2", "thm1a", "thm1b", "thm2a", "thm2b", "c2",
         "s_minus", "s_plus", "thm4_split_a", "thm4_split_b",
     }
-    assert {b for b, spec in BOUNDS.items() if spec.squarefree_only} == {
+    assert {b for b, spec in bounds.items() if spec.squarefree_only} == {
         "eq4.1", "eq4.2", "thm3a", "corollary3", "thm2a",
     }
-    assert {b: spec.min_n for b, spec in BOUNDS.items() if spec.min_n != 1} == {
+    assert {b: spec.min_n for b, spec in bounds.items() if spec.min_n != 1} == {
         "thm3b": 2, "lemma6": 2, "thm4": 2, "corollary2": 2,
     }
-    assert {b: spec.arity for b, spec in BOUNDS.items() if spec.arity} == {"thm1b": 2}
+    assert {b: spec.arity for b, spec in bounds.items() if spec.arity} == {"thm1b": 2}
 
 
 def _fresh_records(n):
@@ -634,6 +635,24 @@ def test_map_check_refuses_missing_table(capsys, tmp_path):
     code, out, err = run(capsys, "map", "check", "--file", str(tmp_path / "absent.json"))
     assert (code, out) == (2, "")
     assert err.startswith("error: io:") and "absent.json" in err and err.count("\n") == 1
+
+
+def test_map_refuses_an_unknown_kind_or_bound_first(capsys, monkeypatch, tmp_path):
+    # the parser names no kind or bound id; the map command refuses an unknown
+    # one as a domain error before it reads --file or builds a table, which
+    # here would pass its budget (exit 3) or be read and checked (exit 0)
+    path = tmp_path / "table.json"
+    assert run(capsys, "map", "build", "--kind", "sum", "--n", "6", "--out", str(path))[0] == 0
+    monkeypatch.setattr(factorcore, "_MAX_PAIRS", 2000)
+    for argv, err in (
+        (["build", "--kind", "nope", "--n", "6"], "unknown builtin map kind: 'nope'"),
+        (["check", "--file", str(path), "--kind", "nope"], "unknown builtin map kind: 'nope'"),
+        (["bound", "--kind", "", "--n", "720720", "--bound", "thm1a"], "unknown builtin map kind: ''"),
+        (["bound", "--kind", "sum", "--n", "720720", "--bound", "nope"], "unknown bound id: nope"),
+        (["bound", "--file", str(path), "--bound", "thm3a"], "unknown bound id: thm3a"),
+        (["bound", "--file", str(path), "--bound", "s_minus"], "unknown bound id: s_minus"),
+    ):
+        assert run(capsys, "map", *argv) == (2, "", f"error: domain: {err}\n"), argv
 
 
 def test_json_round_trip():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import divrel
 from divrel import analytic, cli, factorcore, regmaps, relations
-from divrel.records import BOUNDS
+from divrel.records import registry
 
 BUDGETS = (
     (factorcore, "_MAX_DIVISORS", 64),
@@ -53,8 +53,8 @@ JUNK = st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0.5", "x", ""])
 REAL = st.one_of(
     st.floats(-2, 2), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(HUGE)
 ).map(str)
-MAP_BOUNDS = sorted(b for b, spec in BOUNDS.items() if spec.family == "map")
-SWEEP_BOUNDS = sorted(b for b, spec in BOUNDS.items() if spec.sweepable)
+MAP_BOUNDS = sorted(b for b, spec in registry().items() if spec.family == "map")
+SWEEP_BOUNDS = sorted(b for b, spec in registry().items() if spec.sweepable)
 
 
 def choice(values):
