@@ -9,7 +9,6 @@ underlying (alpha, r) pair by direct optimization.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
 import math
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import factorcore
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _num
 from .records import BOUNDS, DELTA2, LOG_SLACK, BoundCheckRecord, BoundSpec, make_record
 
 # The weight parameters achieving the arity-2 saving DELTA2 (defined in
@@ -81,12 +80,6 @@ def standard_params() -> AnalyticParams:
     return AnalyticParams.from_alpha_r(ALPHA_STAR, R_STAR)
 
 
-def _num(x: float) -> object:
-    """x for a refusal's text: an int through Decimal, since str() refuses
-    one past 4300 digits; anything else as it is."""
-    return decimal.Decimal(x) if type(x) is int else x
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < 1:
         raise DomainError(f"alpha must lie in [0, 1), got {_num(alpha)}")
@@ -120,13 +113,18 @@ def _xi_terms(xp, v, alpha: float, beta: float, j: int, r: float) -> tuple:
     return num, -xp.log(num / t) + (1 + beta) * v * u / t
 
 
-def _scalar(body, *args) -> float:
-    """body over math, or NaN where an int argument past float range overflows
-    (converting it to float first would round x / (x + 1) differently)."""
+def _scalar(refused: str, body, *args):
+    """body over math; refused as "<refused> too large for float64
+    evaluation" where it overflows, raising (an int argument past float
+    range: converting it to float first would round x / (x + 1) differently)
+    or giving a value, or a tuple's first element, that is not finite."""
     try:
-        return body(math, *args)
+        value = body(math, *args)
+        if math.isfinite(value[0] if type(value) is tuple else value):
+            return value
     except OverflowError:
-        return math.nan
+        pass
+    raise DomainError(f"{refused} too large for float64 evaluation")
 
 
 def f_alpha(alpha: float, x: float) -> float:
@@ -134,10 +132,7 @@ def f_alpha(alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if not 0 <= x < math.inf:  # also refuses NaN
         raise DomainError(f"f_alpha: x must be finite and >= 0, got {_num(x)}")
-    value = _scalar(_f, alpha, x)
-    if not math.isfinite(value):
-        raise DomainError(f"f_alpha: x = {_num(x)} is too large for float64 evaluation")
-    return value
+    return _scalar(f"f_alpha: x = {_num(x)} is", _f, alpha, x)
 
 
 def ell_alpha(alpha: float, x: float) -> float:
@@ -148,10 +143,7 @@ def ell_alpha(alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if not 1 <= x < math.inf:
         raise DomainError(f"ell_alpha: x must be finite and >= 1, got {_num(x)}")
-    value = _scalar(_ell, alpha, x)
-    if not math.isfinite(value):  # alpha*x overflowed: inf - inf
-        raise DomainError(f"ell_alpha: x = {_num(x)} is too large for float64 evaluation")
-    return value
+    return _scalar(f"ell_alpha: x = {_num(x)} is", _ell, alpha, x)
 
 
 def _check_u(alpha: float, j: int, v: float) -> None:
@@ -165,12 +157,7 @@ def _check_u(alpha: float, j: int, v: float) -> None:
 def u_weight(alpha: float, j: int, v: float) -> float:
     """Per-prime additive weight j*log((alpha*j*v+1)/(1-alpha))."""
     _check_u(alpha, j, v)
-    value = _scalar(_u, alpha, j, v)
-    if not math.isfinite(value):
-        raise DomainError(
-            f"u_weight: v = {_num(v)} and j = {_num(j)} are too large for float64 evaluation"
-        )
-    return value
+    return _scalar(f"u_weight: v = {_num(v)} and j = {_num(j)} are", _u, alpha, j, v)
 
 
 def h_value(alpha: float, j: int, f: factorcore.Factorization, d: int) -> float:
@@ -199,21 +186,15 @@ def _check_xi(v: float, alpha: float, beta: float, j: int, r: float) -> None:
         )
 
 
+def _xi_refused(v: float, j: int) -> str:
+    """How xi and its scan name a (v, j) whose numerator overflows."""
+    return f"xi: v = {_num(v)} and j = {_num(j)} are"
+
+
 def _xi_scalar(v: float, alpha: float, beta: float, j: int, r: float) -> tuple:
-    """_xi_terms over math after _check_xi; a float overflow, raised or
-    leaving the numerator infinite, is a DomainError."""
+    """_xi_terms over math after _check_xi; refused where the numerator overflows."""
     _check_xi(v, alpha, beta, j, r)
-    try:
-        num, xi_v = _xi_terms(math, v, alpha, beta, j, r)
-        if math.isfinite(num):
-            return num, xi_v
-    except OverflowError:
-        pass
-    raise _overflow_error(v, j)
-
-
-def _overflow_error(v: float, j: int) -> DomainError:
-    return DomainError(f"xi: v = {_num(v)} and j = {_num(j)} are too large for float64 evaluation")
+    return _scalar(_xi_refused(v, j), _xi_terms, v, alpha, beta, j, r)
 
 
 def xi(v: float, alpha: float, beta: float, j: int, r: float) -> float:
@@ -263,7 +244,8 @@ def _xi_margin_scan(params: AnalyticParams, v_max: int) -> tuple[float, int]:
         i = int(np.argmin(margins))
         # a numerator that is not finite makes the least margin -inf or NaN
         if not math.isfinite(margins[i]) and not np.isfinite(num).all():
-            raise _overflow_error(lo + int(np.argmin(np.isfinite(num))), j)
+            v_bad = lo + int(np.argmin(np.isfinite(num)))
+            raise DomainError(f"{_xi_refused(v_bad, j)} too large for float64 evaluation")
         if margins[i] < min_margin:
             min_margin = float(margins[i])
             argmin_v = lo + i
@@ -279,10 +261,7 @@ def delta_j(j: int) -> float:
     """
     if j < 1:
         raise DomainError(f"delta_j: j must be >= 1, got {_num(j)}")
-    value = _scalar(_f, 1 / (2 * j + 1), j) / math.log(j + 1)
-    if not math.isfinite(value):
-        raise DomainError(f"delta_j: j = {_num(j)} is too large for float64 evaluation")
-    return value
+    return _scalar(f"delta_j: j = {_num(j)} is", _f, 1 / (2 * j + 1), j) / math.log(j + 1)
 
 
 @dataclass(frozen=True)
@@ -359,8 +338,7 @@ def tail_check(params: AnalyticParams, v_samples: Sequence[int]) -> TailCheckRep
         num, xi_v = _xi_scalar(v, alpha, beta, 2, r)
         t = 2 * v + 1
         m1 = math.log(TAIL_NUM_COEFF) + TAIL_NUM_EXPONENT * math.log(t) - math.log(num)
-        arg2 = (2 * alpha * v + 1) / (1 - alpha)
-        m2 = math.log(arg2) - math.log(TAIL_ARG2_COEFF * t)
+        m2 = _u(math, alpha, 2, v) / 2 - math.log(TAIL_ARG2_COEFF * t)
         ratio = xi_v / math.log(t)
         m3 = ratio - (TAIL_DELTA_FLOOR + TAIL_LOG_TERM / math.log(t))
         rows.append(TailSample(v, m1, m2, m3))
@@ -546,10 +524,15 @@ def lemma7_order(
     prefix's mean difference is at most the overall mean, which is not
     positive.  Ties put the larger index first.
     """
-    xs = [float(x) for x, _ in pairs]
-    ys = [float(y) for _, y in pairs]
-    if any(not 0 < x < math.inf for x in xs + ys):  # also refuses NaN
+    try:
+        xs = [float(x) for x, _ in pairs]
+        ys = [float(y) for _, y in pairs]
+    except OverflowError:  # an int past float range
+        xs = ys = None
+    if xs is None or any(not 0 < x < math.inf for x in xs + ys):  # also refuses NaN
         raise DomainError("lemma7_order: pair entries must be finite and strictly positive")
+    if tol != tol:  # a NaN tol would skip the sum check
+        raise DomainError("lemma7_order: tol must not be NaN")
     if sum(xs) > sum(ys) + tol:
         raise DomainError(
             f"lemma7_order: sum(x) = {sum(xs)} exceeds sum(y) = {sum(ys)}"

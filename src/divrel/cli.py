@@ -9,7 +9,6 @@ error (an unexpected exception, i.e. a bug).  Errors print one line
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import math
@@ -18,7 +17,7 @@ import sys
 from collections.abc import Iterable
 
 from . import factorcore
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _num
 from .records import BOUNDS, BoundCheckRecord, registry
 
 # analytic, regmaps and relations are imported by the commands that run them.
@@ -155,8 +154,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
-    # str() refuses ints past 4300 digits; Decimal writes an int of any size
-    print(decimal.Decimal(factorcore.kappa(factorcore.factor(args.n), args.j)))
+    print(_num(factorcore.kappa(factorcore.factor(args.n), args.j)))
     return 0
 
 

@@ -7,7 +7,6 @@ pure Python: every count is an exact Python integer.
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 import operator
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _num
 
 # Work budgets, one per kernel on its own measure of work.  Past its budget a
 # kernel raises ResourceLimitError before it allocates, or, where the work is
@@ -91,8 +90,8 @@ class ArithStats:
 def _is_prime(n: int) -> bool:
     """Miller-Rabin on an n > 1 with no prime factor below 1000, so odd and coprime to each witness."""
     rounds, limbs = len(_MR_WITNESSES), -(-n.bit_length() // 64)
-    work = f"factor: Miller-Rabin: {rounds} rounds x {limbs}^3 limbs"
-    check_budget(work, rounds * limbs**3, _MR_MAX_WORK)
+    work = "factor: Miller-Rabin: {} rounds x {}^3 limbs"
+    check_budget(work, rounds * limbs**3, _MR_MAX_WORK, rounds, limbs)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -109,10 +108,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def check_budget(work: str, amount: int, budget: int) -> None:
-    """Refuse amount units of work past budget; work names the measure."""
-    if amount > budget:  # str() refuses an int past 4300 digits; Decimal writes any
-        raise ResourceLimitError(f"{work} = {decimal.Decimal(amount)} exceeds budget {budget}")
+def check_budget(work: str, amount: int, budget: int, *args: object) -> None:
+    """Refuse amount units of work past budget; work.format(*args) names the
+    measure, and is written only on refusal."""
+    if amount > budget:
+        text = work.format(*map(_num, args))
+        raise ResourceLimitError(f"{text} = {_num(amount)} exceeds budget {budget}")
 
 
 def _rho_split(n: int) -> int:
@@ -132,7 +133,7 @@ def _rho_split(n: int) -> int:
         elif d != 1:
             return d
     raise ResourceLimitError(
-        f"factor: rho on {n} passed {steps} steps of {limbs}^2 limb products,"
+        f"factor: rho on {_num(n)} passed {steps} steps of {limbs}^2 limb products,"
         f" budget {_RHO_MAX_WORK}"
     )
 
@@ -154,7 +155,7 @@ def factor(n: int) -> Factorization:
     plus Pollard rho on the cofactor, so word-sized inputs are fine.
     """
     if n < 1:
-        raise DomainError(f"factor: n must be a positive integer, got {n}")
+        raise DomainError(f"factor: n must be a positive integer, got {_num(n)}")
     counts: dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -185,7 +186,7 @@ def arith_stats(f: Factorization) -> ArithStats:
 
 def divisors(f: Factorization) -> tuple[int, ...]:
     """All divisors of n in increasing order (length tau(n))."""
-    check_budget(f"divisors: tau({f.n})", arith_stats(f).tau, _MAX_DIVISORS)
+    check_budget("divisors: tau({})", arith_stats(f).tau, _MAX_DIVISORS, f.n)
     divs = [1]
     for p, v in f.parts:
         powers = [p**e for e in range(1, v + 1)]
@@ -197,7 +198,7 @@ def divisors(f: Factorization) -> tuple[int, ...]:
 def kappa(f: Factorization, j: int) -> int:
     """Number of ordered j-tuples of pairwise coprime divisors: prod (j*v+1)."""
     if j < 1:
-        raise DomainError(f"kappa: j must be >= 1, got {j}")
+        raise DomainError(f"kappa: j must be >= 1, got {_num(j)}")
     out = 1
     for _, v in f.parts:
         out *= j * v + 1
@@ -241,7 +242,7 @@ class DivisorContext:
 def context_of(n: int, ctx: DivisorContext | None) -> DivisorContext:
     """ctx, refused unless it is a context of n; a new context of n for None."""
     if ctx is not None and ctx.n != n:
-        raise DomainError(f"a DivisorContext of {ctx.n} was given for n = {n}")
+        raise DomainError(f"a DivisorContext of {_num(ctx.n)} was given for n = {_num(n)}")
     return ctx or DivisorContext(n)
 
 
@@ -257,9 +258,9 @@ def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:
     coordinatewise, so the stream holds O(sqrt(kappa)) tuples.
     """
     if j < 1:
-        raise DomainError(f"coprime_tuples: j must be >= 1, got {j}")
+        raise DomainError(f"coprime_tuples: j must be >= 1, got {_num(j)}")
     total = kappa(f, j)
-    check_budget(f"coprime_tuples: kappa_{j}({f.n})", total, _MAX_TUPLES)
+    check_budget("coprime_tuples: kappa_{}({})", total, _MAX_TUPLES, j, f.n)
     # Split where the prefix's tuple count is nearest sqrt(kappa); a tie
     # keeps the longer suffix, which is the loop that runs in C.
     sizes = list(itertools.accumulate((j * v + 1 for _, v in f.parts), operator.mul, initial=1))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _num
 
 LOG_SLACK = 1e-9
 
@@ -45,7 +45,7 @@ class BoundSpec:
         """Why ctx's n (or a table of this arity) is outside the domain, or
         None.  The sweep skips on it; the public functions raise it."""
         if self.squarefree_only and ctx.stats.v_max > 1:
-            return f"n = {ctx.n} is not squarefree"
+            return f"n = {_num(ctx.n)} is not squarefree"
         if ctx.n < self.min_n:
             return f"requires n >= {self.min_n}"
         if arity is not None and self.arity not in (None, arity):

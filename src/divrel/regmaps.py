@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import factorcore
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _num
 from .factorcore import DivisorContext, context_of
 from .records import BOUNDS, DELTA2, BoundCheckRecord, BoundSpec, _build_record, applicable_spec, bound
 
@@ -73,17 +73,17 @@ def map_violations(table: MapTable) -> list[str]:
     n = table.n
     for tup, val in table.entries.items():
         if len(tup) != table.j:
-            problems.append(f"tuple {tup} has arity {len(tup)}, expected {table.j}")
+            problems.append(f"tuple {tup} has arity {len(tup)}, expected {_num(table.j)}")
             continue
         for d in tup:
             if d < 1 or n % d != 0:
-                problems.append(f"coordinate {d} of {tup} does not divide {n}")
+                problems.append(f"coordinate {_num(d)} of {tup} does not divide {_num(n)}")
         if val < 1 or n % val != 0:
-            problems.append(f"value {val} at {tup} does not divide {n}")
+            problems.append(f"value {_num(val)} at {tup} does not divide {_num(n)}")
         if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(tup, 2)):
             problems.append(f"coordinates of {tup} are not pairwise coprime")
         if math.gcd(val, math.prod(tup)) != 1:
-            problems.append(f"value {val} shares a factor with {tup}")
+            problems.append(f"value {_num(val)} shares a factor with {tup}")
     return problems
 
 
@@ -235,6 +235,8 @@ def builtin_midpoint_map(
 _NUMPY_MIN_TAU = 192
 # A candidate block of the numpy walk holds at most about this many pairs.
 _BLOCK = 1 << 14
+# Both walks are charged the pairs they test against factorcore._MAX_PAIRS.
+_WALK_WORK = "{} map of {}: pairs tested"
 # The divisors of n, their pair sums (in [2, 2n]) and every other value the
 # numpy kernels form from them (shifts in (-n, 2n), lookups below 3n) fit
 # int64 while 2n is below this limit; from it on the kernels run the same
@@ -302,8 +304,8 @@ def _row_walk(n: int, divs: tuple[int, ...], kind: str) -> dict[tuple[int, int],
             if math.gcd(a, b) == 1 and (n % val == 0 if is_sum else math.gcd(val, a * b) == 1):
                 entries[a, b] = entries[b, a] = val
         tested += j - i + 1  # the pairs of row i, the one that broke it too
-        if tested > factorcore._MAX_PAIRS:  # the message is made only on refusal
-            factorcore.check_budget(f"{kind} map of {n}: pairs tested", tested, factorcore._MAX_PAIRS)
+        if tested > factorcore._MAX_PAIRS:  # a check_budget call per row slows small n
+            factorcore.check_budget(_WALK_WORK, tested, factorcore._MAX_PAIRS, kind, n)
     return entries
 
 
@@ -351,7 +353,7 @@ def _numpy_walk(ctx: DivisorContext, kind: str) -> MapTable:
     charged = np.cumsum(tested)
     over = int(np.searchsorted(charged, factorcore._MAX_PAIRS, side="right"))
     if over < tau:
-        factorcore.check_budget(f"{kind} map of {n}: pairs tested", int(charged[over]), factorcore._MAX_PAIRS)
+        factorcore.check_budget(_WALK_WORK, int(charged[over]), factorcore._MAX_PAIRS, kind, n)
     listed = np.cumsum(candidates)  # the candidates of rows 0..r
     blocks = []
     r0 = 0
@@ -427,7 +429,7 @@ def _map_row(
     try:
         log_rhs, params = spec.evaluate(ctx, table, reg)
     except OverflowError:  # an arity past float range, read from a table file
-        raise DomainError(f"{bound_id}: j = {table.j} is too large for float64") from None
+        raise DomainError(f"{bound_id}: j = {_num(table.j)} is too large for float64") from None
     size = f_value(table)
     log_size = math.log(size) if size > 0 else None
     return _build_record(
@@ -537,10 +539,10 @@ def exact_E(n: int, j: int, k: int) -> int:
     incumbent.  Only feasible for tiny n, hence the two budgets above.
     """
     if j < 1 or k < 1:
-        raise DomainError(f"exact_E: j and k must be >= 1, got j={j}, k={k}")
+        raise DomainError(f"exact_E: j and k must be >= 1, got j={_num(j)}, k={_num(k)}")
     f = factorcore.factor(n)
     work = j * j * factorcore.kappa(f, j + 1)
-    factorcore.check_budget(f"exact_E: {j}^2 * kappa_{j + 1}({n})", work, _EXACT_E_MAX_WORK)
+    factorcore.check_budget("exact_E: {}^2 * kappa_{}({})", work, _EXACT_E_MAX_WORK, j, j + 1, n)
     divs = factorcore.divisors(f)
     # per candidate tuple, the condition-1 and -2 keys of each allowed value,
     # tagged by condition so that one dict counts both

@@ -19,10 +19,7 @@ symmetric, a histogram that spans more than one range is built from the
 triangle, each unordered pair once, and the ordered counts are read off
 it; one range walks the whole square.  The cells are put in (e, m) order
 by one unstable sort of int64 keys e * cells + index where those fit, in
-place of a stable argsort of e.  Against np.unique per range and that
-argsort, the histogram went from 28-34 to 26-30 ms at tau 1344 and from
-4.4-5.4 to 2.6-3.2 ms at tau 480, and the cells after it from 63-72 to
-38-42 ms at tau 1344 (on a 2-core x86 box).  The arrays are int64 while
+place of a stable argsort of e.  The arrays are int64 while
 2n < 2^62 and hold exact Python ints (object dtype) beyond, so every count
 is exact at any n.
 
@@ -44,7 +41,7 @@ from itertools import product, starmap
 from operator import add, mul
 
 from . import factorcore
-from .errors import DomainError
+from .errors import DomainError, _num
 from .factorcore import DivisorContext, check_budget, context_of
 from .records import BOUNDS, DELTA2, BoundCheckRecord, applicable_spec, bound, make_record
 from .regmaps import _as_array, _run_starts, builtin_table
@@ -205,7 +202,8 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n as numpy columns, counted once per
-    context: read off its Counter while tau^2 <= _NUMPY_MIN_WORK."""
+    context: read off its Counter while tau^2 <= _NUMPY_MIN_WORK.  The pair
+    budget is charged by _small_pair_sums, before anything is allocated."""
     import numpy as np
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
@@ -214,14 +212,13 @@ def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
         values = sorted(hist)
         return np.array(values, dtype=_as_array(ctx.divs).dtype), np.array([hist[s] for s in values])
 
-    check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
     return ctx.memo("pair_sums", compute)
 
 
 def _small_pair_sums(ctx: DivisorContext) -> Counter[int] | None:
     """The pair-sum histogram of ctx.n, sum -> ordered pairs in Python ints,
     counted once per context while tau^2 <= _NUMPY_MIN_WORK; None above."""
-    check_budget(f"pair sums: tau({ctx.n})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS)
+    check_budget("pair sums: tau({})^2 pairs", ctx.stats.tau**2, factorcore._MAX_PAIRS, ctx.n)
     if ctx.stats.tau**2 > _NUMPY_MIN_WORK:
         return None
     return ctx.memo("pair_sum_counter", lambda: Counter(starmap(add, product(ctx.divs, repeat=2))))
@@ -300,7 +297,7 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     """
     hist = _small_pair_sums(ctx)
     walked = ctx.stats.tau * len(hist if hist is not None else _pair_sums(ctx)[0])
-    check_budget(f"corollary3: tau({ctx.n}) * pair sums", walked, _SHIFT_MAX_PAIRS)
+    check_budget("corollary3: tau({}) * pair sums", walked, _SHIFT_MAX_PAIRS, ctx.n)
     # the tau sums 2d are distinct, so walked >= tau^2: a small walk has a hist
     if walked <= _NUMPY_MIN_WORK:
         shifts: dict[int, int] = {}
@@ -372,11 +369,11 @@ def residue_profile(n: int, q: int, ctx: DivisorContext | None = None) -> Residu
     folded to q (it cannot occur under the coprimality hypothesis).
     """
     if q < 2:
-        raise DomainError(f"residue_profile: q must be >= 2, got {q}")
+        raise DomainError(f"residue_profile: q must be >= 2, got {_num(q)}")
     if math.gcd(n, q) != 1:
-        raise DomainError(f"residue_profile: gcd({n}, {q}) != 1")
+        raise DomainError(f"residue_profile: gcd({_num(n)}, {_num(q)}) != 1")
     ctx = context_of(n, ctx)
-    check_budget(f"residues: tau({n}) + q", ctx.stats.tau + q, _RESIDUE_MAX_WORK)
+    check_budget("residues: tau({}) + q", ctx.stats.tau + q, _RESIDUE_MAX_WORK, n)
     counts = [0] * q
     for d in ctx.divs:
         counts[(d - 1) % q] += 1  # slot t-1 holds class t, so q holds 0
@@ -445,7 +442,7 @@ def _eq41(ctx: DivisorContext, e: int | None = None) -> list[tuple]:
         log_rhs = ctx.stats.omega * _LOG_3 + _omega_of(ctx.factorization, d) * _LOG_2_3
         out.append((per_e.get(d, 0), log_rhs, {"e": d}))
     if e is not None and not out:
-        raise DomainError(f"e = {e} does not divide {ctx.n}")
+        raise DomainError(f"e = {_num(e)} does not divide {_num(ctx.n)}")
     return out
 
 

@@ -221,6 +221,8 @@ def test_xi_float_overflow_is_a_domain_error():
             xi(v, p.alpha, p.beta, 2, p.r)
     with pytest.raises(DomainError, match="v = 1e[+]262 and j = 2 are too large"):
         xi(1e262, 0.2, beta_for(0.2, R_STAR), 2, R_STAR)
+    # only the numerator is refused: at a finite one, a huge beta makes xi inf
+    assert xi(1, 0.5, 1e308, 2, 0.0) == math.inf
 
 
 def test_ell_and_u_weight_refuse_a_result_past_float64():
@@ -571,10 +573,13 @@ def test_lemma7_order_examples():
         lemma7_order([(5, 1), (1, 2)])
     with pytest.raises(DomainError):
         lemma7_order([(0.0, 1.0)])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^lemma7_order: tol must not be NaN$"):
+        lemma7_order([(5, 1), (1, 2)], tol=math.nan)  # would skip the sum check
+    for bad in (math.nan, math.inf, 10**5000):  # the int is past float range
+        message = "^lemma7_order: pair entries must be finite and strictly positive$"
+        with pytest.raises(DomainError, match=message):
             lemma7_order([(bad, 1.0), (1.0, 2.0)])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             lemma7_order([(1.0, bad), (1.0, 2.0)])
 
 

@@ -127,6 +127,7 @@ def test_divisors_examples():
     assert divisors(factor(6)) == (1, 2, 3, 6)
     assert divisors(factor(1)) == (1,)
     assert divisors(factor(12)) == (1, 2, 3, 4, 6, 12)
+    assert len(divisors(factor(2**15000))) == 15001  # n past str()'s digit limit
 
 
 def test_divisors_cap(monkeypatch):
@@ -134,6 +135,19 @@ def test_divisors_cap(monkeypatch):
     assert len(divisors(factor(2**4 * 3**4 * 5**3))) == 100
     with pytest.raises(ResourceLimitError, match=r"^divisors: tau\(720720\) = 240 exceeds budget 100$"):
         divisors(factor(720720))
+
+
+def test_check_budget_writes_its_text_only_on_refusal():
+    class Unwritable:
+        def __format__(self, spec):
+            raise AssertionError("formatted within budget")
+
+        def __str__(self):
+            raise AssertionError("written within budget")
+
+    factorcore.check_budget("work {}", 5, 5, Unwritable())
+    with pytest.raises(ResourceLimitError, match="^work 10{5000} of 3 = 6 exceeds budget 5$"):
+        factorcore.check_budget("work {} of {}", 6, 5, 10**5000, 3)
 
 
 def test_rho_step_budget(monkeypatch):

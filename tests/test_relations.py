@@ -4,6 +4,7 @@ import cmath
 import inspect
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -584,6 +585,7 @@ def test_hooley_delta_examples():
     for p in (3, 5, 7, 97, 9973):
         assert hooley_delta(p) == 1
     assert hooley_delta(2) == 2  # window [1, e) holds both divisors
+    assert hooley_delta(2**15000) == 2  # tau 15001, past str()'s digit limit
 
 
 def test_hooley_delta_brute_force():
@@ -733,6 +735,54 @@ def test_bound_parameter_refusals_name_the_bound():
         inequality_report(30, "eq4.1", e=4)
     with pytest.raises(DomainError, match=r"^thm4: integer parameter q required$"):
         inequality_report(30, "thm4")
+
+
+BIG, BIG_DIGITS = 10**5000, "10{5000}"  # past str()'s 4300-digit limit
+
+
+def _digits(x: int) -> str:
+    """str(x) with the digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: factor(-BIG), DomainError, f"factor: n must be a positive integer, got -{BIG_DIGITS}"),
+        (lambda: divisors(factor(BIG)), ResourceLimitError,
+         rf"divisors: tau\({BIG_DIGITS}\) = 25010001 exceeds budget 2000000"),
+        (lambda: factorcore.kappa(factor(6), -BIG), DomainError, f"kappa: j must be >= 1, got -{BIG_DIGITS}"),
+        (lambda: factorcore.coprime_tuples(factor(6), -BIG), DomainError,
+         f"coprime_tuples: j must be >= 1, got -{BIG_DIGITS}"),
+        (lambda: regmaps.exact_E(6, -BIG, 1), DomainError,
+         f"exact_E: j and k must be >= 1, got j=-{BIG_DIGITS}, k=1"),
+        (lambda: residue_profile(7, -BIG), DomainError, f"residue_profile: q must be >= 2, got -{BIG_DIGITS}"),
+        (lambda: residue_profile(BIG, 10), DomainError, rf"residue_profile: gcd\({BIG_DIGITS}, 10\) != 1"),
+        # 10^5000 = 2 mod 7: the work tau(7) + q is 10^5000 + 3
+        (lambda: residue_profile(7, BIG + 1), ResourceLimitError,
+         r"residues: tau\(7\) \+ q = 10{4999}3 exceeds budget 10000000"),
+        (lambda: count_sum_triples(BIG, DivisorContext(6)), DomainError,
+         f"a DivisorContext of 6 was given for n = {BIG_DIGITS}"),
+        (lambda: inequality_report(30, "eq4.1", e=BIG), DomainError,
+         rf"eq4\.1: e = {BIG_DIGITS} does not divide 30"),
+        (lambda: inequality_report(30, "thm4", q=-BIG), DomainError,
+         f"thm4: residue_profile: q must be >= 2, got -{BIG_DIGITS}"),
+        (lambda: inequality_report(2**15000, "eq4.1"), DomainError,
+         rf"eq4\.1: n = {_digits(2**15000)} is not squarefree"),
+        (lambda: regmaps.bound_check(regmaps.MapTable(BIG, 1, {(3,): 1}), "c2"), DomainError,
+         rf"c2: coordinate 3 of \(3,\) does not divide {BIG_DIGITS}"),
+    ],
+    ids=["factor", "divisors", "kappa", "coprime_tuples", "exact_E", "residue_q", "residue_gcd",
+         "residue_work", "context", "eq4.1_e", "thm4_q", "eq4.1_squarefree", "map_table"],
+)
+def test_refusals_write_an_int_past_the_digit_limit(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_energy_constant_consistency():
