@@ -13,5 +13,9 @@ class ResourceLimitError(RuntimeError):
 
 def _num(x: object) -> object:
     """x for a message: an int through Decimal, since str() refuses one past
-    4300 digits; anything else as it is."""
+    4300 digits; a tuple as Python writes it, with its ints so; anything
+    else as it is."""
+    if type(x) is tuple:
+        items = [str(_num(v)) if type(v) is int else repr(v) for v in x]
+        return f"({', '.join(items)}{',' * (len(items) == 1)})"
     return decimal.Decimal(x) if type(x) is int else x

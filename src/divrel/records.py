@@ -107,22 +107,14 @@ def make_record(
     bound_id: str, n: int, lhs: int, log_rhs: float, **params: object
 ) -> BoundCheckRecord:
     """Build a record; pass semantics depend on whether the bound is asserted."""
-    log_lhs = math.log(lhs) if lhs > 0 else None
-    return _build_record(bound_id, n, lhs, log_lhs, log_rhs, tuple(sorted(params.items())))
+    return _build_record(bound_id, n, lhs, log_rhs, tuple(sorted(params.items())))
 
 
 def _build_record(
-    bound_id: str,
-    n: int,
-    lhs: int,
-    log_lhs: float | None,
-    log_rhs: float,
-    params: tuple[tuple[str, object], ...],
+    bound_id: str, n: int, lhs: int, log_rhs: float, params: tuple[tuple[str, object], ...]
 ) -> BoundCheckRecord:
-    """The margin and pass rule, for every record.
-
-    log_lhs is log(lhs), or None when lhs <= 0; params are sorted by name.
-    """
+    """The margin and pass rule, for every record; params are sorted by name."""
+    log_lhs = math.log(lhs) if lhs > 0 else None
     margin = math.inf if log_lhs is None else log_rhs - log_lhs
     # make_record's caller may name a bound whose module is not loaded yet
     if (BOUNDS.get(bound_id) or registry()[bound_id]).asserted:

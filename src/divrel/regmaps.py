@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import types
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -73,17 +74,17 @@ def map_violations(table: MapTable) -> list[str]:
     n = table.n
     for tup, val in table.entries.items():
         if len(tup) != table.j:
-            problems.append(f"tuple {tup} has arity {len(tup)}, expected {_num(table.j)}")
+            problems.append(f"tuple {_num(tup)} has arity {len(tup)}, expected {_num(table.j)}")
             continue
         for d in tup:
             if d < 1 or n % d != 0:
-                problems.append(f"coordinate {_num(d)} of {tup} does not divide {_num(n)}")
+                problems.append(f"coordinate {_num(d)} of {_num(tup)} does not divide {_num(n)}")
         if val < 1 or n % val != 0:
-            problems.append(f"value {_num(val)} at {tup} does not divide {_num(n)}")
+            problems.append(f"value {_num(val)} at {_num(tup)} does not divide {_num(n)}")
         if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(tup, 2)):
-            problems.append(f"coordinates of {tup} are not pairwise coprime")
+            problems.append(f"coordinates of {_num(tup)} are not pairwise coprime")
         if math.gcd(val, math.prod(tup)) != 1:
-            problems.append(f"value {_num(val)} shares a factor with {tup}")
+            problems.append(f"value {_num(val)} shares a factor with {_num(tup)}")
     return problems
 
 
@@ -430,10 +431,8 @@ def _map_row(
         log_rhs, params = spec.evaluate(ctx, table, reg)
     except OverflowError:  # an arity past float range, read from a table file
         raise DomainError(f"{bound_id}: j = {_num(table.j)} is too large for float64") from None
-    size = f_value(table)
-    log_size = math.log(size) if size > 0 else None
     return _build_record(
-        bound_id, table.n, size, log_size, log_rhs, (("j", table.j), *params, *tail)
+        bound_id, table.n, f_value(table), log_rhs, (("j", table.j), *params, *tail)
     )
 
 
@@ -581,9 +580,17 @@ def exact_E(n: int, j: int, k: int) -> int:
 
 
 def map_to_json(table: MapTable) -> str:
-    """Serialize as {"n", "j", "entries": [[d1..dj, value], ...]}, sorted."""
+    """Serialize as {"n", "j", "entries": [[d1..dj, value], ...]}, sorted.
+
+    A table holding an int past Python's digit limit is refused, as
+    map_from_json could not read it back.
+    """
     rows = [[*tup, table.entries[tup]] for tup in sorted(table.entries)]
-    return json.dumps({"n": table.n, "j": table.j, "entries": rows})
+    try:
+        return json.dumps({"n": table.n, "j": table.j, "entries": rows})
+    except ValueError:  # str() refuses the int
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"map table of n = {_num(table.n)}: an int past {limit} digits") from None
 
 
 def map_from_json(text: str) -> MapTable:

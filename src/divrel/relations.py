@@ -15,13 +15,12 @@ e, so no Python object is made per cell.  That histogram holds up to
 tau(tau + 1)/2 sums at 16 bytes each (32 MB at tau 2000) and is built in
 ranges of the sum, each counted by one in-place sort and its run starts,
 so building it needs little beyond twice that.  Since d1 + d2 is
-symmetric, a histogram that spans more than one range is built from the
-triangle, each unordered pair once, and the ordered counts are read off
-it; one range walks the whole square.  The cells are put in (e, m) order
-by one unstable sort of int64 keys e * cells + index where those fit, in
-place of a stable argsort of e.  The arrays are int64 while
-2n < 2^62 and hold exact Python ints (object dtype) beyond, so every count
-is exact at any n.
+symmetric, the histogram is built from the triangle, each unordered pair
+once, and the ordered counts are read off it.  The cells are put in (e, m)
+order by one unstable sort of int64 keys e * cells + index where those fit,
+in place of a stable argsort of e.  The arrays are int64 while 2n < 2^62
+and hold exact Python ints (object dtype) beyond, so every count is exact
+at any n.
 
 Sum triples d1 + d2 = d3 need no pair table: they are counted in Python
 ints from the primitive solutions that the built-in sum map lists (see
@@ -129,21 +128,16 @@ class ResidueProfile:
 
 
 def _sum_ranges(
-    x: np.ndarray, y: np.ndarray, first: np.ndarray | None = None
+    x: np.ndarray, y: np.ndarray, first: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every sum x[j] + y[i] over the pairs (i, j) with j >= first[i] (all
-    pairs when first is None; each first[i] < len(x)), x ascending, in
-    ascending ranges of the sum; no sum is split between two ranges.
+    """Every sum x[j] + y[i] over the pairs (i, j) with j >= first[i] (each
+    first[i] < len(x)), x ascending, in ascending ranges of the sum; no sum
+    is split between two ranges.
 
     Yields (sums, j) per range, unordered.  A range holds at most _CHUNK
     pairs, or only the pairs of one sum if that sum alone has more.
     """
     import numpy as np
-    if first is None:
-        if len(x) * len(y) <= _CHUNK:  # one range holds every pair
-            yield np.add.outer(y, x).ravel(), np.arange(len(x) * len(y)) % len(x)
-            return
-        first = np.zeros(len(y), dtype=np.intp)
     # lo: the smallest sum; top: one past the largest
     lo, top = int((x[first] + y).min()), int(x[-1] + y.max()) + 1
 
@@ -179,24 +173,19 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     divs, ascending, and the number of pairs giving each."""
     import numpy as np
     a = _as_array(divs)
-    # past one range, walk each unordered pair once: the pairs d1 <= d2
-    triangle = len(a) ** 2 > _CHUNK
-    if triangle:
-        ranges = (sums for sums, _ in _sum_ranges(a, a, np.arange(len(a))))
-    else:
-        ranges = [np.add.outer(a, a).ravel()]
 
     def count(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sums.sort()  # in place: each range's sums serve this count alone
         first = _run_starts(sums)
         return sums[first], np.diff(first, append=len(sums))
 
+    # each unordered pair once, the pairs d1 <= d2
+    ranges = (sums for sums, _ in _sum_ranges(a, a, np.arange(len(a))))
     values, counts = map(np.concatenate, zip(*map(count, ranges)))
-    if triangle:
-        # d1 < d2 stands for two ordered pairs, d1 = d2 for one; the sums 2d
-        # are distinct, so each diagonal pair fixes one count
-        counts *= 2
-        counts[np.searchsorted(values, 2 * a)] -= 1
+    # d1 < d2 stands for two ordered pairs, d1 = d2 for one; the sums 2d
+    # are distinct, so each diagonal pair fixes one count
+    counts *= 2
+    counts[np.searchsorted(values, 2 * a)] -= 1
     return values, counts
 
 
@@ -308,7 +297,8 @@ def _most_frequent_shift(ctx: DivisorContext) -> tuple[int, int]:
     import numpy as np
     values, counts = _pair_sums(ctx)
     best_m, best = 0, 0
-    for shift, j in _sum_ranges(values, -_as_array(ctx.divs)):
+    every = np.zeros(ctx.stats.tau, dtype=np.intp)  # every (s, d3) pair
+    for shift, j in _sum_ranges(values, -_as_array(ctx.divs), every):
         order = np.argsort(shift)
         shift = shift[order]
         first = _run_starts(shift)

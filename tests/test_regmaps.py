@@ -340,6 +340,11 @@ def test_map_violations_messages():
     ]
     assert map_violations(MapTable(6, 2, {(1,): 2})) == ["tuple (1,) has arity 1, expected 2"]
     assert map_violations(MapTable(6, 1, {(2,): 2})) == ["value 2 shares a factor with (2,)"]
+    # a tuple is written as Python writes it, each int in full
+    assert map_violations(MapTable(6, 1, {(4,): 1})) == ["coordinate 4 of (4,) does not divide 6"]
+    assert map_violations(MapTable(6, 2, {(1, 2): 4})) == [
+        "value 4 at (1, 2) does not divide 6", "value 4 shares a factor with (1, 2)"
+    ]
 
 
 def test_witness_tie_break_takes_the_smallest_key():

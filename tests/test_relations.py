@@ -305,10 +305,9 @@ def test_pair_counts_in_small_ranges(monkeypatch):
 
 
 def test_pair_triangles_at_odd_tau(monkeypatch):
-    # Past one range the histogram walks each unordered pair once, doubles
-    # the counts and takes one off each diagonal sum 2d; both n are squares,
-    # of odd tau.  At tau 15 a _CHUNK of 1000 holds the whole table in one
-    # range.
+    # The histogram walks each unordered pair once, doubles the counts and
+    # takes one off each diagonal sum 2d; both n are squares, of odd tau.
+    # At tau 15 a _CHUNK of 1000 holds the whole triangle in one range.
     for n, dtype, chunks in (
         (2025, "int64", (7, 60, 100, 1000)),  # tau 15
         (9 * 2**60, "object", (100, 1000, 2000)),  # tau 183
@@ -776,9 +775,14 @@ def _digits(x: int) -> str:
          rf"eq4\.1: n = {_digits(2**15000)} is not squarefree"),
         (lambda: regmaps.bound_check(regmaps.MapTable(BIG, 1, {(3,): 1}), "c2"), DomainError,
          rf"c2: coordinate 3 of \(3,\) does not divide {BIG_DIGITS}"),
+        (lambda: regmaps.bound_check(regmaps.MapTable(6, 1, {(BIG,): 1}), "thm1a"), DomainError,
+         rf"thm1a: coordinate {BIG_DIGITS} of \({BIG_DIGITS},\) does not divide 6"),
+        (lambda: regmaps.map_to_json(regmaps.build_builtin("successor", 2**15000)), DomainError,
+         f"map table of n = {_digits(2**15000)}: an int past {sys.get_int_max_str_digits()} digits"),
     ],
     ids=["factor", "divisors", "kappa", "coprime_tuples", "exact_E", "residue_q", "residue_gcd",
-         "residue_work", "context", "eq4.1_e", "thm4_q", "eq4.1_squarefree", "map_table"],
+         "residue_work", "context", "eq4.1_e", "thm4_q", "eq4.1_squarefree", "map_table",
+         "map_tuple", "map_json"],
 )
 def test_refusals_write_an_int_past_the_digit_limit(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
