@@ -18,13 +18,17 @@ so building it needs little beyond twice that.  Since d1 + d2 is
 symmetric, the histogram is built from the triangle, each unordered pair
 once, and the ordered counts are read off it.  The cells are put in (e, m)
 order by one unstable sort of int64 keys e * cells + index where those fit,
-in place of a stable argsort of e.  The arrays are int64 while 2n < 2^62
-and hold exact Python ints (object dtype) beyond, so every count is exact
-at any n.
+in place of a stable argsort of e.  From _GCD_MIN_CELLS int64 cells on,
+e = gcd(s, n) is read off n's prime powers, from residue tables of
+gcd(r, q) for a few coprime moduli q, in blocks of cells (see
+_gcds_with_n); fewer cells and exact ints take np.gcd.  The arrays are
+int64 while 2n < 2^62 and hold exact Python ints (object dtype) beyond,
+so every count is exact at any n.
 
-Sum triples d1 + d2 = d3 need no pair table: they are counted in Python
-ints from the primitive solutions that the built-in sum map lists (see
-count_sum_triples).
+Sum triples d1 + d2 = d3 need no pair table: they are counted from the
+primitive solutions that the built-in sum map lists, on its divisor-index
+columns where the numpy walk built it and entry by entry in Python ints
+otherwise (see count_sum_triples).
 
 Each kernel refuses work past its own budget before it allocates anything:
 the pair-sum histogram (tau^2 pairs), corollary3 and residues.
@@ -71,6 +75,20 @@ _CHUNK = 1 << 18
 # past it a stable argsort of e does, an int64 timsort about 5x slower (33
 # against 6.6 ms for 407,957 cells at tau 1344 on a 2-core x86 box).
 _INT64_KEYS = 2**63
+
+# _gcds_with_n builds one residue table of gcd(r, q) per modulus q of at
+# most this many residues.  For the gcds of the cells at tau 256, 432 and
+# 1344 (9699690, 9009017117100, 735134400; medians of 15 on a 2-core x86
+# box), a cap of 2^12 took 0.61, 1.65 and 10.4 ms (three moduli at tau
+# 1344), 2^16 took 0.49, 1.67 and 7.5 ms (two), and 2^20 took 0.90, 2.97
+# and 12.1 ms, its tables of up to 8 MB building and missing the cache;
+# np.gcd took 1.30, 5.84 and 27.9 ms.
+_GCD_MODULUS = 1 << 16
+# Fewer int64 cells than this take np.gcd, as the tables cost more to build
+# than a Euclid per cell: medians of 201 on a 2-core x86 box, np.gcd took
+# 7.6, 76 and 175 us for the 365, 3,329 and 4,770 cells of 2310, 55440
+# and 110880, against 45, 99 and 112 us for the lookup.
+_GCD_MIN_CELLS = 4096
 
 # corollary3 walks tau(n) pairs (s, d3) per distinct pair sum s.  This admits
 # squarefree tau 512 (4.5 * 10^7 pairs, 1.6 s on 2 cores) and refuses tau 1024
@@ -148,9 +166,11 @@ def _sum_ranges(
     start = first
     while lo < top:
         # a becomes the largest end in (lo, top] whose range [lo, a) fits the
-        # budget; lo is a sum that occurs, so the range is never empty
+        # budget; lo is a sum that occurs, so the range is never empty.  The
+        # end top takes every pair left, so where they all fit (the indices
+        # then reach len(x) for each i) a is top without a bisection
         budget = int(start.sum()) + _CHUNK
-        a, b = lo + 1, top
+        a, b = top if len(x) * len(y) <= budget else lo + 1, top
         while a < b:
             mid = (a + b + 1) // 2
             if int(first_at_or_above(mid).sum()) <= budget:
@@ -189,6 +209,41 @@ def _pair_sum_counts(divs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
+def _gcds_with_n(values: np.ndarray, f: factorcore.Factorization) -> np.ndarray:
+    """gcd(s, f.n) for each s of the non-negative int64 column values, read
+    off n's prime powers, in blocks of _CHUNK values.
+
+    Each prime's largest power in n within _GCD_MODULUS goes to a residue
+    table: n's primes, in turn, fill coprime moduli q of at most that many
+    residues, each with the table of gcd(r, q) over its residues r.
+    gcd(s, n) is the product of the tables at s % q, times p for each power
+    p^i of n past the cap that divides s.
+    """
+    import numpy as np
+    tables: list[np.ndarray] = []  # gcd(r, q) at each residue r, q = len(table)
+    past = []  # (p, p^i) for each power p^i of n past the cap
+    for p, k in f.parts:
+        j = k
+        while p**j > _GCD_MODULUS:
+            j -= 1
+        past += [(p, p**i) for i in range(j + 1, k + 1)]
+        if j:
+            if not tables or len(tables[-1]) * p**j > _GCD_MODULUS:
+                tables.append(np.ones(1, dtype=np.int64))
+            # at r, gcd(r mod q, q) for the old modulus q, times gcd(r, p^j)
+            table = tables[-1] = np.tile(tables[-1], p**j)
+            for i in range(1, j + 1):
+                table[:: p**i] *= p  # r divisible by p^i
+    e = np.ones_like(values)
+    for start in range(0, len(values), _CHUNK):
+        s, out = values[start : start + _CHUNK], e[start : start + _CHUNK]
+        for table in tables:
+            out *= table[s % len(table)]
+        for p, power in past:
+            out[s % power == 0] *= p
+    return e
+
+
 def _pair_sums(ctx: DivisorContext) -> tuple[np.ndarray, np.ndarray]:
     """The pair-sum histogram of ctx.n as numpy columns, counted once per
     context: read off its Counter while tau^2 <= _NUMPY_MIN_WORK.  The pair
@@ -220,10 +275,24 @@ def count_sum_triples(n: int, ctx: DivisorContext | None = None) -> int:
     (a, b) -> a + b of the built-in sum map and one divisor g of
     n / (a*b*(a + b)); so the count is the sum of tau(n / (a*b*(a + b)))
     over the map's entries, each tau read off n's own primes.
+
+    A table with divisor-index columns is counted on them from
+    t(d) = tau(n / d): a, b and a + b are pairwise coprime, so
+    t(a)*t(b) = tau(n / (a*b))*tau, and that over tau times t(a + b) is
+    the entry's term times tau; both divisions are exact.  Any other table
+    is counted entry by entry.
     """
     ctx = context_of(n, ctx)
+    table = builtin_table(ctx, "sum")
+    if table._columns is not None:
+        d, z, g = table._columns
+        tau = ctx.stats.tau
+        t = 1  # t[i] = tau(n / d[i]), a factor k + 1 - v per p^k || n, p^v || d[i]
+        for p, k in ctx.factorization.parts:
+            t = t * (k + 1 - sum(d % p**i == 0 for i in range(1, k + 1)))
+        return int((t[z[:, 0]] * t[z[:, 1]] // tau * t[g] // tau).sum())
     total = 0
-    for (a, b), s in builtin_table(ctx, "sum").entries.items():
+    for (a, b), s in table.entries.items():
         q, tau = a * b * s, 1
         for p, v in ctx.factorization.parts:
             while q % p == 0:
@@ -252,7 +321,10 @@ def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDec
 
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
-        e = np.gcd(values, n)
+        if values.dtype == object or len(values) < _GCD_MIN_CELLS:
+            e = np.gcd(values, n)
+        else:
+            e = _gcds_with_n(values, ctx.factorization)
         # values ascend, so within one e so does m = s / e: the cells in
         # (e, m) order are sorted on e, ties kept in index order
         size = len(e)

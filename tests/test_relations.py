@@ -322,6 +322,22 @@ def test_pair_triangles_at_odd_tau(monkeypatch):
             assert counts.tolist() == [sums[s] for s in sorted(sums)], (n, chunk)
 
 
+def test_sum_ranges_bisect_only_while_the_rest_does_not_fit(monkeypatch):
+    # tau 15: the triangle holds 120 pairs.  A _CHUNK of 120 lists them as
+    # one range, with one searchsorted for its end and no bisection; at
+    # 119 the first range's end is bisected for, and the rest then fits
+    a = regmaps._as_array(divisor_list(2025))
+    calls = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *x, **k: calls.append(1) or searchsorted(*x, **k))
+    for chunk, ranges, bisected in ((120, 1, False), (119, 2, True)):
+        monkeypatch.setattr(relations, "_CHUNK", chunk)
+        calls.clear()
+        listed = list(relations._sum_ranges(a, a, np.arange(len(a))))
+        assert sum(len(sums) for sums, _ in listed) == 120, chunk
+        assert (len(listed), len(calls) > ranges) == (ranges, bisected), chunk
+
+
 def test_pair_count_memory_is_bounded():
     n = 13967553600  # 2^6 3^3 5^2 7 11 13 17 19, tau 2688
     divs = divisor_list(n)
@@ -420,6 +436,35 @@ def test_count_sum_triples_at_large_n():
     ):
         ctx = DivisorContext(n)
         assert (ctx.stats.tau, count_sum_triples(n, ctx=ctx)) == (tau, count), n
+
+
+def loop_sum_triples(f, entries) -> int:
+    """Entry-loop oracle: tau(n / (a*b*(a + b))) summed over the sum map's
+    entries, each tau found by dividing out n's primes one at a time."""
+    total = 0
+    for (a, b), s in entries.items():
+        q, tau = a * b * s, 1
+        for p, v in f.parts:
+            while q % p == 0:
+                q //= p
+                v -= 1
+            tau *= v + 1
+        total += tau
+    return total
+
+
+def test_column_triple_count_matches_the_entry_loop():
+    # numpy-walk tables (tau >= 192) are counted on their columns; 332640
+    # has tau 192, 2^62 * 105 walks in object dtype
+    for n in (332640, 9699690, 735134400, 7207213693680, 13082761331670030, 2**62 * 105):
+        table = regmaps.builtin_table(DivisorContext(n), "sum")
+        assert table._columns is not None, n
+        want = loop_sum_triples(factor(n), table.entries)
+        # the same columns with no entries: the entry loop would count 0
+        ctx = DivisorContext(n)
+        ctx.memo(("builtin", "sum"), lambda: regmaps.MapTable(n, 2, {}, table._columns))
+        assert count_sum_triples(n, ctx=ctx) == want, n
+    assert want == 5006  # 2^62 * 105; 13082761331670030's 726,344 is pinned above
 
 
 def test_a_context_of_another_n_is_refused():
@@ -553,6 +598,38 @@ def test_energy_cells_are_the_stable_gcd_order(monkeypatch):
     monkeypatch.setattr(regmaps, "_INT64_SUMS", 0)
     for n in (*ns, 15 * (2**61 - 1)):
         check(n, "object")
+
+
+def test_gcds_from_residue_tables_match_np_gcd(monkeypatch):
+    # 735134400 fills two moduli; 10000019 is past the cap of 2^16, and so
+    # are 2^17 and 2^18, of which 2^16 goes to a table; 2^61 - 5 is the
+    # largest n of int64 sums
+    rng = np.random.default_rng(5)
+    for n in (1, 10000019, 9699690, 735134400, 7207213693680, 2**17 * 315, 2**18 * 315,
+              10000019**2 * 6, 2**61 - 5):
+        f = factor(n)
+        values = relations._pair_sums(DivisorContext(n))[0]
+        assert values.dtype == "int64", n
+        values = np.concatenate((values, rng.integers(0, 2 * n + 1, 1000), [0, 2 * n]))
+        want = np.gcd(values, n)
+        assert relations._gcds_with_n(values, f).tolist() == want.tolist(), n
+        with monkeypatch.context() as patch:
+            few = np.concatenate((values[:200], values[-300:]))
+            for block in (1, 7):
+                patch.setattr(relations, "_CHUNK", block)
+                assert relations._gcds_with_n(few, f).tolist() == np.gcd(few, n).tolist(), (n, block)
+
+
+def test_energy_cells_take_the_lookup_from_its_least_cell_count(monkeypatch):
+    calls = []
+    lookup = relations._gcds_with_n
+    monkeypatch.setattr(relations, "_gcds_with_n", lambda *a: calls.append(1) or lookup(*a))
+    for least, looked_up in ((855, True), (856, False)):
+        monkeypatch.setattr(relations, "_GCD_MIN_CELLS", least)
+        calls.clear()
+        dec = energy_decomposition(5040)  # tau 60, 855 cells
+        assert (len(dec.e), bool(calls)) == (855, looked_up), least
+        assert dec.e.tolist() == sorted(math.gcd(s, 5040) for s in loop_pair_sums(divisor_list(5040)))
 
 
 def test_energy_decomposition_rows_are_valid():
