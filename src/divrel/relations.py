@@ -18,12 +18,11 @@ so building it needs little beyond twice that.  Since d1 + d2 is
 symmetric, the histogram is built from the triangle, each unordered pair
 once, and the ordered counts are read off it.  The cells are put in (e, m)
 order by one unstable sort of int64 keys e * cells + index where those fit,
-in place of a stable argsort of e.  From _GCD_MIN_CELLS int64 cells on,
-e = gcd(s, n) is read off n's prime powers, from residue tables of
-gcd(r, q) for a few coprime moduli q, in blocks of cells (see
-_gcds_with_n); fewer cells and exact ints take np.gcd.  The arrays are
-int64 while 2n < 2^62 and hold exact Python ints (object dtype) beyond,
-so every count is exact at any n.
+in place of a stable argsort of e.  For int64 cells, e = gcd(s, n) is
+read off n's prime powers, from residue tables of gcd(r, q) for a few
+coprime moduli q, in blocks of cells (see _gcds_with_n); exact ints take
+np.gcd.  The arrays are int64 while 2n < 2^62 and hold exact Python ints
+(object dtype) beyond, so every count is exact at any n.
 
 Sum triples d1 + d2 = d3 need no pair table: they are counted from the
 primitive solutions that the built-in sum map lists, on its divisor-index
@@ -84,11 +83,6 @@ _INT64_KEYS = 2**63
 # and 12.1 ms, its tables of up to 8 MB building and missing the cache;
 # np.gcd took 1.30, 5.84 and 27.9 ms.
 _GCD_MODULUS = 1 << 16
-# Fewer int64 cells than this take np.gcd, as the tables cost more to build
-# than a Euclid per cell: medians of 201 on a 2-core x86 box, np.gcd took
-# 7.6, 76 and 175 us for the 365, 3,329 and 4,770 cells of 2310, 55440
-# and 110880, against 45, 99 and 112 us for the lookup.
-_GCD_MIN_CELLS = 4096
 
 # corollary3 walks tau(n) pairs (s, d3) per distinct pair sum s.  This admits
 # squarefree tau 512 (4.5 * 10^7 pairs, 1.6 s on 2 cores) and refuses tau 1024
@@ -217,16 +211,19 @@ def _gcds_with_n(values: np.ndarray, f: factorcore.Factorization) -> np.ndarray:
     table: n's primes, in turn, fill coprime moduli q of at most that many
     residues, each with the table of gcd(r, q) over its residues r.
     gcd(s, n) is the product of the tables at s % q, times p for each power
-    p^i of n past the cap that divides s.
+    p^i of n past the cap that divides s.  Those powers take one pass over
+    the block per prime: each tests only the values that the power below
+    it divides.
     """
     import numpy as np
     tables: list[np.ndarray] = []  # gcd(r, q) at each residue r, q = len(table)
-    past = []  # (p, p^i) for each power p^i of n past the cap
+    past = []  # (p, [p^i, ...]) for the powers p^i of n past the cap, ascending
     for p, k in f.parts:
         j = k
         while p**j > _GCD_MODULUS:
             j -= 1
-        past += [(p, p**i) for i in range(j + 1, k + 1)]
+        if j < k:
+            past.append((p, [p**i for i in range(j + 1, k + 1)]))
         if j:
             if not tables or len(tables[-1]) * p**j > _GCD_MODULUS:
                 tables.append(np.ones(1, dtype=np.int64))
@@ -239,8 +236,12 @@ def _gcds_with_n(values: np.ndarray, f: factorcore.Factorization) -> np.ndarray:
         s, out = values[start : start + _CHUNK], e[start : start + _CHUNK]
         for table in tables:
             out *= table[s % len(table)]
-        for p, power in past:
-            out[s % power == 0] *= p
+        for p, (first, *higher) in past:
+            at = np.flatnonzero(s % first == 0)
+            out[at] *= p
+            for power in higher:
+                at = at[s[at] % power == 0]
+                out[at] *= p
     return e
 
 
@@ -321,10 +322,7 @@ def energy_decomposition(n: int, ctx: DivisorContext | None = None) -> EnergyDec
 
     def compute() -> EnergyDecomposition:
         values, counts = _pair_sums(ctx)
-        if values.dtype == object or len(values) < _GCD_MIN_CELLS:
-            e = np.gcd(values, n)
-        else:
-            e = _gcds_with_n(values, ctx.factorization)
+        e = np.gcd(values, n) if values.dtype == object else _gcds_with_n(values, ctx.factorization)
         # values ascend, so within one e so does m = s / e: the cells in
         # (e, m) order are sorted on e, ties kept in index order
         size = len(e)

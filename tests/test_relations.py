@@ -602,11 +602,11 @@ def test_energy_cells_are_the_stable_gcd_order(monkeypatch):
 
 def test_gcds_from_residue_tables_match_np_gcd(monkeypatch):
     # 735134400 fills two moduli; 10000019 is past the cap of 2^16, and so
-    # are 2^17 and 2^18, of which 2^16 goes to a table; 2^61 - 5 is the
-    # largest n of int64 sums
+    # are 2^17 and 2^18, of which 2^16 goes to a table, and 2^17 .. 2^40 of
+    # 2^40 * 127575 (tau 1722); 2^61 - 5 is the largest n of int64 sums
     rng = np.random.default_rng(5)
     for n in (1, 10000019, 9699690, 735134400, 7207213693680, 2**17 * 315, 2**18 * 315,
-              10000019**2 * 6, 2**61 - 5):
+              2**40 * 127575, 10000019**2 * 6, 2**61 - 5):
         f = factor(n)
         values = relations._pair_sums(DivisorContext(n))[0]
         assert values.dtype == "int64", n
@@ -618,18 +618,6 @@ def test_gcds_from_residue_tables_match_np_gcd(monkeypatch):
             for block in (1, 7):
                 patch.setattr(relations, "_CHUNK", block)
                 assert relations._gcds_with_n(few, f).tolist() == np.gcd(few, n).tolist(), (n, block)
-
-
-def test_energy_cells_take_the_lookup_from_its_least_cell_count(monkeypatch):
-    calls = []
-    lookup = relations._gcds_with_n
-    monkeypatch.setattr(relations, "_gcds_with_n", lambda *a: calls.append(1) or lookup(*a))
-    for least, looked_up in ((855, True), (856, False)):
-        monkeypatch.setattr(relations, "_GCD_MIN_CELLS", least)
-        calls.clear()
-        dec = energy_decomposition(5040)  # tau 60, 855 cells
-        assert (len(dec.e), bool(calls)) == (855, looked_up), least
-        assert dec.e.tolist() == sorted(math.gcd(s, 5040) for s in loop_pair_sums(divisor_list(5040)))
 
 
 def test_energy_decomposition_rows_are_valid():
