@@ -29,10 +29,12 @@ _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # 60000, and 1 to 2 s for the 3.3 to 6.6 * 10^7 of the 16-prime primorial,
 # tau 65536, in exact Python ints).
 _MAX_PAIRS = 10**8
-# coprime_tuples(): kappa_j(n).  On a 2-core x86 box s_bounds walks 10^8
-# tuples in about 1 minute at j = 2 (27 s for the 4.3 * 10^7 of the 16-prime
-# primorial) and 2.6 minutes at j = 9 (158 s for s_bounds(9699690, 9)).
-_MAX_TUPLES = 10**8
+# coprime_tuples(): j * kappa_j(n), the coordinates it lists, since the stream
+# and s_bounds cost per coordinate, so at j = 2 it admits kappa = 10^8.  On a
+# 2-core x86 box s_bounds walks the 4.3 * 10^7 tuples of the 16-prime
+# primorial at j = 2 (8.6 * 10^7 coordinates) in 22 s, and the 10^6 of 30030
+# at j = 9 in 0.7 s; s_bounds(9699690, 9), 9 * 10^8 coordinates, is refused.
+_MAX_TUPLE_COORDS = 2 * 10**8
 # _rho_split(): steps times the square of n's size in 64-bit limbs, the cost
 # of a step's products mod n, counted as they run.  On a 2-core x86 box a
 # step takes 1.6 us at one limb and 2.2 us at two, so this is 3 * 10^6 or
@@ -254,25 +256,36 @@ def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:
     first prime varies slowest.  Refusals are raised at the call, not lazily.
 
     The tuples of a prefix and of a suffix of the primes, about sqrt(kappa)
-    each, are listed once; each tuple is a prefix tuple times a suffix tuple,
-    coordinatewise, so the stream holds O(sqrt(kappa)) tuples.
+    each, are listed once; each tuple is a prefix tuple (the head) times a
+    suffix tuple, coordinatewise.  The stream chains one zip of j product
+    columns per head, so no Python frame runs per tuple.  A coordinate keeps
+    its product column until the head's value there changes, and a value of
+    1 takes the suffix column itself; consecutive heads differ mostly in the
+    last prefix prime, so most heads build at most one column.  The stream
+    holds O(j * sqrt(kappa)) ints.
     """
     if j < 1:
         raise DomainError(f"coprime_tuples: j must be >= 1, got {_num(j)}")
     total = kappa(f, j)
-    check_budget("coprime_tuples: kappa_{}({})", total, _MAX_TUPLES, j, f.n)
+    check_budget("coprime_tuples: {} * kappa_{}({})", j * total, _MAX_TUPLE_COORDS, j, j, f.n)
     # Split where the prefix's tuple count is nearest sqrt(kappa); a tie
     # keeps the longer suffix, which is the loop that runs in C.
     sizes = list(itertools.accumulate((j * v + 1 for _, v in f.parts), operator.mul, initial=1))
     k = min(range(len(sizes)), key=lambda i: max(sizes[i], total // sizes[i]))
     prefix = _tuples_of(f.parts[:k], j)
     columns = list(zip(*_tuples_of(f.parts[k:], j)))
+    # Each coordinate's last head value and its product column.
+    values = [1] * j
+    products = list(columns)
 
-    def tuples() -> Iterator[tuple[int, ...]]:
-        for head in prefix:
-            yield from zip(*[map(q.__mul__, col) for q, col in zip(head, columns)])
+    def rows(head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for i, q in enumerate(head):
+            if q != values[i]:
+                values[i] = q
+                products[i] = columns[i] if q == 1 else tuple(map(q.__mul__, columns[i]))
+        return zip(*products)
 
-    return tuples()
+    return itertools.chain.from_iterable(map(rows, prefix))
 
 
 def _tuples_of(parts: tuple[tuple[int, int], ...], j: int) -> list[tuple[int, ...]]:

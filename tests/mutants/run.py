@@ -6,11 +6,12 @@ Usage (from anywhere in the repository):
 
 Each mutant in mutants.json names a file, a text that occurs exactly once
 in it, the text's replacement, and the pytest node ids expected to kill it.
-The tracked files (git ls-files, as they are in the working tree) are
-copied once to a temporary directory.  The mutants are then taken one at a
-time: the mutant is applied to the copy, its node ids are run there with
-pytest, and the file is restored.  NAME picks mutants by name; the default
-is all of them.
+The tracked files (git ls-files, as they are in the working tree; outside
+a git checkout, every file but .git and the caches) are copied once to a
+temporary directory.  The mutants are then taken one at a time: the
+mutant is applied to the copy, its node ids are run there with pytest, and
+the file is restored.  NAME picks mutants by name; the default is all of
+them.
 
 The script exits 1 when a mutant's text does not occur exactly once, when
 its replacement does not compile, when a listed test fails on the copy
@@ -38,10 +39,17 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
+# Skipped when the tree is listed without git.
+UNTRACKED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 
 
 def tracked_files() -> list[str]:
-    out = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+    """git ls-files; outside a git checkout, every file not under UNTRACKED."""
+    try:
+        out = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        names = (path.relative_to(ROOT) for path in ROOT.rglob("*") if path.is_file())
+        return [str(name) for name in names if UNTRACKED.isdisjoint(name.parts)]
     return [name for name in out.decode().split("\0") if name]
 
 

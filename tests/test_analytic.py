@@ -770,7 +770,7 @@ def test_s_bounds_refuses_bad_parameters_before_the_walk(monkeypatch):
             s_bounds(*args, **kw)
         assert str(exc.value) == message
     # beta and r are refused before the tuple budget
-    monkeypatch.setattr(analytic.factorcore, "_MAX_TUPLES", 10)
+    monkeypatch.setattr(analytic.factorcore, "_MAX_TUPLE_COORDS", 10)
     with pytest.raises(DomainError, match="beta and r must be finite and >= 0"):
         s_bounds(30030, 2, 0.2, beta=-0.1)
 

@@ -300,10 +300,11 @@ def test_coprime_tuples_deterministic_order():
 
 
 def test_coprime_tuples_cap(monkeypatch):
-    monkeypatch.setattr(factorcore, "_MAX_TUPLES", 1000)
+    # charged j * kappa coordinates: 2 * (9 * 9 * 7) is exactly the budget
+    monkeypatch.setattr(factorcore, "_MAX_TUPLE_COORDS", 1134)
     assert len(list(coprime_tuples(factor(2**4 * 3**4 * 5**3), 2))) == 9 * 9 * 7
     # refusals come from the call itself, before any next()
-    with pytest.raises(ResourceLimitError, match=r"kappa_3\(720720\) = 23296 exceeds budget 1000$"):
+    with pytest.raises(ResourceLimitError, match=r"^coprime_tuples: 3 \* kappa_3\(720720\) = 69888 exceeds budget 1134$"):
         coprime_tuples(factor(720720), 3)
     with pytest.raises(DomainError):
         coprime_tuples(factor(12), 0)
@@ -331,22 +332,39 @@ def recursive_coprime_tuples(f, j):
 def test_coprime_tuples_match_recursive_oracle():
     cases = [(n, j) for n in range(1, 3001) for j in (1, 2, 3)]
     cases += [(6469693230, 2), (9699690, 3), (360360, 3), (2**20 * 3 * 5 * 7, 3)]
+    # heads that keep, rebuild and pass through product columns, at j = 2, 4, 6
+    cases += [(2**6 * 3**4 * 5**2 * 7 * 11, 2), (360360, 4), (30030, 6)]
     for n, j in cases:
         f = factor(n)
         assert list(coprime_tuples(f, j)) == list(recursive_coprime_tuples(f, j)), (n, j)
 
 
 def test_coprime_tuples_stream_stays_lazy():
-    # 3^12 = 531441 tuples; a list of them would take about 60 MB
-    f = factor(math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]))
+    # 531441 and 1044225 tuples; a list of either would take over 60 MB
+    for n in (math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), 2**12 * 3**10 * 5**8 * 7**6 * 11**4):
+        f = factor(n)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in coprime_tuples(f, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == kappa(f, 2), n
+        assert peak < 2 * 2**20, (n, peak)
+
+
+def test_coprime_tuples_refuse_before_allocating():
+    # 3000 * kappa_3000(6) = 2.7 * 10^10 coordinates; listing the prefix
+    # and suffix of 3001 tuples each would take over 200 MB
+    f = factor(6)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in coprime_tuples(f, 2))
+        with pytest.raises(ResourceLimitError, match=r"^coprime_tuples: 3000 \* kappa_3000\(6\) = 27018003000 "):
+            coprime_tuples(f, 3000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 3**12
-    assert peak < 2 * 2**20, peak
+    assert peak < 2**20, peak
 
 
 def test_t_weight_examples():

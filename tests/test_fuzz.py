@@ -30,7 +30,7 @@ from divrel.records import registry
 BUDGETS = (
     (factorcore, "_MAX_DIVISORS", 64),
     (factorcore, "_MAX_PAIRS", 4096),
-    (factorcore, "_MAX_TUPLES", 4096),
+    (factorcore, "_MAX_TUPLE_COORDS", 8192),
     (factorcore, "_RHO_MAX_WORK", 200),
     (factorcore, "_MR_MAX_WORK", 200),
     (relations, "_SHIFT_MAX_PAIRS", 20_000),
