@@ -29,11 +29,15 @@ _MAX_DIVISORS = 2 * 10**6  # divisors(): tau(n), about 1 s and 100 MB
 # 60000, and 1 to 2 s for the 3.3 to 6.6 * 10^7 of the 16-prime primorial,
 # tau 65536, in exact Python ints).
 _MAX_PAIRS = 10**8
-# coprime_tuples(): j * kappa_j(n), the coordinates it lists, since the stream
-# and s_bounds cost per coordinate, so at j = 2 it admits kappa = 10^8.  On a
-# 2-core x86 box s_bounds walks the 4.3 * 10^7 tuples of the 16-prime
-# primorial at j = 2 (8.6 * 10^7 coordinates) in 22 s, and the 10^6 of 30030
-# at j = 9 in 0.7 s; s_bounds(9699690, 9), 9 * 10^8 coordinates, is refused.
+# coprime_tuples(): j * kappa_j(n), the coordinates it lists.  The prefix and
+# suffix listed at the call and s_bounds' weight lookup and conversion cost
+# per coordinate; the stream itself costs about the same per tuple at any j.
+# So it admits kappa = 10^8 at j = 2 and 2 * 10^8 at j = 1.  On a 2-core x86
+# box the stream drains the 4.2 * 10^6 tuples of the 22-prime primorial at
+# j = 1 in 0.36 s (about 17 s at the budget), s_bounds walks the 4.3 * 10^7
+# tuples of the 16-prime primorial at j = 2 (8.6 * 10^7 coordinates) in 22 s
+# and the 10^6 of 30030 at j = 9 in 0.7 s, and s_bounds(9699690, 9), 9 * 10^8
+# coordinates, is refused.
 _MAX_TUPLE_COORDS = 2 * 10**8
 # _rho_split(): steps times the square of n's size in 64-bit limbs, the cost
 # of a step's products mod n, counted as they run.  On a 2-core x86 box a
@@ -260,9 +264,8 @@ def coprime_tuples(f: Factorization, j: int) -> Iterator[tuple[int, ...]]:
     suffix tuple, coordinatewise.  The stream chains one zip of j product
     columns per head, so no Python frame runs per tuple.  A coordinate keeps
     its product column until the head's value there changes, and a value of
-    1 takes the suffix column itself; consecutive heads differ mostly in the
-    last prefix prime, so most heads build at most one column.  The stream
-    holds O(j * sqrt(kappa)) ints.
+    1 takes the suffix column itself, so a head builds only the columns
+    whose value changed.  The stream holds O(j * sqrt(kappa)) ints.
     """
     if j < 1:
         raise DomainError(f"coprime_tuples: j must be >= 1, got {_num(j)}")
